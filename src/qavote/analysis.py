@@ -1,9 +1,10 @@
 """Pairwise prediction-similarity statistics and tabular report exports.
 
-For each question both models are scored against gold; the pair report
-counts, per class, how often the two F1 values are exactly equal and how
-often the two EM flags agree. Both scores come from the same scoring
-function, so F1 equality is exact float equality, no epsilon.
+A pair report is built from two ``EvalReport``s over the same dataset and
+classifier. It counts, per class, how often the two models' F1 values are
+exactly equal and how often their EM flags agree. Both scores come from
+``evaluate``, the same scoring function, so F1 equality is exact float
+equality, no epsilon, and nothing here scores or classifies a question.
 """
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .corpus import Dataset, PredictionSet
-from .metrics import EvalReport, MissingPolicy, score_pair
+from .metrics import EvalReport
 
 
 @dataclass(frozen=True)
@@ -50,49 +50,41 @@ class SimilarityReport:
 
 
 def pairwise_similarity(
-    preds_a: PredictionSet,
-    preds_b: PredictionSet,
-    dataset: Dataset,
-    classifier: Callable[[str], str],
-    missing_policy: MissingPolicy | str = MissingPolicy.SCORE_AS_EMPTY,
+    report_a: EvalReport,
+    report_b: EvalReport,
+    label_order: Sequence[str],
 ) -> SimilarityReport:
     """Count equal-F1 and equal-EM questions per class for a model pair.
 
-    With the default policy a question missing from one set is scored as an
-    empty prediction, so totals stay at the dataset size; with ``exclude``
-    only questions answered by both models are counted.
+    The questions counted are those present in both reports, in
+    ``report_a``'s dataset order: every question when both were evaluated
+    with the default missing policy, only those both models answered under
+    ``exclude``. Classes come in ``label_order`` (the classifier's labels)
+    first, then in order of first appearance.
     """
-    missing_policy = MissingPolicy(missing_policy)
     counts: dict[str, list[int]] = {}
-    label_order: list[str] = []
     equal_f1_sum = 0.0
     equal_f1_n = 0
     equal_em_true = 0
-    for item in dataset.items:
-        raw_a = preds_a.answers.get(item.id)
-        raw_b = preds_b.answers.get(item.id)
-        if missing_policy is MissingPolicy.EXCLUDE and (raw_a is None or raw_b is None):
+    scores_b = report_b.per_question
+    for qid, label in report_a.labels.items():
+        score_b = scores_b.get(qid)
+        if score_b is None:
             continue
-        f1_a, em_a = score_pair(raw_a or "", item.gold_answers)
-        f1_b, em_b = score_pair(raw_b or "", item.gold_answers)
-        label = classifier(item.question)
-        if label not in counts:
-            counts[label] = [0, 0, 0]
-            label_order.append(label)
-        bucket = counts[label]
+        score_a = report_a.per_question[qid]
+        bucket = counts.setdefault(label, [0, 0, 0])
         bucket[2] += 1
-        if f1_a == f1_b:
+        if score_a.f1 == score_b.f1:
             bucket[0] += 1
-            equal_f1_sum += f1_a
+            equal_f1_sum += score_a.f1
             equal_f1_n += 1
-        if em_a == em_b:
+        if score_a.em == score_b.em:
             bucket[1] += 1
-            if em_a:
+            if score_a.em:
                 equal_em_true += 1
 
-    labels = getattr(classifier, "labels", ())
-    ordered = [label for label in labels if label in counts]
-    ordered += [label for label in label_order if label not in ordered]
+    ordered = [label for label in label_order if label in counts]
+    ordered += [label for label in counts if label not in ordered]
     per_class = {label: SimTriple(*counts[label]) for label in ordered}
     overall = SimTriple(
         equal_f1=sum(t.equal_f1 for t in per_class.values()),
@@ -101,8 +93,8 @@ def pairwise_similarity(
     )
     equal_em_total = overall.equal_em
     return SimilarityReport(
-        model_a=preds_a.model_name,
-        model_b=preds_b.model_name,
+        model_a=report_a.model,
+        model_b=report_b.model,
         per_class=per_class,
         overall=overall,
         mean_of_equal_f1s=equal_f1_sum / equal_f1_n if equal_f1_n else 0.0,

@@ -109,13 +109,6 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _threads_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads for scoring (results are thread-count independent)",
-    )
-
-
 def cmd_rules_show(args) -> int:
     classifier, _ = _classifier_from_args(args)
     if not isinstance(classifier, ClassRuleSet):
@@ -209,7 +202,7 @@ def cmd_evaluate(args) -> int:
     reports = {}
     for name, path in pred_paths.items():
         preds = load_predictions(path, name)
-        report = evaluate(preds, dataset, classifier, policy, threads=args.threads)
+        report = evaluate(preds, dataset, classifier, policy)
         reports[name] = report
         print(
             f"{name}: F1={100 * report.overall.mean_f1:.2f}% "
@@ -258,8 +251,7 @@ def cmd_weights(args) -> int:
     policy = MissingPolicy(args.missing_policy.replace("-", "_"))
     pred_paths = _parse_preds(args.preds)
     reports = {
-        name: evaluate(load_predictions(path, name), dataset, classifier, policy,
-                       threads=args.threads)
+        name: evaluate(load_predictions(path, name), dataset, classifier, policy)
         for name, path in pred_paths.items()
     }
     basis = _BASIS_BY_FLAG[args.basis]
@@ -343,13 +335,16 @@ def cmd_compare(args) -> int:
     pred_paths = _parse_preds(args.preds)
     if len(pred_paths) < 2:
         raise ValueError("compare needs at least two --preds")
-    loaded = {name: load_predictions(path, name) for name, path in pred_paths.items()}
-    pairs = list(combinations(loaded, 2))
-    if (args.csv or args.json_out) and len(pairs) > 1:
+    if (args.csv or args.json_out) and len(pred_paths) > 2:
         raise ValueError("--csv/--json fit one pair; use --out-dir for more models")
+    reports = {
+        name: evaluate(load_predictions(path, name), dataset, classifier, policy)
+        for name, path in pred_paths.items()
+    }
+    labels = getattr(classifier, "labels", ())
     outputs = []
-    for name_a, name_b in pairs:
-        report = pairwise_similarity(loaded[name_a], loaded[name_b], dataset, classifier, policy)
+    for name_a, name_b in combinations(reports, 2):
+        report = pairwise_similarity(reports[name_a], reports[name_b], labels)
         o = report.overall
         print(
             f"{name_a} vs {name_b}: equal F1 {o.equal_f1}/{o.total}, "
@@ -468,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--json", dest="json_out", help="write the full report(s) as JSON")
     p_eval.add_argument("--csv", help="write the per-class breakdown as CSV")
-    _threads_flag(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_weights = sub.add_parser("weights", help="voting weights from a pre-evaluation dataset")
@@ -483,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--missing-policy", default="score-as-empty", choices=["score-as-empty", "exclude"]
     )
     p_weights.add_argument("--out", required=True)
-    _threads_flag(p_weights)
     p_weights.set_defaults(func=cmd_weights)
 
     p_ens = sub.add_parser("ensemble", help="weighted-voting ensemble over prediction files")

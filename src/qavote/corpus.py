@@ -146,55 +146,63 @@ class SplitResult:
         }
 
 
-def _require(mapping, key, path):
+def _require(mapping, key, path, kind):
+    """``mapping[key]``, which must exist and be a ``kind`` (JSON true/false is no int)."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError(f"missing required field at {path}.{key}")
-    return mapping[key]
+    value = mapping[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(
+            f"field {path}.{key} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
 def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
-    """Build a Dataset from already-parsed SQuAD-format JSON."""
-    articles = _require(data, "data", "$")
-    if not isinstance(articles, list):
-        raise SchemaError("field $.data must be a list")
+    """Build a Dataset from already-parsed SQuAD-format JSON.
+
+    Every field must have its SQuAD type; nothing is coerced. A violation
+    raises SchemaError naming the field's JSON path.
+    """
+    articles = _require(data, "data", "$", list)
     items: list[QaItem] = []
     groups: list[ParagraphGroup] = []
     for a_idx, article in enumerate(articles):
         a_path = f"$.data[{a_idx}]"
-        title = article.get("title", "") if isinstance(article, dict) else ""
-        paragraphs = _require(article, "paragraphs", a_path)
+        paragraphs = _require(article, "paragraphs", a_path, list)
+        title = _require(article, "title", a_path, str) if "title" in article else ""
         for p_idx, paragraph in enumerate(paragraphs):
             p_path = f"{a_path}.paragraphs[{p_idx}]"
-            context = _require(paragraph, "context", p_path)
-            qas = _require(paragraph, "qas", p_path)
+            context = _require(paragraph, "context", p_path, str)
+            qas = _require(paragraph, "qas", p_path, list)
             group_ids = []
             for q_idx, qa in enumerate(qas):
                 q_path = f"{p_path}.qas[{q_idx}]"
-                qid = _require(qa, "id", q_path)
-                question = _require(qa, "question", q_path)
-                answers = _require(qa, "answers", q_path)
-                if not isinstance(answers, list) or not answers:
-                    raise SchemaError(f"empty or invalid answers list at {q_path}.answers")
+                qid = _require(qa, "id", q_path, str)
+                question = _require(qa, "question", q_path, str)
+                answers = _require(qa, "answers", q_path, list)
+                if not answers:
+                    raise SchemaError(f"empty answers list at {q_path}.answers")
                 golds, starts = [], []
                 for ans_idx, answer in enumerate(answers):
                     ans_path = f"{q_path}.answers[{ans_idx}]"
-                    golds.append(_require(answer, "text", ans_path))
-                    starts.append(int(_require(answer, "answer_start", ans_path)))
+                    golds.append(_require(answer, "text", ans_path, str))
+                    starts.append(_require(answer, "answer_start", ans_path, int))
                 items.append(
                     QaItem(
-                        id=str(qid),
-                        question=str(question),
-                        context=str(context),
+                        id=qid,
+                        question=question,
+                        context=context,
                         gold_answers=tuple(golds),
                         answer_starts=tuple(starts),
                     )
                 )
-                group_ids.append(str(qid))
+                group_ids.append(qid)
             groups.append(
                 ParagraphGroup(
                     key=f"p{a_idx:05d}_{p_idx:05d}",
-                    title=str(title),
-                    context=str(context),
+                    title=title,
+                    context=context,
                     item_ids=tuple(group_ids),
                 )
             )

@@ -7,6 +7,11 @@ text matches the community-standard evaluation script), drops the articles
 take the maximum over all gold answers. One deliberate edge: a prediction
 and gold that both normalize to nothing score em=True, f1=1.0, keeping the
 ``em implies f1 == 1`` invariant.
+
+``evaluate`` is the only place a question is scored. Its ``EvalReport``
+keeps each question's class label next to its score, so per-class
+statistics over several models (weights, pair comparisons) aggregate
+reports and never score or classify again.
 """
 from __future__ import annotations
 
@@ -17,8 +22,7 @@ import json
 import string
 import unicodedata
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .corpus import Dataset, PredictionSet
@@ -101,13 +105,18 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-question scores with per-class and overall aggregates."""
+    """Per-question scores with per-class and overall aggregates.
+
+    ``labels`` maps each scored question id to its class label, in dataset
+    order. It is what the aggregates were built from and is not serialized.
+    """
 
     per_question: dict[str, QuestionScore]
     per_class: dict[str, ClassStats]
     overall: ClassStats
     model: str = ""
     missing_policy: MissingPolicy = MissingPolicy.SCORE_AS_EMPTY
+    labels: dict[str, str] = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,7 +170,8 @@ def report_from_scores(
     """Aggregate per-question scores into an EvalReport.
 
     Aggregation order is fixed (sorted question ids), so reports are
-    identical however the scores were produced.
+    identical however the scores were produced. The report keeps the labels
+    of the scored questions in ``labels_by_id`` order.
     """
     per_class_scores: dict[str, list[QuestionScore]] = {}
     for qid in sorted(scores):
@@ -184,6 +194,7 @@ def report_from_scores(
         overall=stats([scores[qid] for qid in sorted(scores)]),
         model=model,
         missing_policy=missing_policy,
+        labels={qid: label for qid, label in labels_by_id.items() if qid in scores},
     )
 
 
@@ -192,40 +203,25 @@ def evaluate(
     dataset: Dataset,
     classifier: Callable[[str], str],
     missing_policy: MissingPolicy | str = MissingPolicy.SCORE_AS_EMPTY,
-    threads: int = 1,
 ) -> EvalReport:
     """Score a prediction set against a dataset, bucketed by question class.
 
     Questions absent from ``predictions`` are scored as empty-string
-    predictions or excluded, per ``missing_policy``. Results are independent
-    of ``threads``.
+    predictions or excluded, per ``missing_policy``.
     """
     missing_policy = MissingPolicy(missing_policy)
     answers = predictions.answers
-
-    def entry(item) -> tuple[str, QuestionScore, str] | None:
+    scores: dict[str, QuestionScore] = {}
+    labels: dict[str, str] = {}
+    for item in dataset.items:
         prediction = answers.get(item.id)
         if prediction is None:
             if missing_policy is MissingPolicy.EXCLUDE:
-                return None
+                continue
             prediction = ""
         f1, em_flag = score_pair(prediction, item.gold_answers)
-        return item.id, QuestionScore(id=item.id, f1=f1, em=em_flag), classifier(item.question)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(entry, dataset.items))
-    else:
-        results = [entry(item) for item in dataset.items]
-
-    scores: dict[str, QuestionScore] = {}
-    labels: dict[str, str] = {}
-    for result in results:
-        if result is None:
-            continue
-        qid, score, label = result
-        scores[qid] = score
-        labels[qid] = label
+        scores[item.id] = QuestionScore(id=item.id, f1=f1, em=em_flag)
+        labels[item.id] = classifier(item.question)
     return report_from_scores(
         scores, labels, model=predictions.model_name, missing_policy=missing_policy
     )

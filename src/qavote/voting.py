@@ -61,26 +61,17 @@ class VoteError(ValueError):
 
 @dataclass(frozen=True)
 class VoteConfig:
-    """Voting variant switches; the defaults are the headline configuration.
-
-    ``no_duplicate_fallback`` selects who answers when no duplicates exist:
-    "class_best" (default) returns the heaviest candidate for this class,
-    "best_overall" the globally best model's candidate. The latter is an
-    alternative reading of the voting procedure kept only for comparison.
-    """
+    """Voting variant switches; the defaults are the headline configuration."""
 
     mode: VoteMode = VoteMode.CLASS_AWARE
     combine: Combine = Combine.SUM
     undefined_special_case: bool = True
     duplicate_equality: Equality = Equality.NORMALIZED
-    no_duplicate_fallback: str = "class_best"
 
     def __post_init__(self):
         object.__setattr__(self, "mode", VoteMode(self.mode))
         object.__setattr__(self, "combine", Combine(self.combine))
         object.__setattr__(self, "duplicate_equality", Equality(self.duplicate_equality))
-        if self.no_duplicate_fallback not in ("class_best", "best_overall"):
-            raise ValueError(f"bad no_duplicate_fallback: {self.no_duplicate_fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -236,9 +227,6 @@ def vote(
                 best = group
         winner = by_model(best.models[0])
         reason = Reason.MERGED_DUPLICATES
-    elif config.no_duplicate_fallback == "best_overall" and config.mode is VoteMode.CLASS_AWARE:
-        winner = by_model(table.best_overall)
-        reason = Reason.HIGHEST_WEIGHT_NO_DUPLICATES
     else:
         winner = ordered[0]
         for candidate in ordered[1:]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -44,6 +44,13 @@ class WeightTable:
     def __post_init__(self):
         if not self.models:
             raise WeightError("weight table needs at least one model")
+        missing = [m for m in self.models if m not in self.global_weights]
+        unknown = sorted(set(self.global_weights) - set(self.models))
+        if missing or unknown:
+            raise WeightError(
+                f"global weights do not match models {list(self.models)}: "
+                f"missing {missing}, not in models {unknown}"
+            )
         for model, weight in self.global_weights.items():
             _check_weight(weight, f"global weight of {model!r}")
         for label, row in self.class_weights.items():
@@ -174,24 +181,9 @@ def compute_global_weights(
     Feeding this to the class-aware voter (with the undefined special case
     off) reproduces the class-ignoring ensemble exactly.
     """
-    _check_reports(reports)
-    basis = MetricBasis(basis)
-    models = tuple(reports)
-    global_weights = {
-        model: _basis_value(report.overall, basis) for model, report in reports.items()
-    }
-    all_labels = list(labels)
-    for report in reports.values():
-        for label in report.per_class:
-            if label not in all_labels:
-                all_labels.append(label)
-    class_weights = {label: dict(global_weights) for label in all_labels}
-    return WeightTable(
-        models=models,
-        metric_basis=basis,
-        class_weights=class_weights,
-        global_weights=global_weights,
-        best_overall=_argmax_model(models, global_weights),
+    table = compute_class_weights(reports, basis, labels)
+    return replace(
+        table, class_weights={label: dict(table.global_weights) for label in table.class_weights}
     )
 
 

@@ -352,9 +352,9 @@ class TestCriterion9SimilarityCounts:
             a_answers[ids[3]], b_answers[ids[3]] = disjoint, truncated[ids[3]]
             a_answers[ids[4]], b_answers[ids[4]] = truncated[ids[4]], truncated[ids[4]]
 
-        report = pairwise_similarity(
-            PredictionSet("a", a_answers), PredictionSet("b", b_answers), dataset, RULES
-        )
+        report_a = evaluate(PredictionSet("a", a_answers), dataset, RULES)
+        report_b = evaluate(PredictionSet("b", b_answers), dataset, RULES)
+        report = pairwise_similarity(report_a, report_b, RULES.labels)
         for label, triple in report.per_class.items():
             assert (triple.equal_f1, triple.equal_em, triple.total) == (3, 4, 5), label
         assert (report.overall.equal_f1, report.overall.equal_em, report.overall.total) == (
@@ -365,9 +365,7 @@ class TestCriterion9SimilarityCounts:
         # equal-F1 values per class: 1.0, 1.0, 2/3
         assert report.mean_of_equal_f1s == pytest.approx((2 + 2 / 3) / 3, rel=1e-12)
 
-        reflexive = pairwise_similarity(
-            PredictionSet("a", a_answers), PredictionSet("a", a_answers), dataset, RULES
-        )
+        reflexive = pairwise_similarity(report_a, report_a, RULES.labels)
         assert reflexive.overall.equal_f1 == reflexive.overall.total == len(dataset)
         assert reflexive.overall.equal_em == len(dataset)
         _pass(9, "planted per-class equal counts (3,4,5) x 14 reproduced; reflexive saturates")

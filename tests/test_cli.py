@@ -240,6 +240,35 @@ class TestErrorCodes:
         assert rc == 4
         assert "error" in capsys.readouterr().err
 
+    def test_wrong_field_type_exits_four_with_json_path(self, tmp_path, capsys):
+        data = make_squad_dict({"what": 2})
+        data["data"][0]["paragraphs"][0]["qas"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["classify-stats", "--dataset", str(bad)])
+        assert rc == 4
+        assert "$.data[0].paragraphs[0].qas" in capsys.readouterr().err
+
+    def test_threads_flag_is_gone(self, corpus_file):
+        for command in (["evaluate", "--dataset", str(corpus_file)],
+                        ["weights", "--pre-eval", str(corpus_file), "--out", "w.json"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--preds", "a=a.json", "--threads", "2"])
+            assert excinfo.value.code == 2
+
+    def test_compare_single_pair_outputs_rejected_before_scoring(
+        self, tmp_path, corpus_file, monkeypatch, capsys
+    ):
+        def no_scoring(*_):
+            raise AssertionError("scored before rejecting --csv")
+
+        monkeypatch.setattr("qavote.cli.evaluate", no_scoring)
+        preds = [f"--preds={name}={tmp_path / 'p.json'}" for name in "abc"]
+        rc = main(["compare", "--dataset", str(corpus_file), *preds,
+                   "--csv", str(tmp_path / "sim.csv")])
+        assert rc == 4
+        assert "--out-dir" in capsys.readouterr().err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["classify-stats", "--no-such-flag"])

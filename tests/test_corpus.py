@@ -80,6 +80,36 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="answers"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("paragraphs",), 5, id="paragraphs-int"),
+            pytest.param(("paragraphs", 0, "qas"), None, id="qas-null"),
+            pytest.param(("paragraphs", 0, "context"), ["a", "b"], id="context-list"),
+            pytest.param(("title",), 7, id="title-int"),
+            pytest.param(("paragraphs", 0, "qas", 0, "id"), ["q", "1"], id="id-list"),
+            pytest.param(("paragraphs", 0, "qas", 0, "question"), ["What", "is", "it?"],
+                         id="question-list"),
+            pytest.param(("paragraphs", 0, "qas", 0, "answers", 0, "text"), 5, id="text-int"),
+            pytest.param(("paragraphs", 0, "qas", 0, "answers", 0, "answer_start"), "abc",
+                         id="answer_start-str"),
+            pytest.param(("paragraphs", 0, "qas", 0, "answers", 0, "answer_start"), True,
+                         id="answer_start-bool"),
+        ],
+    )
+    def test_wrong_field_type_reports_json_path(self, path, value):
+        data = make_squad_dict({"what": 1})
+        node = data["data"][0]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        json_path = "$.data[0]" + "".join(
+            f"[{key}]" if isinstance(key, int) else f".{key}" for key in path
+        )
+        with pytest.raises(SchemaError) as excinfo:
+            dataset_from_squad_dict(data, provenance="x")
+        assert json_path in str(excinfo.value)
+
     def test_duplicate_gold_texts_are_kept(self):
         data = make_squad_dict({"who": 1})
         answers = data["data"][0]["paragraphs"][0]["qas"][0]["answers"]

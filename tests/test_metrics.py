@@ -153,18 +153,6 @@ class TestEvaluate:
         weighted = sum(s.mean_f1 * s.count for s in report.per_class.values())
         assert abs(weighted / report.overall.count - report.overall.mean_f1) < 1e-12
 
-    def test_thread_count_does_not_change_result(self, rules, small_dataset):
-        answers = gold_map(small_dataset)
-        for i, qid in enumerate(answers):
-            if i % 2 == 0:
-                answers[qid] = "granite"
-        preds = PredictionSet("m", answers)
-        a = evaluate(preds, small_dataset, rules, threads=1)
-        b = evaluate(preds, small_dataset, rules, threads=4)
-        assert a.per_question == b.per_question
-        assert a.per_class == b.per_class
-        assert a.overall == b.overall
-
     def test_per_class_buckets_follow_classifier(self, rules, small_dataset):
         report = evaluate(PredictionSet("empty", {}), small_dataset, rules)
         assert set(report.per_class) == {

@@ -68,10 +68,6 @@ class TestVoteConfig:
         assert config.combine is Combine.MAX
         assert config.duplicate_equality is Equality.RAW
 
-    def test_rejects_unknown_fallback(self):
-        with pytest.raises(ValueError):
-            VoteConfig(no_duplicate_fallback="coin_flip")
-
 
 class TestVoteSemantics:
     WEIGHTS = {"A": 0.8, "B": 0.7, "C": 0.6}
@@ -144,18 +140,6 @@ class TestVoteSemantics:
         table = table_for(weights, weights, label="what")
         trace = vote(candidates_for({"a": "x", "b": "y"}, "what", table), "what", table)
         assert trace.winner.model == "a"
-
-    def test_alternative_no_duplicate_fallback(self):
-        # hidden comparison flag: on no duplicates return the overall-best model
-        weights = {"A": 0.2, "B": 0.9}  # B best in class
-        globals_ = {"A": 0.9, "B": 0.2}  # A best overall
-        table = table_for(weights, globals_, label="what")
-        config = VoteConfig(no_duplicate_fallback="best_overall")
-        answers = {"A": "one", "B": "two"}
-        trace = vote(candidates_for(answers, "what", table, config), "what", table, config)
-        assert trace.winner.model == "A"
-        default = vote(candidates_for(answers, "what", table), "what", table)
-        assert default.winner.model == "B"
 
     def test_scaling_weights_never_changes_winner(self):
         rng = random.Random(99)

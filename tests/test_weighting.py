@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -180,6 +181,24 @@ class TestWeightTable:
                 global_weights={"m": 0.2, "n": 0.9},
                 best_overall="m",
             )
+
+    @pytest.mark.parametrize(
+        "global_weights, named",
+        [
+            ({"a": 0.5, "ghost": 0.9}, "ghost"),  # a global weight for an unknown model
+            ({}, "'a'"),  # a model without a global weight
+        ],
+    )
+    def test_global_weights_must_match_models(self, tmp_path, global_weights, named):
+        path = tmp_path / "weights.json"
+        path.write_text(
+            json.dumps({"models": ["a"], "metric_basis": "mean_f1", "global": global_weights,
+                        "classes": {}, "best_overall": "a"}),
+            encoding="utf-8",
+        )
+        with pytest.raises(WeightError, match="global weights do not match") as excinfo:
+            load_weights(path)
+        assert named in str(excinfo.value)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "weights.json"

@@ -78,10 +78,6 @@ def oracle_vote(cands, question_class, model_order, best_overall, config):
     if any(size >= 2 for _, _, _, size in scored):
         combined, _, first, _ = max(scored, key=lambda g: (g[0], -g[1]))
         return cands[first][0], cands[first][1]
-    if config.no_duplicate_fallback == "best_overall" and config.mode is VoteMode.CLASS_AWARE:
-        for model, answer, _ in cands:
-            if model == best_overall:
-                return model, answer
     best_idx = min(range(n), key=lambda i: (-cands[i][2], pos[cands[i][0]]))
     return cands[best_idx][0], cands[best_idx][1]
 
