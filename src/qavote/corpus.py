@@ -147,13 +147,19 @@ class SplitResult:
 
 
 def _require(mapping, key, path, kind):
-    """``mapping[key]``, which must exist and be a ``kind`` (JSON true/false is no int)."""
-    if not isinstance(mapping, dict) or key not in mapping:
+    """``mapping[key]``, which must exist and be a ``kind``: a type or a tuple of
+    types (JSON true/false is no int or float). ``path`` is the JSON path of
+    ``mapping``, which must be an object."""
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{path} must be an object, got {type(mapping).__name__}")
+    if key not in mapping:
         raise SchemaError(f"missing required field at {path}.{key}")
     value = mapping[key]
     if not isinstance(value, kind) or isinstance(value, bool):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
         raise SchemaError(
-            f"field {path}.{key} must be {kind.__name__}, got {type(value).__name__}"
+            f"field {path}.{key} must be {' or '.join(k.__name__ for k in kinds)}, "
+            f"got {type(value).__name__}"
         )
     return value
 

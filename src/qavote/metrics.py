@@ -3,9 +3,15 @@
 Normalization lowercases, strips punctuation characters (Unicode P*
 categories plus every ASCII punctuation character, so behaviour on ASCII
 text matches the community-standard evaluation script), drops the articles
-"a", "an", "the" as whole tokens, and splits on whitespace. Both metrics
-take the maximum over all gold answers. One deliberate edge: a prediction
-and gold that both normalize to nothing score em=True, f1=1.0, keeping the
+"a", "an", "the" as whole tokens, and splits on whitespace. Punctuation is
+deleted by one ``str.translate`` call through a table that classifies each
+code point the first time any text contains it and remembers the answer.
+
+Both metrics take the maximum over all gold answers. They share one token
+path: a scoring call normalizes the prediction and each gold once, and one
+comparison of the token lists yields both EM and F1 (``score_pair``; ``em``
+and ``token_f1`` are its two halves). One deliberate edge: a prediction and
+gold that both normalize to nothing score em=True, f1=1.0, keeping the
 ``em implies f1 == 1`` invariant.
 
 ``evaluate`` is the only place a question is scored. Its ``EvalReport``
@@ -28,25 +34,30 @@ from typing import Callable, Mapping, Sequence
 from .corpus import Dataset, PredictionSet
 
 _ARTICLES = frozenset({"a", "an", "the"})
-_ASCII_PUNCT = frozenset(string.punctuation)
 
 
-def _keep(ch: str) -> bool:
-    return ch not in _ASCII_PUNCT and not unicodedata.category(ch).startswith("P")
+class _PunctuationTable(dict):
+    """``str.translate`` table deleting ASCII and Unicode P* punctuation.
+
+    Filled one code point at a time, the first time ``translate`` meets it:
+    building it for every code point up front would cost each command about
+    a third of a second at import.
+    """
+
+    def __missing__(self, code_point: int) -> int | None:
+        ch = chr(code_point)
+        drop = ch in string.punctuation or unicodedata.category(ch).startswith("P")
+        value = self[code_point] = None if drop else code_point
+        return value
+
+
+_PUNCTUATION_TABLE = _PunctuationTable()
 
 
 def normalize_answer(text: str) -> list[str]:
     """Normalized token list: lowercased, punctuation and articles removed."""
-    cleaned = "".join(ch for ch in text.lower() if _keep(ch))
+    cleaned = text.lower().translate(_PUNCTUATION_TABLE)
     return [tok for tok in cleaned.split() if tok not in _ARTICLES]
-
-
-def em(prediction: str, golds: Sequence[str]) -> bool:
-    """True iff the normalized prediction equals some normalized gold."""
-    if not golds:
-        raise ValueError("golds must be non-empty")
-    pred_tokens = normalize_answer(prediction)
-    return any(pred_tokens == normalize_answer(g) for g in golds)
 
 
 def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
@@ -60,17 +71,30 @@ def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     return (2 * precision * recall) / (precision + recall)
 
 
-def token_f1(prediction: str, golds: Sequence[str]) -> float:
-    """Max over golds of the token-multiset F1 between prediction and gold."""
-    if not golds:
-        raise ValueError("golds must be non-empty")
-    pred_tokens = normalize_answer(prediction)
-    return max(_f1_single(pred_tokens, normalize_answer(g)) for g in golds)
+def _score_tokens(
+    pred_tokens: list[str], gold_token_lists: list[list[str]]
+) -> tuple[float, bool]:
+    """(f1, em) of normalized tokens; an exact match has F1 exactly 1.0."""
+    if pred_tokens in gold_token_lists:
+        return 1.0, True
+    return max(_f1_single(pred_tokens, gold) for gold in gold_token_lists), False
 
 
 def score_pair(prediction: str, golds: Sequence[str]) -> tuple[float, bool]:
     """(token_f1, em) for one prediction against its golds."""
-    return token_f1(prediction, golds), em(prediction, golds)
+    if not golds:
+        raise ValueError("golds must be non-empty")
+    return _score_tokens(normalize_answer(prediction), [normalize_answer(g) for g in golds])
+
+
+def em(prediction: str, golds: Sequence[str]) -> bool:
+    """True iff the normalized prediction equals some normalized gold."""
+    return score_pair(prediction, golds)[1]
+
+
+def token_f1(prediction: str, golds: Sequence[str]) -> float:
+    """Max over golds of the token-multiset F1 between prediction and gold."""
+    return score_pair(prediction, golds)[0]
 
 
 class MissingPolicy(str, enum.Enum):

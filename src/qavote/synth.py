@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .corpus import Dataset, PredictionSet
+from .corpus import Dataset, PredictionSet, SchemaError, _require
 from .metrics import normalize_answer
 from .taxonomy import default_rules
 
@@ -58,10 +58,22 @@ class AccuracyProfile:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AccuracyProfile":
+        """Profile from parsed JSON; nothing is coerced, and a field of the
+        wrong type raises SchemaError naming its JSON path."""
+        per_class = _require(data, "per_class", "$", dict)
+        corruption = _require(data, "corruption", "$", str)
+        if corruption not in {c.value for c in Corruption}:
+            raise SchemaError(
+                f"field $.corruption must be one of {[c.value for c in Corruption]}, "
+                f"got {corruption!r}"
+            )
         return cls(
-            per_class={str(k): float(v) for k, v in data["per_class"].items()},
-            corruption=Corruption(data["corruption"]),
-            seed=int(data["seed"]),
+            per_class={
+                label: float(_require(per_class, label, "$.per_class", (int, float)))
+                for label in per_class
+            },
+            corruption=Corruption(corruption),
+            seed=_require(data, "seed", "$", int),
         )
 
 

@@ -6,6 +6,8 @@ anchored on question phrases ("what time", "how many", "whom", ...) plus an
 case-insensitively anywhere in the question; when several rules match, the
 highest-priority rule wins, so specific phrases ("what time") must outrank
 the generic ones ("what"). "which" questions are folded into ``what``.
+A rule set remembers the label of each question text it has classified, so
+the stages of one command match each question against the rules once.
 
 A word-count-based alternative classifier is provided for experiments that
 bucket questions by length instead of by phrase.
@@ -73,10 +75,25 @@ class ClassRuleSet:
     Rules are checked in descending priority; the first match decides the
     class. Questions matching no rule are ``undefined``. Instances are
     callable: ``rules(question) -> str label``.
+
+    Each instance remembers the label of every question it has classified,
+    so a question is matched against the rules once however many stages
+    (one evaluation per model, voting, synthesis) ask for its class. The
+    rules never change after construction, so a remembered label cannot go
+    stale; the memo holds one entry per distinct question text.
     """
 
     def __init__(self, rules: Iterable[ClassRule]):
-        ordered = sorted(rules, key=lambda r: -r.priority)
+        compiled = []
+        for i, rule in enumerate(rules):
+            try:
+                compiled.append((rule, rule.compiled()))
+            except re.error as exc:
+                raise RuleError(
+                    f"bad rule at index {i}: invalid pattern {rule.pattern!r}: {exc}"
+                ) from exc
+        compiled.sort(key=lambda pair: -pair[0].priority)
+        ordered = [rule for rule, _ in compiled]
         priorities = [r.priority for r in ordered]
         if len(set(priorities)) != len(priorities):
             raise RuleError("rule priorities must be unique")
@@ -84,7 +101,8 @@ class ClassRuleSet:
             if rule.question_class is QuestionClass.UNDEFINED:
                 raise RuleError("no rule may map to 'undefined'; it is the fallback")
         self._rules = tuple(ordered)
-        self._compiled = tuple((r.compiled(), r.question_class) for r in ordered)
+        self._compiled = tuple((pattern, rule.question_class) for rule, pattern in compiled)
+        self._labels_by_question: dict[str, str] = {}
 
     @property
     def rules(self) -> tuple[ClassRule, ...]:
@@ -96,10 +114,15 @@ class ClassRuleSet:
         return CLASS_LABELS
 
     def classify(self, question: str) -> str:
-        for pattern, question_class in self._compiled:
-            if pattern.search(question):
-                return question_class.value
-        return UNDEFINED
+        label = self._labels_by_question.get(question)
+        if label is None:
+            label = UNDEFINED
+            for pattern, question_class in self._compiled:
+                if pattern.search(question):
+                    label = question_class.value
+                    break
+            self._labels_by_question[question] = label
+        return label
 
     def __call__(self, question: str) -> str:
         return self.classify(question)
@@ -117,6 +140,13 @@ class ClassRuleSet:
     def from_json(cls, entries: list[dict]) -> "ClassRuleSet":
         rules = []
         for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise RuleError(
+                    f"bad rule entry at index {i}: must be an object, "
+                    f"got {type(entry).__name__}"
+                )
+            if not isinstance(entry.get("pattern"), str):
+                raise RuleError(f"bad rule entry at index {i}: 'pattern' must be a string")
             try:
                 rules.append(
                     ClassRule(
@@ -125,7 +155,7 @@ class ClassRuleSet:
                         priority=int(entry["priority"]),
                     )
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise RuleError(f"bad rule entry at index {i}: {exc}") from exc
         return cls(rules)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import _require
 from .metrics import ClassStats, EvalReport
 from .taxonomy import CLASS_LABELS
 
@@ -85,19 +86,35 @@ class WeightTable:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "WeightTable":
+        """Table from parsed JSON; nothing is coerced, and a field of the wrong
+        type raises WeightError naming its JSON path."""
         try:
+            models = _require(data, "models", "$", list)
+            for i, model in enumerate(models):
+                if not isinstance(model, str):
+                    raise WeightError(
+                        f"field $.models[{i}] must be str, got {type(model).__name__}"
+                    )
+            classes = _require(data, "classes", "$", dict)
             return cls(
-                models=tuple(data["models"]),
-                metric_basis=MetricBasis(data["metric_basis"]),
+                models=tuple(models),
+                metric_basis=MetricBasis(_require(data, "metric_basis", "$", str)),
                 class_weights={
-                    label: {m: float(w) for m, w in row.items()}
-                    for label, row in data["classes"].items()
+                    label: _weight_row(classes, label, "$.classes") for label in classes
                 },
-                global_weights={m: float(w) for m, w in data["global"].items()},
-                best_overall=data["best_overall"],
+                global_weights=_weight_row(data, "global", "$"),
+                best_overall=_require(data, "best_overall", "$", str),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise WeightError(f"malformed weight table: {exc}") from exc
+
+
+def _weight_row(mapping: Mapping, key: str, path: str) -> dict[str, float]:
+    """``mapping[key]`` as model -> weight; every weight must be a JSON number."""
+    row = _require(mapping, key, path, dict)
+    return {
+        model: float(_require(row, model, f"{path}.{key}", (int, float))) for model in row
+    }
 
 
 def _check_weight(weight: float, what: str) -> None:

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from helpers import make_squad_dict, uniform_counts
 
 from qavote.cli import main
-from qavote.taxonomy import CLASS_LABELS
+from qavote.corpus import load_dataset
+from qavote.taxonomy import (
+    CLASS_LABELS,
+    ClassRule,
+    ClassRuleSet,
+    class_distribution,
+    default_rules,
+)
 
 
 @pytest.fixture()
@@ -227,6 +235,56 @@ class TestPipeline:
         assert any(line.startswith("who") and " 6 " in line for line in out.splitlines())
 
 
+class TestClassifyOnce:
+    def test_compare_matches_each_question_once(self, tmp_path, monkeypatch):
+        searches: Counter = Counter()  # (pattern, question) -> regex searches
+
+        class CountingPattern:
+            def __init__(self, compiled):
+                self.compiled = compiled
+
+            def search(self, question):
+                searches[self.compiled.pattern, question] += 1
+                return self.compiled.search(question)
+
+        class CountingRule(ClassRule):
+            def compiled(self):
+                return CountingPattern(super().compiled())
+
+        counting = ClassRuleSet(
+            CountingRule(r.pattern, r.question_class, r.priority) for r in default_rules().rules
+        )
+        monkeypatch.setattr("qavote.cli.default_rules", lambda: counting)
+
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(make_squad_dict(uniform_counts(10))), encoding="utf-8")
+        dataset = load_dataset(corpus)
+        assert len(dataset) == 140
+        preds = []
+        for n, name in enumerate("abcd"):
+            answers = {
+                item.id: item.gold_answers[0] if i % 4 != n else "granite"
+                for i, item in enumerate(dataset.items)
+                if i % 7 != n  # every model misses some questions
+            }
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(answers), encoding="utf-8")
+            preds += ["--preds", f"{name}={path}"]
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--dataset", str(corpus), *preds, "--out-dir", str(out_dir)]) == 0
+
+        questions = {item.question for item in dataset.items}
+        top_pattern = counting.rules[0].pattern
+        assert sum(n for (p, _), n in searches.items() if p == top_pattern) == 140
+        assert {q for _, q in searches} == questions
+        assert max(searches.values()) == 1
+        fresh = default_rules()
+        assert all(counting(q) == fresh(q) for q in questions)
+        expected = class_distribution(dataset, fresh).counts
+        pair = json.loads((out_dir / "a_vs_d.json").read_text(encoding="utf-8"))
+        assert {label: t["total"] for label, t in pair["per_class"].items()} == expected
+
+
 class TestErrorCodes:
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["classify-stats", "--dataset", str(tmp_path / "nope.json")])
@@ -248,6 +306,34 @@ class TestErrorCodes:
         rc = main(["classify-stats", "--dataset", str(bad)])
         assert rc == 4
         assert "$.data[0].paragraphs[0].qas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [([5], "index 0: must be an object"),
+         ([{"pattern": "(", "class": "who", "priority": 1}], "index 0: invalid pattern '('")],
+        ids=["not-an-object", "bad-regex"],
+    )
+    def test_malformed_rule_file_exits_four(self, tmp_path, capsys, rules, message):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules), encoding="utf-8")
+        assert main(["rules", "show", "--rules", str(path)]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [({"corruption": "disjoint_token", "seed": 1}, "$.per_class"),
+         ([{"per_class": {}}], "$ must be an object"),
+         ({"per_class": {"what": "x"}, "corruption": "disjoint_token", "seed": 1},
+          "$.per_class.what")],
+        ids=["no-per-class", "list", "string-probability"],
+    )
+    def test_malformed_profile_exits_four(self, tmp_path, corpus_file, capsys, profile, message):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
+        rc = main(["synth", "--dataset", str(corpus_file), "--profile", str(path),
+                   "--name", "m", "--out", str(tmp_path / "m.json")])
+        assert rc == 4
+        assert message in capsys.readouterr().err
 
     def test_threads_flag_is_gone(self, corpus_file):
         for command in (["evaluate", "--dataset", str(corpus_file)],

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import string
+import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,66 @@ def load_oracle():
         return json.load(fh)
 
 
+# Reference normalization and scoring: a per-character punctuation filter,
+# and EM and F1 that each normalize the prediction and the golds themselves.
+# The library's translate table and shared token path must agree with it.
+_REF_ASCII_PUNCT = frozenset(string.punctuation)
+
+
+def reference_normalize(text: str) -> list[str]:
+    cleaned = "".join(
+        ch
+        for ch in text.lower()
+        if ch not in _REF_ASCII_PUNCT and not unicodedata.category(ch).startswith("P")
+    )
+    return [tok for tok in cleaned.split() if tok not in {"a", "an", "the"}]
+
+
+def reference_f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
+    if not pred_tokens and not gold_tokens:
+        return 1.0
+    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    if overlap == 0:
+        return 0.0
+    precision = overlap / len(pred_tokens)
+    recall = overlap / len(gold_tokens)
+    return (2 * precision * recall) / (precision + recall)
+
+
+def reference_score_pair(prediction: str, golds: list[str]) -> tuple[float, bool]:
+    f1 = max(
+        reference_f1_single(reference_normalize(prediction), reference_normalize(g))
+        for g in golds
+    )
+    em_flag = any(reference_normalize(prediction) == reference_normalize(g) for g in golds)
+    return f1, em_flag
+
+
+# Any code point but surrogates, astral planes included.
+any_char_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30)
+# Every drawn tricky text holds one piece of each kind: a character whose
+# lower() is longer than itself, ASCII punctuation, Unicode P* (U+10100 is
+# astral), and an article token.
+LOWER_GROWS = ("\u0130",)  # "İ".lower() is "i" + U+0307
+UNICODE_PUNCT = tuple("\u00bf\u00ab\u00bb\u2026\u300c\u300d") + ("\U00010100",)
+ARTICLES = ("a", "an", "the", "The", "AN", "A")
+
+
+@st.composite
+def tricky_text(draw) -> str:
+    pieces = draw(st.lists(any_char_text, max_size=3)) + [
+        draw(st.sampled_from(LOWER_GROWS)),
+        draw(st.sampled_from(string.punctuation)),
+        draw(st.sampled_from(UNICODE_PUNCT)),
+        draw(st.sampled_from(ARTICLES)),
+    ]
+    pieces = draw(st.permutations(pieces))
+    text = pieces[0]
+    for piece in pieces[1:]:
+        text += draw(st.sampled_from(["", " ", "\t", "\u3000"])) + piece
+    return text
+
+
 class TestNormalize:
     def test_documented_examples(self):
         assert normalize_answer("The Cat!") == ["cat"]
@@ -38,6 +101,23 @@ class TestNormalize:
 
     def test_article_only_as_whole_tokens(self):
         assert normalize_answer("Theatre another theme") == ["theatre", "another", "theme"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tricky_text())
+    def test_matches_reference_filter(self, text):
+        assert normalize_answer(text) == reference_normalize(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_char_text)
+    def test_matches_reference_filter_on_any_text(self, text):
+        assert normalize_answer(text) == reference_normalize(text)
+
+    @pytest.mark.parametrize(
+        "text", ["\u0130stanbul", "\u00bfQu\u00e9?", "\u00abthe\u00bb end\u2026",
+                 "\u300cA\u300d", "x\U00010100y", "don't", "The. an, a"]
+    )
+    def test_matches_reference_filter_on_examples(self, text):
+        assert normalize_answer(text) == reference_normalize(text)
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(max_size=60))
@@ -59,6 +139,19 @@ class TestScores:
             f1 = token_f1(row["prediction"], row["golds"])
             assert f1 == row["f1"], (row, f1)
             assert em(row["prediction"], row["golds"]) == row["em"], row
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prediction=st.one_of(tricky_text(), answer_text),
+        golds=st.lists(st.one_of(tricky_text(), answer_text), min_size=1, max_size=4),
+        copy_gold=st.booleans(),
+    )
+    def test_score_pair_matches_reference(self, prediction, golds, copy_gold):
+        if copy_gold:  # make exact matches common
+            prediction = golds[-1].upper()
+        expected = reference_score_pair(prediction, golds)
+        assert score_pair(prediction, golds) == expected
+        assert (token_f1(prediction, golds), em(prediction, golds)) == expected
 
     def test_em_examples(self):
         assert em("Denver Broncos", ["Denver Broncos"])

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
 from helpers import make_dataset, uniform_counts
 
-from qavote.corpus import Dataset, ParagraphGroup, QaItem, split_pre_eval
+from qavote.corpus import Dataset, ParagraphGroup, QaItem, SchemaError, split_pre_eval
 from qavote.metrics import evaluate, normalize_answer, score_pair
 from qavote.synth import (
     AccuracyProfile,
@@ -162,3 +163,37 @@ class TestProfileIO:
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError, match="out of"):
             AccuracyProfile(per_class={"what": 1.2}, seed=0)
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d.pop("per_class"), "$.per_class"),
+            (lambda d: d.update(per_class=[["what", 0.5]]), "$.per_class"),
+            (lambda d: d["per_class"].update(what="0.5"), "$.per_class.what"),
+            (lambda d: d["per_class"].update(what=True), "$.per_class.what"),
+            (lambda d: d["per_class"].update(what=None), "$.per_class.what"),
+            (lambda d: d.pop("corruption"), "$.corruption"),
+            (lambda d: d.update(corruption="shuffle"), "$.corruption"),
+            (lambda d: d.update(seed="12"), "$.seed"),
+            (lambda d: d.update(seed=12.0), "$.seed"),
+            (lambda d: d.update(seed=False), "$.seed"),
+        ],
+        ids=[
+            "no-per_class", "per_class-list", "probability-str", "probability-bool",
+            "probability-null", "no-corruption", "unknown-corruption", "seed-str",
+            "seed-float", "seed-bool",
+        ],
+    )
+    def test_malformed_profile_names_field(self, tmp_path, mutate, field):
+        data = {"per_class": {"what": 0.5, "who": 1}, "corruption": "truncate_gold", "seed": 12}
+        mutate(data)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(field)):
+            load_profile(path)
+
+    def test_profile_must_be_an_object(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(SchemaError, match="must be an object"):
+            load_profile(path)

@@ -104,10 +104,20 @@ class TestRuleSet:
         assert loaded("Who was it?") == "who"
 
     def test_load_rules_rejects_bad_file(self, tmp_path):
+        good = {"pattern": r"\bwho\b", "class": "who", "priority": 2}
+        cases = [
+            ({}, "JSON list"),
+            ([5], "index 0: must be an object"),
+            ([good, {"pattern": "(", "class": "what", "priority": 1}],
+             r"index 1: invalid pattern '\('"),
+            ([{"pattern": 5, "class": "what", "priority": 1}], "index 0: 'pattern'"),
+            ([good, {"pattern": "x", "class": "what", "priority": None}], "index 1"),
+        ]
         path = tmp_path / "rules.json"
-        path.write_text("{}", encoding="utf-8")
-        with pytest.raises(RuleError):
-            load_rules(path)
+        for content, message in cases:
+            path.write_text(json.dumps(content), encoding="utf-8")
+            with pytest.raises(RuleError, match=message):
+                load_rules(path)
 
     def test_default_rules_priorities_unique(self, rules):
         priorities = [r.priority for r in rules.rules]

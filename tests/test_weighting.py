@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -204,4 +205,35 @@ class TestWeightTable:
         path = tmp_path / "weights.json"
         path.write_text('{"models": ["m"]}', encoding="utf-8")
         with pytest.raises(WeightError, match="malformed"):
+            load_weights(path)
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d.update(models="ab"), "$.models"),
+            (lambda d: d.update(models=["a", 2]), "$.models[1]"),
+            (lambda d: d["global"].update(a=True), "$.global.a"),
+            (lambda d: d["global"].update(a="0.6"), "$.global.a"),
+            (lambda d: d.update({"global": [0.6, 0.4]}), "$.global"),
+            (lambda d: d["classes"]["who"].update(b=True), "$.classes.who.b"),
+            (lambda d: d["classes"].update(who=[0.6, 0.4]), "$.classes.who"),
+            (lambda d: d.update(classes=None), "$.classes"),
+            (lambda d: d.update(metric_basis=1), "$.metric_basis"),
+            (lambda d: d.update(best_overall=["a"]), "$.best_overall"),
+        ],
+        ids=[
+            "models-str", "model-int", "global-bool", "global-str", "global-list",
+            "class-weight-bool", "class-row-list", "classes-null", "basis-int",
+            "best-list",
+        ],
+    )
+    def test_wrong_field_type_rejected_without_coercion(self, tmp_path, mutate, field):
+        data = {"models": ["a", "b"], "metric_basis": "mean_f1",
+                "global": {"a": 0.6, "b": 0.4}, "classes": {"who": {"a": 0.2, "b": 1}},
+                "best_overall": "a"}
+        assert WeightTable.from_json_dict(json.loads(json.dumps(data))).models == ("a", "b")
+        mutate(data)
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(WeightError, match=re.escape(field)):
             load_weights(path)
