@@ -54,9 +54,7 @@ from .voting import (
     Combine,
     Equality,
     VoteConfig,
-    VoteMode,
     VoteTrace,
-    candidates_for,
     run_ensemble,
     vote,
 )

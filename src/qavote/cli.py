@@ -40,7 +40,7 @@ from .taxonomy import (
     default_rules,
     load_rules,
 )
-from .voting import Combine, Equality, VoteConfig, VoteError, VoteMode, run_ensemble, save_traces
+from .voting import Combine, Equality, VoteConfig, VoteError, run_ensemble, save_traces
 from .weighting import (
     MetricBasis,
     WeightError,
@@ -290,10 +290,12 @@ def cmd_ensemble(args) -> int:
     table = load_weights(args.weights)
     pred_paths = _parse_preds(args.preds)
     predictions = {name: load_predictions(path, name) for name, path in pred_paths.items()}
+    special_case = not args.no_undefined_special_case
+    if args.mode == "global":  # the class-aware vote on the class-ignoring table
+        table, special_case = table.ignoring_classes(), False
     config = VoteConfig(
-        mode=VoteMode(args.mode.replace("-", "_")),
         combine=Combine(args.combine),
-        undefined_special_case=not args.no_undefined_special_case,
+        undefined_special_case=special_case,
         duplicate_equality=Equality(args.equality),
     )
     ensemble, traces = run_ensemble(dataset, predictions, table, classifier, config)
@@ -314,9 +316,9 @@ def cmd_ensemble(args) -> int:
             },
             config={
                 **classifier_cfg,
-                "mode": config.mode.value,
+                "mode": args.mode.replace("-", "_"),
                 "combine": config.combine.value,
-                "undefined_special_case": config.undefined_special_case,
+                "undefined_special_case": not args.no_undefined_special_case,
                 "duplicate_equality": config.duplicate_equality.value,
             },
             seeds={},

@@ -147,12 +147,18 @@ class ClassRuleSet:
                 )
             if not isinstance(entry.get("pattern"), str):
                 raise RuleError(f"bad rule entry at index {i}: 'pattern' must be a string")
+            priority = entry.get("priority")
+            if not isinstance(priority, int) or isinstance(priority, bool):
+                raise RuleError(
+                    f"bad rule entry at index {i}: 'priority' must be an int, "
+                    f"got {type(priority).__name__}"
+                )
             try:
                 rules.append(
                     ClassRule(
                         pattern=entry["pattern"],
                         question_class=QuestionClass(entry["class"]),
-                        priority=int(entry["priority"]),
+                        priority=priority,
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:

@@ -1,12 +1,13 @@
 """Weighted voting over per-model candidate answers.
 
-One vote per question: each model's answer gets its weight from the weight
-table (per-class weights, or each model's global weight when class-ignoring
-mode is selected). Answers that are duplicates of each other, raw or
-normalized string equality by configuration, form a group whose weights are
-combined by sum (default) or max; the heaviest group wins. Undefined-class
-questions are answered by the globally best model when the special case is
-enabled. All ties break toward the earlier model in the table's model order.
+One vote per question: each model's answer gets the table's weight of its
+model for the question's class. (The class-ignoring ensemble is this vote on
+a table whose class rows all hold the global weights.) Answers that are
+duplicates of each other, raw or normalized string equality by
+configuration, form a group whose weights are combined by sum (default) or
+max; the heaviest group wins. Undefined-class questions are answered by the
+globally best model when the special case is enabled. All ties break toward
+the earlier model in the table's model order.
 """
 from __future__ import annotations
 
@@ -14,20 +15,12 @@ import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .corpus import Dataset, PredictionSet
 from .metrics import normalize_answer
 from .taxonomy import UNDEFINED
 from .weighting import WeightTable
-
-
-class VoteMode(str, enum.Enum):
-    CLASS_AWARE = "class_aware"
-    GLOBAL = "global"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class Combine(str, enum.Enum):
@@ -56,20 +49,18 @@ class Reason(str, enum.Enum):
 
 
 class VoteError(ValueError):
-    """Raised for empty candidate lists, unknown models, or stale weights."""
+    """Raised for empty answer sets, unknown models, or mismatched model sets."""
 
 
 @dataclass(frozen=True)
 class VoteConfig:
     """Voting variant switches; the defaults are the headline configuration."""
 
-    mode: VoteMode = VoteMode.CLASS_AWARE
     combine: Combine = Combine.SUM
     undefined_special_case: bool = True
     duplicate_equality: Equality = Equality.NORMALIZED
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", VoteMode(self.mode))
         object.__setattr__(self, "combine", Combine(self.combine))
         object.__setattr__(self, "duplicate_equality", Equality(self.duplicate_equality))
 
@@ -121,39 +112,6 @@ class VoteTrace:
         }
 
 
-def table_weight(table: WeightTable, model: str, label: str, mode: VoteMode) -> float:
-    if mode is VoteMode.GLOBAL:
-        if model not in table.global_weights:
-            raise VoteError(f"unknown model {model!r}")
-        return table.global_weights[model]
-    return table.weight_for(model, label)
-
-
-def candidates_for(
-    answers: Mapping[str, str] | Sequence[tuple[str, str]],
-    question_class: str,
-    table: WeightTable,
-    config: VoteConfig = VoteConfig(),
-) -> list[Candidate]:
-    """Build candidates in table model order with their table weights."""
-    if isinstance(answers, Mapping):
-        pairs = dict(answers)
-    else:
-        pairs = dict(answers)
-    unknown = set(pairs) - set(table.models)
-    if unknown:
-        raise VoteError(f"unknown models: {sorted(unknown)}")
-    return [
-        Candidate(
-            model=model,
-            answer=pairs[model],
-            weight=table_weight(table, model, question_class, config.mode),
-        )
-        for model in table.models
-        if model in pairs
-    ]
-
-
 def _group_key(answer: str, equality: Equality) -> str:
     if equality is Equality.RAW:
         return answer
@@ -161,26 +119,27 @@ def _group_key(answer: str, equality: Equality) -> str:
 
 
 def vote(
-    candidates: Sequence[Candidate],
+    answers: Mapping[str, str],
     question_class: str,
     table: WeightTable,
     config: VoteConfig = VoteConfig(),
     question_id: str = "",
 ) -> VoteTrace:
-    """Decide one question. Candidate weights must match the table exactly."""
-    if not candidates:
-        raise VoteError("empty candidate list")
-    model_order = {model: i for i, model in enumerate(table.models)}
-    for candidate in candidates:
-        if candidate.model not in model_order:
-            raise VoteError(f"unknown model {candidate.model!r}")
-        expected = table_weight(table, candidate.model, question_class, config.mode)
-        if candidate.weight != expected:
-            raise VoteError(
-                f"candidate weight for {candidate.model!r} is {candidate.weight}, "
-                f"table says {expected}"
-            )
-    ordered = sorted(candidates, key=lambda c: model_order[c.model])
+    """Decide one question from its model -> answer mapping.
+
+    Each answer is weighted by the table's weight of its model for
+    ``question_class``; candidates follow the table's model order.
+    """
+    if not answers:
+        raise VoteError("empty answer set")
+    unknown = set(answers) - set(table.models)
+    if unknown:
+        raise VoteError(f"unknown models: {sorted(unknown)}")
+    ordered = [
+        Candidate(model, answers[model], table.weight_for(model, question_class))
+        for model in table.models
+        if model in answers
+    ]
 
     def by_model(name: str) -> Candidate:
         for candidate in ordered:
@@ -188,11 +147,7 @@ def vote(
                 return candidate
         raise VoteError(f"no candidate for model {name!r}")
 
-    if (
-        config.mode is VoteMode.CLASS_AWARE
-        and config.undefined_special_case
-        and question_class == UNDEFINED
-    ):
+    if config.undefined_special_case and question_class == UNDEFINED:
         return VoteTrace(
             question_id=question_id,
             question_class=question_class,
@@ -267,13 +222,7 @@ def run_ensemble(
         answers = {
             model: predictions[model].answers.get(item.id, "") for model in table.models
         }
-        trace = vote(
-            candidates_for(answers, label, table, config),
-            label,
-            table,
-            config,
-            question_id=item.id,
-        )
+        trace = vote(answers, label, table, config, question_id=item.id)
         out[item.id] = trace.winner.answer
         traces.append(trace)
     return PredictionSet(model_name="ensemble", answers=out), traces

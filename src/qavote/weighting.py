@@ -75,6 +75,12 @@ class WeightTable:
             return self.global_weights[model]
         return row[model]
 
+    def ignoring_classes(self) -> "WeightTable":
+        """This table with every class row replaced by the global weights."""
+        return replace(
+            self, class_weights={label: dict(self.global_weights) for label in self.class_weights}
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "models": list(self.models),
@@ -195,13 +201,10 @@ def compute_global_weights(
 ) -> WeightTable:
     """Degenerate table: every class slot holds the model's global weight.
 
-    Feeding this to the class-aware voter (with the undefined special case
-    off) reproduces the class-ignoring ensemble exactly.
+    Voting on it with the undefined special case off is the class-ignoring
+    ensemble.
     """
-    table = compute_class_weights(reports, basis, labels)
-    return replace(
-        table, class_weights={label: dict(table.global_weights) for label in table.class_weights}
-    )
+    return compute_class_weights(reports, basis, labels).ignoring_classes()
 
 
 def save_weights(table: WeightTable, path: str | Path) -> None:

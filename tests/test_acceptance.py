@@ -13,6 +13,7 @@ import os
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from qavote.corpus import PredictionSet, dataset_to_squad_dict, load_dataset, sp
 from qavote.metrics import QuestionScore, em, evaluate, report_from_scores, token_f1
 from qavote.synth import AccuracyProfile, generate_predictions
 from qavote.taxonomy import CLASS_LABELS, class_distribution, default_rules
-from qavote.voting import Combine, VoteConfig, VoteMode, candidates_for, run_ensemble, vote
+from qavote.voting import Combine, VoteConfig, run_ensemble, vote
 from qavote.weighting import compute_class_weights, compute_global_weights
 
 RULES = default_rules()
@@ -111,11 +112,9 @@ class TestCriterion4VotingBruteForce:
             models, answers, class_fracs, global_fracs, qclass = random_instance(rng)
             table = build_table(models, class_fracs, global_fracs, qclass)
             for config in ALL_CONFIGS:
-                cands = candidates_for(answers, qclass, table, config)
-                trace = vote(cands, qclass, table, config)
-                fracs = class_fracs if config.mode is VoteMode.CLASS_AWARE else global_fracs
+                trace = vote(answers, qclass, table, config)
                 want = oracle_vote(
-                    [(m, answers[m], fracs[m]) for m in models],
+                    [(m, answers[m], class_fracs[m]) for m in models],
                     qclass, models, table.best_overall, config,
                 )
                 assert (trace.winner.model, trace.winner.answer) == want
@@ -140,20 +139,14 @@ class TestCriterion5GlobalDegeneracy:
                     label_of[qid] = rng.choice(labels)
                 reports[m] = report_from_scores(scores, label_of)
             table = compute_global_weights(reports)
+            no_class_rows = replace(table, class_weights={})  # every label falls back
             for _ in range(5):
                 answers = {m: rng.choice(["x", "y", "z", ""]) for m in reports}
                 qclass = rng.choice(labels)
                 for combine in (Combine.SUM, Combine.MAX):
-                    cfg_a = VoteConfig(
-                        mode=VoteMode.CLASS_AWARE, combine=combine, undefined_special_case=False
-                    )
-                    cfg_b = VoteConfig(
-                        mode=VoteMode.GLOBAL, combine=combine, undefined_special_case=False
-                    )
-                    win_a = vote(candidates_for(answers, qclass, table, cfg_a),
-                                 qclass, table, cfg_a).winner
-                    win_b = vote(candidates_for(answers, qclass, table, cfg_b),
-                                 qclass, table, cfg_b).winner
+                    config = VoteConfig(combine=combine, undefined_special_case=False)
+                    win_a = vote(answers, qclass, table, config).winner
+                    win_b = vote(answers, qclass, no_class_rows, config).winner
                     assert (win_a.model, win_a.answer) == (win_b.model, win_b.answer)
         _pass(5, f"{report_sets} randomized report sets: decisions identical on both paths")
 
@@ -293,7 +286,7 @@ class TestCriterion8StructuralClaims:
         global_table = compute_global_weights(reports)
 
         class_ensemble, _ = run_ensemble(split.train, preds, class_table, RULES)
-        cfg_global = VoteConfig(mode=VoteMode.GLOBAL, undefined_special_case=False)
+        cfg_global = VoteConfig(undefined_special_case=False)
         global_ensemble, _ = run_ensemble(split.train, preds, global_table, RULES, cfg_global)
 
         em_class = evaluate(class_ensemble, split.train, RULES).overall.em_rate

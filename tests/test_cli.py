@@ -235,6 +235,54 @@ class TestPipeline:
         assert any(line.startswith("who") and " 6 " in line for line in out.splitlines())
 
 
+class TestGlobalMode:
+    def test_global_mode_equals_class_aware_vote_on_no_classes_table(
+        self, tmp_path, corpus_file
+    ):
+        # models strong on different classes, so class and global weights differ
+        profiles = {
+            "m1": {"what": 0.9, "who": 0.2, "when": 0.8, "undefined": 0.3},
+            "m2": {"what": 0.3, "who": 0.9, "when": 0.4, "undefined": 0.8},
+            "m3": {"what": 0.6, "who": 0.5, "when": 0.2, "undefined": 0.5},
+        }
+        preds = []
+        for seed, (name, per_class) in enumerate(profiles.items(), start=1):
+            profile = write_profile(tmp_path, name, per_class, seed)
+            out = tmp_path / f"{name}.json"
+            assert main(["synth", "--dataset", str(corpus_file), "--profile", str(profile),
+                         "--name", name, "--out", str(out)]) == 0
+            preds += ["--preds", f"{name}={out}"]
+
+        def weights(name, *flags):
+            path = tmp_path / name
+            assert main(["weights", "--pre-eval", str(corpus_file), *preds, *flags,
+                         "--out", str(path)]) == 0
+            return path
+
+        def ensemble(name, weights_path, *flags):
+            out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+            assert main(["ensemble", "--dataset", str(corpus_file), *preds,
+                         "--weights", str(weights_path), *flags,
+                         "--out", str(out), "--trace", str(trace)]) == 0
+            return out.read_bytes(), trace.read_bytes()
+
+        class_weights, flat_weights = weights("class.json"), weights("flat.json", "--no-classes")
+        global_mode = ensemble("global", class_weights, "--mode", "global")
+        flat_vote = ensemble("flat", flat_weights, "--no-undefined-special-case")
+        assert global_mode == flat_vote
+        # the class-aware vote on the same table decides differently
+        assert ensemble("class", class_weights) != global_mode
+
+        manifest = json.loads((tmp_path / "global.json.manifest.json").read_text())
+        assert manifest["config"] == {
+            "rules": "<default>",
+            "mode": "global",
+            "combine": "sum",
+            "undefined_special_case": True,
+            "duplicate_equality": "normalized",
+        }
+
+
 class TestClassifyOnce:
     def test_compare_matches_each_question_once(self, tmp_path, monkeypatch):
         searches: Counter = Counter()  # (pattern, question) -> regex searches
@@ -310,8 +358,11 @@ class TestErrorCodes:
     @pytest.mark.parametrize(
         "rules, message",
         [([5], "index 0: must be an object"),
-         ([{"pattern": "(", "class": "who", "priority": 1}], "index 0: invalid pattern '('")],
-        ids=["not-an-object", "bad-regex"],
+         ([{"pattern": "(", "class": "who", "priority": 1}], "index 0: invalid pattern '('"),
+         ([{"pattern": "x", "class": "who", "priority": 1},
+           {"pattern": "y", "class": "what", "priority": "7"}],
+          "index 1: 'priority' must be an int")],
+        ids=["not-an-object", "bad-regex", "string-priority"],
     )
     def test_malformed_rule_file_exits_four(self, tmp_path, capsys, rules, message):
         path = tmp_path / "rules.json"

@@ -112,6 +112,12 @@ class TestRuleSet:
              r"index 1: invalid pattern '\('"),
             ([{"pattern": 5, "class": "what", "priority": 1}], "index 0: 'pattern'"),
             ([good, {"pattern": "x", "class": "what", "priority": None}], "index 1"),
+            ([good, {"pattern": "x", "class": "what", "priority": "7"}],
+             "index 1: 'priority' must be an int, got str"),
+            ([good, {"pattern": "x", "class": "what", "priority": 2.9}],
+             "index 1: 'priority' must be an int, got float"),
+            ([good, {"pattern": "x", "class": "what", "priority": True}],
+             "index 1: 'priority' must be an int, got bool"),
         ]
         path = tmp_path / "rules.json"
         for content, message in cases:

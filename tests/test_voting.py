@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,14 +18,11 @@ from vote_oracle import (
 from qavote.corpus import PredictionSet
 from qavote.metrics import QuestionScore, report_from_scores
 from qavote.voting import (
-    Candidate,
     Combine,
     Equality,
     Reason,
     VoteConfig,
     VoteError,
-    VoteMode,
-    candidates_for,
     run_ensemble,
     save_traces,
     vote,
@@ -40,10 +38,11 @@ class TestVoteAgainstOracle:
             models, answers, class_fracs, global_fracs, qclass = random_instance(rng)
             table = build_table(models, class_fracs, global_fracs, qclass)
             for config in ALL_CONFIGS:
-                cands = candidates_for(answers, qclass, table, config)
-                trace = vote(cands, qclass, table, config)
-                fracs = class_fracs if config.mode is VoteMode.CLASS_AWARE else global_fracs
-                oracle_cands = [(m, answers[m], fracs[m]) for m in models]
+                trace = vote(answers, qclass, table, config)
+                assert [(c.model, c.weight) for c in trace.candidates] == [
+                    (m, float(class_fracs[m])) for m in models
+                ]
+                oracle_cands = [(m, answers[m], class_fracs[m]) for m in models]
                 want_model, want_answer = oracle_vote(
                     oracle_cands, qclass, models, table.best_overall, config
                 )
@@ -57,14 +56,12 @@ class TestVoteAgainstOracle:
 class TestVoteConfig:
     def test_defaults_are_the_headline_configuration(self):
         config = VoteConfig()
-        assert config.mode is VoteMode.CLASS_AWARE
         assert config.combine is Combine.SUM
         assert config.undefined_special_case is True
         assert config.duplicate_equality is Equality.NORMALIZED
 
     def test_accepts_plain_strings(self):
-        config = VoteConfig(mode="global", combine="max", duplicate_equality="raw")
-        assert config.mode is VoteMode.GLOBAL
+        config = VoteConfig(combine="max", duplicate_equality="raw")
         assert config.combine is Combine.MAX
         assert config.duplicate_equality is Equality.RAW
 
@@ -78,14 +75,14 @@ class TestVoteSemantics:
     def test_distinct_answers_take_class_best(self):
         table = self.make_table()
         answers = {"A": "one", "B": "two", "C": "three"}
-        trace = vote(candidates_for(answers, "what", table), "what", table)
+        trace = vote(answers, "what", table)
         assert trace.winner.answer == "one"
         assert trace.reason is Reason.HIGHEST_WEIGHT_NO_DUPLICATES
 
     def test_sum_lets_two_weaker_models_win(self):
         table = self.make_table()
         answers = {"A": "one", "B": "shared", "C": "shared"}
-        trace = vote(candidates_for(answers, "what", table), "what", table)
+        trace = vote(answers, "what", table)
         assert trace.winner.answer == "shared"
         assert trace.winner.model == "B"
         assert trace.reason is Reason.MERGED_DUPLICATES
@@ -94,14 +91,14 @@ class TestVoteSemantics:
         table = self.make_table()
         config = VoteConfig(combine=Combine.MAX)
         answers = {"A": "one", "B": "shared", "C": "shared"}
-        trace = vote(candidates_for(answers, "what", table, config), "what", table, config)
+        trace = vote(answers, "what", table, config)
         assert trace.winner.answer == "one"
         assert trace.winner.model == "A"
 
     def test_undefined_goes_to_best_overall(self):
         table = self.make_table(label="undefined")
         answers = {"A": "one", "B": "shared", "C": "shared"}
-        trace = vote(candidates_for(answers, "undefined", table), "undefined", table)
+        trace = vote(answers, "undefined", table)
         assert trace.winner.model == "A"  # best overall, despite the duplicate pair
         assert trace.reason is Reason.UNDEFINED_FALLBACK
 
@@ -109,13 +106,13 @@ class TestVoteSemantics:
         table = self.make_table(label="undefined")
         config = VoteConfig(undefined_special_case=False)
         answers = {"A": "one", "B": "shared", "C": "shared"}
-        trace = vote(candidates_for(answers, "undefined", table, config), "undefined", table, config)
+        trace = vote(answers, "undefined", table, config)
         assert trace.winner.answer == "shared"
 
     def test_normalized_equality_merges_article_variants(self):
         table = self.make_table()
         answers = {"A": "one", "B": "the shared", "C": "Shared!"}
-        trace = vote(candidates_for(answers, "what", table), "what", table)
+        trace = vote(answers, "what", table)
         assert trace.winner.model == "B"
         assert trace.reason is Reason.MERGED_DUPLICATES
 
@@ -123,7 +120,7 @@ class TestVoteSemantics:
         table = self.make_table()
         config = VoteConfig(duplicate_equality=Equality.RAW)
         answers = {"A": "one", "B": "the shared", "C": "Shared!"}
-        trace = vote(candidates_for(answers, "what", table, config), "what", table, config)
+        trace = vote(answers, "what", table, config)
         assert trace.winner.model == "A"
         assert trace.reason is Reason.HIGHEST_WEIGHT_NO_DUPLICATES
 
@@ -131,14 +128,14 @@ class TestVoteSemantics:
         weights = {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}
         table = table_for(weights, weights, label="what")
         answers = {"a": "x", "b": "y", "c": "x", "d": "y"}
-        trace = vote(candidates_for(answers, "what", table), "what", table)
+        trace = vote(answers, "what", table)
         assert trace.winner.model == "a"
         assert trace.winner.answer == "x"
 
     def test_no_duplicate_tie_breaks_to_earlier_model(self):
         weights = {"a": 0.5, "b": 0.5}
         table = table_for(weights, weights, label="what")
-        trace = vote(candidates_for({"a": "x", "b": "y"}, "what", table), "what", table)
+        trace = vote({"a": "x", "b": "y"}, "what", table)
         assert trace.winner.model == "a"
 
     def test_scaling_weights_never_changes_winner(self):
@@ -156,9 +153,7 @@ class TestVoteSemantics:
                     for factor in (1, 2, 4)
                 ]
                 winners = {
-                    vote(
-                        candidates_for(answers, qclass, t, config), qclass, t, config
-                    ).winner.model
+                    vote(answers, qclass, t, config).winner.model
                     for t in tables
                 }
                 assert len(winners) == 1
@@ -167,7 +162,7 @@ class TestVoteSemantics:
         table = self.make_table()
         answers = {"A": "same", "B": "same", "C": "same"}
         for config in ALL_CONFIGS:
-            trace = vote(candidates_for(answers, "what", table, config), "what", table, config)
+            trace = vote(answers, "what", table, config)
             assert trace.winner.answer == "same"
 
     def test_winner_is_always_a_candidate_answer(self):
@@ -176,7 +171,7 @@ class TestVoteSemantics:
             models, answers, class_fracs, global_fracs, qclass = random_instance(rng)
             table = build_table(models, class_fracs, global_fracs, qclass)
             config = rng.choice(ALL_CONFIGS)
-            trace = vote(candidates_for(answers, qclass, table, config), qclass, table, config)
+            trace = vote(answers, qclass, table, config)
             assert trace.winner.answer in answers.values()
 
 
@@ -184,22 +179,19 @@ class TestVoteErrors:
     def test_empty_candidates(self):
         table = table_for({"m": 0.5}, {"m": 0.5})
         with pytest.raises(VoteError, match="empty"):
-            vote([], "what", table)
+            vote({}, "what", table)
 
     def test_unknown_model(self):
         table = table_for({"m": 0.5}, {"m": 0.5})
         with pytest.raises(VoteError, match="unknown"):
-            vote([Candidate("ghost", "x", 0.5)], "what", table)
-
-    def test_stale_weight_rejected(self):
-        table = table_for({"m": 0.5}, {"m": 0.5})
-        with pytest.raises(VoteError, match="table says"):
-            vote([Candidate("m", "x", 0.25)], "what", table)
+            vote({"ghost": "x"}, "what", table)
 
     def test_candidates_for_unknown_model(self):
+        # Building the candidates from an answer mapping rejects any model the
+        # table does not know, even next to a known one.
         table = table_for({"m": 0.5}, {"m": 0.5})
         with pytest.raises(VoteError, match="unknown"):
-            candidates_for({"ghost": "x"}, "what", table)
+            vote({"m": "x", "ghost": "x"}, "what", table)
 
 
 class TestModeDegeneracy:
@@ -219,24 +211,14 @@ class TestModeDegeneracy:
                     label_of[qid] = rng.choice(labels)
                 reports[m] = report_from_scores(rows, label_of)
             table = compute_global_weights(reports)
+            no_class_rows = replace(table, class_weights={})  # every label falls back
             for _ in range(10):
                 answers = {m: rng.choice(["x", "y", "z", ""]) for m in reports}
                 qclass = rng.choice(labels)
                 for combine in (Combine.SUM, Combine.MAX):
-                    cfg_class = VoteConfig(
-                        mode=VoteMode.CLASS_AWARE, combine=combine, undefined_special_case=False
-                    )
-                    cfg_global = VoteConfig(
-                        mode=VoteMode.GLOBAL, combine=combine, undefined_special_case=False
-                    )
-                    win_class = vote(
-                        candidates_for(answers, qclass, table, cfg_class),
-                        qclass, table, cfg_class,
-                    ).winner
-                    win_global = vote(
-                        candidates_for(answers, qclass, table, cfg_global),
-                        qclass, table, cfg_global,
-                    ).winner
+                    config = VoteConfig(combine=combine, undefined_special_case=False)
+                    win_class = vote(answers, qclass, table, config).winner
+                    win_global = vote(answers, qclass, no_class_rows, config).winner
                     assert (win_class.model, win_class.answer) == (
                         win_global.model, win_global.answer,
                     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qavote.metrics import normalize_answer
-from qavote.voting import Combine, Equality, VoteConfig, VoteMode
+from qavote.voting import Combine, Equality, VoteConfig
 from qavote.weighting import MetricBasis, WeightTable
 
 
@@ -38,11 +38,7 @@ def _answers_equal(a, b, equality):
 
 def oracle_vote(cands, question_class, model_order, best_overall, config):
     """cands: list of (model, answer, Fraction weight). Returns (model, answer)."""
-    if (
-        config.mode is VoteMode.CLASS_AWARE
-        and config.undefined_special_case
-        and question_class == "undefined"
-    ):
+    if config.undefined_special_case and question_class == "undefined":
         for model, answer, _ in cands:
             if model == best_overall:
                 return model, answer
