@@ -58,5 +58,5 @@ from .voting import (
     run_ensemble,
     vote,
 )
-from .analysis import SimilarityReport, export_breakdown, pairwise_similarity
+from .analysis import SimilarityReport, pairwise_similarity
 from .synth import AccuracyProfile, Corruption, generate_predictions

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from .corpus import write_json
 from .metrics import EvalReport
 
 
@@ -171,16 +171,5 @@ def eval_breakdown_csv(reports: Sequence[EvalReport]) -> str:
     return buf.getvalue()
 
 
-def export_breakdown(reports: SimilarityReport | EvalReport | Sequence[EvalReport]) -> str:
-    """CSV for either report kind: one row per class plus a SUM row."""
-    if isinstance(reports, SimilarityReport):
-        return similarity_csv(reports)
-    if isinstance(reports, EvalReport):
-        return eval_breakdown_csv([reports])
-    return eval_breakdown_csv(list(reports))
-
-
 def save_similarity_json(report: SimilarityReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+    write_json(report.to_json_dict(), path, indent=1)

@@ -1,11 +1,15 @@
 """Command-line surface: ingest -> classify -> split -> weights -> ensemble -> evaluate -> compare.
 
-Every artifact-producing command writes a run manifest next to its primary
-output recording inputs, configuration, seeds, tool version, output paths,
-and wall-clock duration, so any run can be reproduced exactly.
+Every command that writes a file also writes a run manifest,
+``<first output>.manifest.json`` (``split``: ``<out-dir>/split.manifest.json``),
+so any run can be reproduced exactly. Its keys, in order: ``command``,
+``inputs`` (flag or model name -> path), ``config``, ``seeds``, ``outputs``,
+``duration_seconds`` and ``tool_version``. Each output and manifest is
+written to a temporary file and then renamed over its path, so a write
+that fails leaves the previous file as it was; the manifest is written last.
 
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 schema or
-validation error, 1 anything else.
+validation error, 1 anything else (with its traceback on stderr).
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -23,12 +27,14 @@ from .analysis import pairwise_similarity, save_similarity_json, similarity_csv,
 from .corpus import (
     Granularity,
     SchemaError,
+    atomic_write,
     load_dataset,
     load_predictions,
     save_dataset,
     save_predictions,
     save_split_manifest,
     split_pre_eval,
+    write_json,
 )
 from .metrics import MissingPolicy, evaluate, save_report_csv, save_report_json
 from .synth import AccuracyProfile, Corruption, generate_predictions, load_profile
@@ -60,22 +66,18 @@ RULES_ENV_VAR = "QAVOTE_RULES"
 
 
 @dataclass
-class RunManifest:
-    command: str
+class Run:
+    """What a command read, its config and seeds, and the files it wrote.
+
+    ``main`` writes this with the command's name, duration and tool version
+    to ``<base>.manifest.json``; ``base`` defaults to the first output.
+    """
+
     inputs: dict
     config: dict
-    seeds: dict
-    outputs: list
-    duration_seconds: float
-    tool_version: str = __version__
-
-
-def _write_manifest(primary_output: Path, manifest: RunManifest) -> Path:
-    path = Path(f"{primary_output}.manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
-    return path
+    outputs: list = field(default_factory=list)
+    seeds: dict = field(default_factory=dict)
+    base: Path | None = None
 
 
 def _parse_preds(pairs: list[str]) -> dict[str, Path]:
@@ -109,22 +111,40 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def cmd_rules_show(args) -> int:
+def _model_inputs(args, *flags: str) -> tuple[dict[str, Path], dict[str, str]]:
+    """The --preds paths, and the manifest inputs: the file of each of ``flags``,
+    then every model file."""
+    pred_paths = _parse_preds(args.preds)
+    files = {**{flag: getattr(args, flag) for flag in flags}, **pred_paths}
+    return pred_paths, {name: str(path) for name, path in files.items()}
+
+
+def _scoring_setup(args, dataset_flag: str, **config):
+    """What evaluate, weights and compare share: the classifier, the dataset, the
+    missing policy, the --preds paths and a Run holding their manifest inputs and
+    config (``config`` goes between the classifier's and the policy's keys)."""
+    classifier, classifier_cfg = _classifier_from_args(args)
+    dataset = load_dataset(getattr(args, dataset_flag))
+    policy = MissingPolicy(args.missing_policy.replace("-", "_"))
+    pred_paths, inputs = _model_inputs(args, dataset_flag)
+    run = Run(inputs, {**classifier_cfg, **config, "missing_policy": policy.value})
+    return classifier, dataset, policy, pred_paths, run
+
+
+def cmd_rules_show(args) -> None:
     classifier, _ = _classifier_from_args(args)
     if not isinstance(classifier, ClassRuleSet):
         print("error: 'rules show' needs a rule-based classifier", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
     if args.json:
         print(json.dumps(classifier.to_json(), indent=1))
     else:
         print(f"{'priority':>8}  {'class':<14} pattern")
         for rule in classifier.rules:
             print(f"{rule.priority:>8}  {rule.question_class.value:<14} {rule.pattern}")
-    return EXIT_OK
 
 
-def cmd_classify_stats(args) -> int:
-    start = time.monotonic()
+def cmd_classify_stats(args) -> Run:
     classifier, classifier_cfg = _classifier_from_args(args)
     dataset = load_dataset(args.dataset)
     hist = class_distribution(dataset, classifier)
@@ -134,36 +154,21 @@ def cmd_classify_stats(args) -> int:
         print(f"{label:<16} {count:>8} {100 * hist.share(label):>6.1f}%")
     print(f"{'SUM':<16} {hist.total:>8} {100.0 if hist.total else 0.0:>6.1f}%")
 
-    outputs = []
+    run = Run({"dataset": str(args.dataset)}, classifier_cfg)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with atomic_write(args.csv) as fh:
             fh.write("class,count,percentage\n")
             for label, count in rows:
                 fh.write(f"{label},{count},{100 * hist.share(label):.1f}\n")
             fh.write(f"SUM,{hist.total},{100.0 if hist.total else 0.0:.1f}\n")
-        outputs.append(str(args.csv))
+        run.outputs.append(args.csv)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump({"counts": hist.counts, "total": hist.total}, fh, indent=1)
-            fh.write("\n")
-        outputs.append(str(args.json_out))
-    if outputs:
-        _write_manifest(
-            Path(outputs[0]),
-            RunManifest(
-                command="classify-stats",
-                inputs={"dataset": str(args.dataset)},
-                config=classifier_cfg,
-                seeds={},
-                outputs=outputs,
-                duration_seconds=time.monotonic() - start,
-            ),
-        )
-    return EXIT_OK
+        write_json({"counts": hist.counts, "total": hist.total}, args.json_out, indent=1)
+        run.outputs.append(args.json_out)
+    return run
 
 
-def cmd_split(args) -> int:
-    start = time.monotonic()
+def cmd_split(args) -> Run:
     dataset = load_dataset(args.dataset)
     split = split_pre_eval(dataset, args.fraction, args.seed, args.granularity)
     out_dir = Path(args.out_dir)
@@ -179,26 +184,17 @@ def cmd_split(args) -> int:
         f"pre_eval {len(split.pre_eval)} (fraction {args.fraction}, seed {args.seed}, "
         f"{split.granularity} granularity)"
     )
-    _write_manifest(
-        out_dir / "split",
-        RunManifest(
-            command="split",
-            inputs={"dataset": str(args.dataset)},
-            config={"fraction": args.fraction, "granularity": str(split.granularity)},
-            seeds={"split": args.seed},
-            outputs=[str(train_path), str(pre_eval_path), str(manifest_path)],
-            duration_seconds=time.monotonic() - start,
-        ),
+    return Run(
+        inputs={"dataset": str(args.dataset)},
+        config={"fraction": args.fraction, "granularity": str(split.granularity)},
+        seeds={"split": args.seed},
+        outputs=[train_path, pre_eval_path, manifest_path],
+        base=out_dir / "split",
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    start = time.monotonic()
-    classifier, classifier_cfg = _classifier_from_args(args)
-    dataset = load_dataset(args.dataset)
-    policy = MissingPolicy(args.missing_policy.replace("-", "_"))
-    pred_paths = _parse_preds(args.preds)
+def cmd_evaluate(args) -> Run:
+    classifier, dataset, policy, pred_paths, run = _scoring_setup(args, "dataset")
     reports = {}
     for name, path in pred_paths.items():
         preds = load_predictions(path, name)
@@ -208,53 +204,35 @@ def cmd_evaluate(args) -> int:
             f"{name}: F1={100 * report.overall.mean_f1:.2f}% "
             f"EM={100 * report.overall.em_rate:.2f}% (n={report.overall.count})"
         )
-    outputs = []
     if args.json_out:
         if len(reports) == 1:
             save_report_json(next(iter(reports.values())), args.json_out)
         else:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {name: r.to_json_dict() for name, r in reports.items()}, fh, indent=1
-                )
-                fh.write("\n")
-        outputs.append(str(args.json_out))
+            write_json({name: r.to_json_dict() for name, r in reports.items()}, args.json_out,
+                       indent=1)
+        run.outputs.append(args.json_out)
     if args.csv:
         if len(reports) == 1:
             save_report_csv(next(iter(reports.values())), args.csv)
         else:
-            with open(args.csv, "w", encoding="utf-8") as fh:
+            with atomic_write(args.csv) as fh:
                 fh.write(eval_breakdown_csv(list(reports.values())))
-        outputs.append(str(args.csv))
-    if outputs:
-        _write_manifest(
-            Path(outputs[0]),
-            RunManifest(
-                command="evaluate",
-                inputs={"dataset": str(args.dataset), **{n: str(p) for n, p in pred_paths.items()}},
-                config={**classifier_cfg, "missing_policy": policy.value},
-                seeds={},
-                outputs=outputs,
-                duration_seconds=time.monotonic() - start,
-            ),
-        )
-    return EXIT_OK
+        run.outputs.append(args.csv)
+    return run
 
 
 _BASIS_BY_FLAG = {"f1": MetricBasis.MEAN_F1, "em": MetricBasis.EM_RATE}
 
 
-def cmd_weights(args) -> int:
-    start = time.monotonic()
-    classifier, classifier_cfg = _classifier_from_args(args)
-    dataset = load_dataset(args.pre_eval)
-    policy = MissingPolicy(args.missing_policy.replace("-", "_"))
-    pred_paths = _parse_preds(args.preds)
+def cmd_weights(args) -> Run:
+    basis = _BASIS_BY_FLAG[args.basis]
+    classifier, dataset, policy, pred_paths, run = _scoring_setup(
+        args, "pre_eval", basis=basis.value, no_classes=bool(args.no_classes)
+    )
     reports = {
         name: evaluate(load_predictions(path, name), dataset, classifier, policy)
         for name, path in pred_paths.items()
     }
-    basis = _BASIS_BY_FLAG[args.basis]
     labels = getattr(classifier, "labels", ())
     if args.no_classes:
         table = compute_global_weights(reports, basis, labels)
@@ -264,31 +242,15 @@ def cmd_weights(args) -> int:
     for model in table.models:
         marker = " (best overall)" if model == table.best_overall else ""
         print(f"{model}: global weight {table.global_weights[model]:.4f}{marker}")
-    _write_manifest(
-        Path(args.out),
-        RunManifest(
-            command="weights",
-            inputs={"pre_eval": str(args.pre_eval), **{n: str(p) for n, p in pred_paths.items()}},
-            config={
-                **classifier_cfg,
-                "basis": basis.value,
-                "no_classes": bool(args.no_classes),
-                "missing_policy": policy.value,
-            },
-            seeds={},
-            outputs=[str(args.out)],
-            duration_seconds=time.monotonic() - start,
-        ),
-    )
-    return EXIT_OK
+    run.outputs.append(args.out)
+    return run
 
 
-def cmd_ensemble(args) -> int:
-    start = time.monotonic()
+def cmd_ensemble(args) -> Run:
     classifier, classifier_cfg = _classifier_from_args(args)
     dataset = load_dataset(args.dataset)
     table = load_weights(args.weights)
-    pred_paths = _parse_preds(args.preds)
+    pred_paths, inputs = _model_inputs(args, "dataset", "weights")
     predictions = {name: load_predictions(path, name) for name, path in pred_paths.items()}
     special_case = not args.no_undefined_special_case
     if args.mode == "global":  # the class-aware vote on the class-ignoring table
@@ -300,41 +262,26 @@ def cmd_ensemble(args) -> int:
     )
     ensemble, traces = run_ensemble(dataset, predictions, table, classifier, config)
     save_predictions(ensemble, args.out)
-    outputs = [str(args.out)]
+    outputs = [args.out]
     if args.trace:
         save_traces(traces, args.trace)
-        outputs.append(str(args.trace))
+        outputs.append(args.trace)
     print(f"ensemble answers for {len(ensemble)} questions -> {args.out}")
-    _write_manifest(
-        Path(args.out),
-        RunManifest(
-            command="ensemble",
-            inputs={
-                "dataset": str(args.dataset),
-                "weights": str(args.weights),
-                **{n: str(p) for n, p in pred_paths.items()},
-            },
-            config={
-                **classifier_cfg,
-                "mode": args.mode.replace("-", "_"),
-                "combine": config.combine.value,
-                "undefined_special_case": not args.no_undefined_special_case,
-                "duplicate_equality": config.duplicate_equality.value,
-            },
-            seeds={},
-            outputs=outputs,
-            duration_seconds=time.monotonic() - start,
-        ),
+    return Run(
+        inputs,
+        {
+            **classifier_cfg,
+            "mode": args.mode.replace("-", "_"),
+            "combine": config.combine.value,
+            "undefined_special_case": config.undefined_special_case,
+            "duplicate_equality": config.duplicate_equality.value,
+        },
+        outputs,
     )
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    start = time.monotonic()
-    classifier, classifier_cfg = _classifier_from_args(args)
-    dataset = load_dataset(args.dataset)
-    policy = MissingPolicy(args.missing_policy.replace("-", "_"))
-    pred_paths = _parse_preds(args.preds)
+def cmd_compare(args) -> Run:
+    classifier, dataset, policy, pred_paths, run = _scoring_setup(args, "dataset")
     if len(pred_paths) < 2:
         raise ValueError("compare needs at least two --preds")
     if (args.csv or args.json_out) and len(pred_paths) > 2:
@@ -344,7 +291,6 @@ def cmd_compare(args) -> int:
         for name, path in pred_paths.items()
     }
     labels = getattr(classifier, "labels", ())
-    outputs = []
     for name_a, name_b in combinations(reports, 2):
         report = pairwise_similarity(reports[name_a], reports[name_b], labels)
         o = report.overall
@@ -368,28 +314,15 @@ def cmd_compare(args) -> int:
             targets.append((Path(args.json_out), "json"))
         for path, kind in targets:
             if kind == "csv":
-                with open(path, "w", encoding="utf-8") as fh:
+                with atomic_write(path) as fh:
                     fh.write(similarity_csv(report))
             else:
                 save_similarity_json(report, path)
-            outputs.append(str(path))
-    if outputs:
-        _write_manifest(
-            Path(outputs[0]),
-            RunManifest(
-                command="compare",
-                inputs={"dataset": str(args.dataset), **{n: str(p) for n, p in pred_paths.items()}},
-                config={**classifier_cfg, "missing_policy": policy.value},
-                seeds={},
-                outputs=outputs,
-                duration_seconds=time.monotonic() - start,
-            ),
-        )
-    return EXIT_OK
+            run.outputs.append(path)
+    return run
 
 
-def cmd_synth(args) -> int:
-    start = time.monotonic()
+def cmd_synth(args) -> Run:
     classifier, classifier_cfg = _classifier_from_args(args)
     dataset = load_dataset(args.dataset)
     if args.profile:
@@ -407,19 +340,13 @@ def cmd_synth(args) -> int:
     if preds.meta.get("sentinel_fallback_ids"):
         note = f" ({len(preds.meta['sentinel_fallback_ids'])} sentinel fallbacks)"
     print(f"generated {len(preds)} synthetic answers as {args.name!r} -> {args.out}{note}")
-    _write_manifest(
-        Path(args.out),
-        RunManifest(
-            command="synth",
-            inputs={"dataset": str(args.dataset), "profile": str(args.profile or "<inline>")},
-            config={**classifier_cfg, "corruption": profile.corruption.value,
-                    "model_name": args.name},
-            seeds={"profile": profile.seed},
-            outputs=[str(args.out)],
-            duration_seconds=time.monotonic() - start,
-        ),
+    return Run(
+        inputs={"dataset": str(args.dataset), "profile": str(args.profile or "<inline>")},
+        config={**classifier_cfg, "corruption": profile.corruption.value,
+                "model_name": args.name},
+        seeds={"profile": profile.seed},
+        outputs=[args.out],
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,15 +456,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.monotonic()
     try:
-        return args.func(args)
+        run = args.func(args)
+        if run and run.outputs:
+            manifest = {
+                "command": args.command,
+                "inputs": run.inputs,
+                "config": run.config,
+                "seeds": run.seeds,
+                "outputs": [str(path) for path in run.outputs],
+                "duration_seconds": time.monotonic() - start,
+                "tool_version": __version__,
+            }
+            write_json(manifest, f"{run.base or run.outputs[0]}.manifest.json", indent=1)
+        return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (SchemaError, RuleError, WeightError, VoteError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:
+        import traceback  # only a crash pays for this import
+
+        traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
 

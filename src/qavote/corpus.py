@@ -10,12 +10,17 @@ File formats:
 The splitter orders units (questions, or whole paragraphs) by a seeded hash
 of their id and takes the prefix, so identical inputs always produce a
 byte-identical split regardless of platform or interpreter version.
+
+Every file the package writes goes through ``atomic_write``: a failed write
+leaves the previous file in place.
 """
 from __future__ import annotations
 
 import enum
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -23,6 +28,36 @@ from typing import Iterable, Mapping
 
 class SchemaError(ValueError):
     """Input file violates the expected schema; message carries the JSON path."""
+
+
+@contextmanager
+def atomic_write(path: str | Path):
+    """Yield a UTF-8 text handle whose content replaces ``path`` once the body finishes.
+
+    The handle writes a temporary file beside ``path``, opened with ``open`` so
+    that its mode follows the umask like any file ``open(path, "w")`` creates.
+    If the body raises, the temporary file is removed and ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except FileNotFoundError as exc:  # a missing directory: name the target, not tmp
+        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(obj, path: str | Path, indent: int | None = None) -> None:
+    """Write ``obj`` as JSON (non-ASCII characters kept) plus a newline, atomically."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, ensure_ascii=False, indent=indent)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -255,9 +290,7 @@ def dataset_to_squad_dict(dataset: Dataset, version: str = "1.1") -> dict:
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_squad_dict(dataset), fh, ensure_ascii=False)
-        fh.write("\n")
+    write_json(dataset_to_squad_dict(dataset), path)
 
 
 def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
@@ -277,9 +310,7 @@ def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
 
 
 def save_predictions(predictions: PredictionSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dict(predictions.answers), fh, ensure_ascii=False)
-        fh.write("\n")
+    write_json(dict(predictions.answers), path)
 
 
 def _unit_sort_key(seed: int, unit_id: str) -> tuple[str, str]:
@@ -328,9 +359,7 @@ def split_pre_eval(
 
 
 def save_split_manifest(split: SplitResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(split.manifest(), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+    write_json(split.manifest(), path, indent=1)
 
 
 def materialize_split(dataset: Dataset, manifest: Mapping) -> SplitResult:

@@ -24,14 +24,13 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import json
 import string
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .corpus import Dataset, PredictionSet
+from .corpus import Dataset, PredictionSet, atomic_write, write_json
 
 _ARTICLES = frozenset({"a", "an", "the"})
 
@@ -252,11 +251,9 @@ def evaluate(
 
 
 def save_report_json(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+    write_json(report.to_json_dict(), path, indent=1)
 
 
 def save_report_csv(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(report.to_csv())

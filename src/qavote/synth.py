@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .corpus import Dataset, PredictionSet, SchemaError, _require
+from .corpus import Dataset, PredictionSet, SchemaError, _require, write_json
 from .metrics import normalize_answer
 from .taxonomy import default_rules
 
@@ -83,9 +83,7 @@ def load_profile(path: str | Path) -> AccuracyProfile:
 
 
 def save_profile(profile: AccuracyProfile, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile.to_json_dict(), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+    write_json(profile.to_json_dict(), path, indent=1)
 
 
 def _hash_int(seed: int, qid: str, purpose: str) -> int:

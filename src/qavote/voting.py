@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .corpus import Dataset, PredictionSet
+from .corpus import Dataset, PredictionSet, atomic_write
 from .metrics import normalize_answer
 from .taxonomy import UNDEFINED
 from .weighting import WeightTable
@@ -230,7 +230,7 @@ def run_ensemble(
 
 def save_traces(traces: Iterable[VoteTrace], path: str | Path) -> None:
     """Write one JSON object per line, in the given order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for trace in traces:
             fh.write(json.dumps(trace.to_json_dict(), ensure_ascii=False))
             fh.write("\n")

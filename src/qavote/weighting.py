@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import _require
+from .corpus import _require, write_json
 from .metrics import ClassStats, EvalReport
 from .taxonomy import CLASS_LABELS
 
@@ -208,9 +208,7 @@ def compute_global_weights(
 
 
 def save_weights(table: WeightTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_json_dict(), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+    write_json(table.to_json_dict(), path, indent=1)
 
 
 def load_weights(path: str | Path) -> WeightTable:

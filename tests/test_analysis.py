@@ -10,7 +10,6 @@ import pytest
 from qavote.analysis import (
     SimTriple,
     eval_breakdown_csv,
-    export_breakdown,
     pairwise_similarity,
     similarity_csv,
 )
@@ -145,15 +144,6 @@ class TestExports:
         sum_row = lines[-1].split(",")
         assert sum_row[0] == "SUM"
         assert sum_row[3] == str(len(small_dataset))
-
-    def test_export_breakdown_dispatch(self, rules, small_dataset):
-        report = self.similarity_report(rules, small_dataset)
-        assert export_breakdown(report) == similarity_csv(report)
-        eval_report = evaluate(
-            PredictionSet("m", gold_map(small_dataset)), small_dataset, rules
-        )
-        assert export_breakdown(eval_report) == eval_breakdown_csv([eval_report])
-        assert export_breakdown([eval_report]) == eval_breakdown_csv([eval_report])
 
     def test_eval_breakdown_csv(self, rules, small_dataset):
         golds = gold_map(small_dataset)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from helpers import make_squad_dict, uniform_counts
 
+from qavote import __version__
+import qavote.cli
 from qavote.cli import main
 from qavote.corpus import load_dataset
 from qavote.taxonomy import (
@@ -235,6 +239,131 @@ class TestPipeline:
         assert any(line.startswith("who") and " 6 " in line for line in out.splitlines())
 
 
+MANIFEST_KEYS = ["command", "inputs", "config", "seeds", "outputs", "duration_seconds",
+                 "tool_version"]
+
+
+@pytest.fixture()
+def run_inputs(tmp_path, corpus_file):
+    """Three synthetic models and their class weights, made before the command under test."""
+    made = tmp_path / "inputs"
+    made.mkdir()
+    preds = {
+        name: synth_model(made, corpus_file, name, CLASS_LABELS[seed::3], seed)
+        for seed, name in enumerate(("m1", "m2", "m3"))
+    }
+    weights = made / "weights.json"
+    assert main(["weights", "--pre-eval", str(corpus_file), *pred_flags(preds),
+                 "--out", str(weights)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    return corpus_file, preds, weights, out
+
+
+def pred_flags(preds):
+    return [f"--preds={name}={path}" for name, path in preds.items()]
+
+
+def manifest_cases(corpus, preds, weights, out):
+    """Case id -> (argv, manifest path or None, expected manifest without its duration)."""
+    d, p, w = str(corpus), {n: str(path) for n, path in preds.items()}, str(weights)
+    two = dict(list(p.items())[:2])
+    rules = {"rules": "<default>"}
+    score_as_empty = {**rules, "missing_policy": "score_as_empty"}
+
+    def expected(command, inputs, config, outputs, seeds=None):
+        return {"command": command, "inputs": inputs, "config": config, "seeds": seeds or {},
+                "outputs": [str(out / name) for name in outputs], "tool_version": __version__}
+
+    def ensemble(*flags, mode="class_aware", special_case=True):
+        argv = ["ensemble", "--dataset", d, *pred_flags(p), "--weights", w,
+                "--out", str(out / "ens.json"), *flags]
+        outputs = ["ens.json"] + (["ens.jsonl"] if "--trace" in flags else [])
+        config = {**rules, "mode": mode, "combine": "sum",
+                  "undefined_special_case": special_case, "duplicate_equality": "normalized"}
+        return argv, out / "ens.json.manifest.json", expected(
+            "ensemble", {"dataset": d, "weights": w, **p}, config, outputs)
+
+    pairs = ["m1_vs_m2", "m1_vs_m3", "m2_vs_m3"]
+    return {
+        "classify-stats": (
+            ["classify-stats", "--dataset", d, "--csv", str(out / "s.csv"),
+             "--json", str(out / "s.json")],
+            out / "s.csv.manifest.json",
+            expected("classify-stats", {"dataset": d}, rules, ["s.csv", "s.json"])),
+        "classify-stats-no-output": (["classify-stats", "--dataset", d], None, None),
+        "split": (
+            ["split", "--dataset", d, "--fraction", "0.25", "--seed", "7", "--granularity",
+             "paragraph", "--out-dir", str(out)],
+            out / "split.manifest.json",
+            expected("split", {"dataset": d}, {"fraction": 0.25, "granularity": "paragraph"},
+                     ["train.json", "pre_eval.json", "split_manifest.json"], {"split": 7})),
+        "synth": (
+            ["synth", "--dataset", d, "--length-buckets", "6,9", "--prob-all", "0.5",
+             "--seed", "5", "--name", "m9", "--out", str(out / "m9.json")],
+            out / "m9.json.manifest.json",
+            expected("synth", {"dataset": d, "profile": "<inline>"},
+                     {"length_buckets": [6, 9], "corruption": "disjoint_token",
+                      "model_name": "m9"}, ["m9.json"], {"profile": 5})),
+        "weights": (
+            ["weights", "--pre-eval", d, *pred_flags(two), "--basis", "em", "--no-classes",
+             "--missing-policy", "exclude", "--out", str(out / "w.json")],
+            out / "w.json.manifest.json",
+            expected("weights", {"pre_eval": d, **two},
+                     {**rules, "basis": "em_rate", "no_classes": True,
+                      "missing_policy": "exclude"}, ["w.json"])),
+        "ensemble": ensemble(),
+        "ensemble-trace": ensemble("--trace", str(out / "ens.jsonl")),
+        "ensemble-global": ensemble("--mode", "global", mode="global", special_case=False),
+        "evaluate-one": (
+            ["evaluate", "--dataset", d, "--preds", f"m1={p['m1']}",
+             "--json", str(out / "e.json")],
+            out / "e.json.manifest.json",
+            expected("evaluate", {"dataset": d, "m1": p["m1"]}, score_as_empty, ["e.json"])),
+        "evaluate-several": (
+            ["evaluate", "--dataset", d, *pred_flags(p), "--missing-policy", "exclude",
+             "--csv", str(out / "e.csv"), "--json", str(out / "e.json")],
+            out / "e.json.manifest.json",
+            expected("evaluate", {"dataset": d, **p}, {**rules, "missing_policy": "exclude"},
+                     ["e.json", "e.csv"])),
+        "compare-pair": (
+            ["compare", "--dataset", d, *pred_flags(two), "--json", str(out / "c.json"),
+             "--csv", str(out / "c.csv")],
+            out / "c.csv.manifest.json",
+            expected("compare", {"dataset": d, **two}, score_as_empty, ["c.csv", "c.json"])),
+        "compare-out-dir": (
+            ["compare", "--dataset", d, *pred_flags(p), "--out-dir", str(out / "cmp")],
+            out / "cmp" / "m1_vs_m2.csv.manifest.json",
+            expected("compare", {"dataset": d, **p}, score_as_empty,
+                     [f"cmp/{pair}.{kind}" for pair in pairs for kind in ("csv", "json")])),
+    }
+
+
+MANIFEST_CASES = ["classify-stats", "classify-stats-no-output", "split", "synth", "weights",
+                  "ensemble", "ensemble-trace", "ensemble-global", "evaluate-one",
+                  "evaluate-several", "compare-pair", "compare-out-dir"]
+
+
+class TestManifests:
+    @pytest.mark.parametrize("case", MANIFEST_CASES)
+    def test_manifest_of_every_command(self, run_inputs, case):
+        cases = manifest_cases(*run_inputs)
+        assert sorted(cases) == sorted(MANIFEST_CASES)
+        argv, path, want = cases[case]
+        out = run_inputs[-1]
+        assert main(argv) == 0
+        written = sorted(p.relative_to(out) for p in out.rglob("*.manifest.json"))
+        if path is None:
+            assert written == []
+            return
+        assert written == [path.relative_to(out)]
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert list(manifest) == MANIFEST_KEYS
+        assert manifest.pop("duration_seconds") >= 0
+        # json.dumps keeps key order, so this also pins the order of nested keys
+        assert json.dumps(manifest) == json.dumps(want)
+
+
 class TestGlobalMode:
     def test_global_mode_equals_class_aware_vote_on_no_classes_table(
         self, tmp_path, corpus_file
@@ -278,7 +407,7 @@ class TestGlobalMode:
             "rules": "<default>",
             "mode": "global",
             "combine": "sum",
-            "undefined_special_case": True,
+            "undefined_special_case": False,
             "duplicate_equality": "normalized",
         }
 
@@ -338,6 +467,14 @@ class TestErrorCodes:
         rc = main(["classify-stats", "--dataset", str(tmp_path / "nope.json")])
         assert rc == 3
         assert "missing input file" in capsys.readouterr().err
+
+    def test_missing_output_directory_names_the_output(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "no_dir" / "m.json"
+        rc = main(["synth", "--dataset", str(corpus_file), "--name", "m", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"'{out}'" in err and ".tmp" not in err
+        assert not out.parent.exists()
 
     def test_schema_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -406,10 +543,34 @@ class TestErrorCodes:
         assert rc == 4
         assert "--out-dir" in capsys.readouterr().err
 
+    def test_unexpected_error_prints_traceback(self, corpus_file, monkeypatch, capsys):
+        def crash(_):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr("qavote.cli.load_dataset", crash)
+        assert main(["classify-stats", "--dataset", str(corpus_file)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "disk on fire" in err
+        assert err.splitlines()[-1] == "error: disk on fire"
+
+    def test_expected_errors_print_one_line(self, tmp_path, capsys):
+        assert main(["classify-stats", "--dataset", str(tmp_path / "nope.json")]) == 3
+        bad = tmp_path / "bad.json"
+        bad.write_text("{broken", encoding="utf-8")
+        assert main(["classify-stats", "--dataset", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 2
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["classify-stats", "--no-such-flag"])
         assert excinfo.value.code == 2
+
+    def test_rules_show_without_rules_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rules", "show", "--length-buckets", "6"])
+        assert excinfo.value.code == 2
+        assert "needs a rule-based classifier" in capsys.readouterr().err
 
     def test_bad_preds_argument(self, tmp_path, corpus_file, capsys):
         rc = main(
@@ -429,3 +590,36 @@ class TestErrorCodes:
             ["compare", "--dataset", str(corpus_file), "--preds", f"a={preds}"]
         )
         assert rc == 4
+
+
+class TestTracedNames:
+    """bench/tracer.py wraps these ``qavote.cli`` names and names each span after the
+    module the function comes from; a name that moves or vanishes zeroes a layer metric."""
+
+    MODULES = {
+        "qavote.corpus": ["load_dataset", "load_predictions", "split_pre_eval", "save_dataset",
+                          "save_predictions", "save_split_manifest"],
+        "qavote.taxonomy": ["default_rules", "load_rules", "LengthClassifier",
+                            "class_distribution"],
+        "qavote.metrics": ["evaluate", "save_report_json", "save_report_csv"],
+        "qavote.weighting": ["compute_class_weights", "compute_global_weights", "load_weights",
+                             "save_weights"],
+        "qavote.voting": ["run_ensemble", "save_traces"],
+        "qavote.analysis": ["pairwise_similarity", "similarity_csv", "save_similarity_json",
+                            "eval_breakdown_csv"],
+        "qavote.synth": ["load_profile", "generate_predictions"],
+    }
+
+    def test_every_traced_name_resolves_to_its_module(self):
+        source = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        traced = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+        )
+        expected = {name: module for module, names in self.MODULES.items() for name in names}
+        assert sorted(traced) == sorted(expected)
+        for name in traced:
+            assert getattr(qavote.cli, name).__module__ == expected[name], name

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import make_dataset, make_squad_dict, uniform_counts
 
+from qavote import corpus
+from qavote.cli import main
 from qavote.corpus import (
     Granularity,
     SchemaError,
@@ -23,6 +26,7 @@ from qavote.corpus import (
     split_pre_eval,
     PredictionSet,
 )
+from qavote.voting import VoteTrace, save_traces
 
 
 def write_json(tmp_path, name, payload):
@@ -242,3 +246,77 @@ class TestSplit:
         manifest = {"fraction": 0.1, "seed": 1, "granularity": "question", "pre_eval_ids": ["ghost"]}
         with pytest.raises(SchemaError, match="ghost"):
             materialize_split(small_dataset, manifest)
+
+
+class TestAtomicWrites:
+    """A failed write leaves the previous file byte-identical and no temporary file."""
+
+    @pytest.fixture()
+    def target(self, tmp_path):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"GOOD\n")
+        return path
+
+    @staticmethod
+    def assert_untouched(path):
+        assert path.read_bytes() == b"GOOD\n"
+        assert sorted(p.name for p in path.parent.glob("*.tmp")) == []
+
+    def test_save_traces_failing_midway(self, target):
+        class Trace:
+            def to_json_dict(self):
+                return {"q": 1}
+
+        def traces():
+            yield Trace()
+            raise RuntimeError("vote failed")
+
+        with pytest.raises(RuntimeError, match="vote failed"):
+            save_traces(traces(), target)
+        self.assert_untouched(target)
+
+    def test_write_json_of_unserializable_value(self, target):
+        with pytest.raises(TypeError):
+            corpus.write_json({"ok": 1, "bad": object()}, target)
+        self.assert_untouched(target)
+
+    def test_cli_ensemble_whose_trace_write_fails(self, tmp_path, target, monkeypatch):
+        dataset_path = write_json(tmp_path, "corpus.json", make_squad_dict(uniform_counts(2)))
+        golds = {item.id: item.gold_answers[0] for item in load_dataset(dataset_path).items}
+        preds = []
+        for name in ("a", "b"):
+            path = write_json(tmp_path, f"{name}.json", golds)
+            preds += ["--preds", f"{name}={path}"]
+        weights = tmp_path / "weights.json"
+        assert main(["weights", "--pre-eval", str(dataset_path), *preds, "--out", str(weights)]) == 0
+        out = tmp_path / "ensemble.json"
+        manifest = tmp_path / "ensemble.json.manifest.json"
+        manifest.write_bytes(b"GOOD\n")
+
+        calls = []
+        original = VoteTrace.to_json_dict
+
+        def fail_on_second_trace(trace):
+            calls.append(trace)
+            if len(calls) == 2:
+                raise RuntimeError("disk full")
+            return original(trace)
+
+        monkeypatch.setattr(VoteTrace, "to_json_dict", fail_on_second_trace)
+        rc = main(["ensemble", "--dataset", str(dataset_path), *preds, "--weights", str(weights),
+                   "--out", str(out), "--trace", str(target)])
+        assert rc == 1
+        self.assert_untouched(target)
+        self.assert_untouched(manifest)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_fresh_file_mode_follows_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            save_predictions(PredictionSet("m", {"q": "a"}), tmp_path / "preds.json")
+        finally:
+            os.umask(previous)
+        mode = os.stat(tmp_path / "preds.json").st_mode & 0o777
+        assert mode == os.stat(tmp_path / "reference").st_mode & 0o777 == 0o666 & ~umask
