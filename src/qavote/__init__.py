@@ -25,8 +25,6 @@ from .taxonomy import (
     LengthClassifier,
     QuestionClass,
     class_distribution,
-    classify,
-    classify_by_length,
     default_rules,
     load_rules,
 )

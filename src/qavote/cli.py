@@ -8,8 +8,9 @@ so any run can be reproduced exactly. Its keys, in order: ``command``,
 written to a temporary file and then renamed over its path, so a write
 that fails leaves the previous file as it was; the manifest is written last.
 
-Exit codes: 0 success, 2 usage, 3 missing input file, 4 schema or
-validation error, 1 anything else (with its traceback on stderr).
+Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
+exist or is a directory, 4 a malformed input file or invalid value, 1
+anything else (with its traceback on stderr).
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ from .weighting import (
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_MISSING_INPUT = 3
+EXIT_BAD_PATH = 3
 EXIT_SCHEMA = 4
 EXIT_OTHER = 1
 
@@ -471,9 +472,9 @@ def main(argv=None) -> int:
             }
             write_json(manifest, f"{run.base or run.outputs[0]}.manifest.json", indent=1)
         return EXIT_OK
-    except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PATH
     except (SchemaError, RuleError, WeightError, VoteError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -11,8 +11,9 @@ The splitter orders units (questions, or whole paragraphs) by a seeded hash
 of their id and takes the prefix, so identical inputs always produce a
 byte-identical split regardless of platform or interpreter version.
 
-Every file the package writes goes through ``atomic_write``: a failed write
-leaves the previous file in place.
+Every input file goes through ``read_json`` and every output through
+``atomic_write``: an input that is not JSON is one SchemaError naming the
+file, and a failed write leaves the previous file in place.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import enum
 import hashlib
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +30,26 @@ from typing import Iterable, Mapping
 
 class SchemaError(ValueError):
     """Input file violates the expected schema; message carries the JSON path."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.load`` object hook: the object's dict; a repeated key is an error."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
+def read_json(path: str | Path):
+    """Parse the UTF-8 JSON file at ``path``. Invalid UTF-8 or JSON, nesting too
+    deep to parse and a key repeated within one object all raise
+    ``SchemaError("<path>: not valid JSON: <reason>")``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
 
 
 @contextmanager
@@ -118,10 +140,6 @@ class Dataset:
 
     def by_id(self) -> dict[str, QaItem]:
         return {item.id: item for item in self.items}
-
-    def group_of(self) -> dict[str, str]:
-        """Map question id -> paragraph group key."""
-        return {qid: g.key for g in self.groups for qid in g.item_ids}
 
     def subset(self, keep_ids: Iterable[str], provenance: str) -> "Dataset":
         """New Dataset with only ``keep_ids``, preserving item and group order."""
@@ -252,13 +270,7 @@ def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
 
 def load_dataset(path: str | Path) -> Dataset:
     """Load a SQuAD v1.1 JSON file. Duplicate question ids are a hard error."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return dataset_from_squad_dict(data, provenance=str(path))
+    return dataset_from_squad_dict(read_json(path), provenance=str(Path(path)))
 
 
 def dataset_to_squad_dict(dataset: Dataset, version: str = "1.1") -> dict:
@@ -295,12 +307,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
     """Load a flat {id: answer} prediction file; strings kept byte-for-byte."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: prediction file must be a JSON object")
     for qid, answer in raw.items():
@@ -363,8 +370,23 @@ def save_split_manifest(split: SplitResult, path: str | Path) -> None:
 
 
 def materialize_split(dataset: Dataset, manifest: Mapping) -> SplitResult:
-    """Rebuild the exact SplitResult a saved manifest describes."""
-    pre_eval_ids = set(manifest["pre_eval_ids"])
+    """Rebuild the exact SplitResult a saved manifest describes; a field of the
+    wrong type raises SchemaError naming its JSON path, nothing is coerced."""
+    seed = _require(manifest, "seed", "$", int)
+    fraction = _require(manifest, "fraction", "$", (int, float))
+    if not 0 <= fraction <= 1:
+        raise SchemaError(f"field $.fraction must be within [0, 1], got {fraction}")
+    granularity = _require(manifest, "granularity", "$", str)
+    if granularity not in {g.value for g in Granularity}:
+        raise SchemaError(
+            f"field $.granularity must be one of {[g.value for g in Granularity]}, "
+            f"got {granularity!r}"
+        )
+    ids = _require(manifest, "pre_eval_ids", "$", list)
+    for i, qid in enumerate(ids):
+        if not isinstance(qid, str):
+            raise SchemaError(f"field $.pre_eval_ids[{i}] must be str, got {type(qid).__name__}")
+    pre_eval_ids = set(ids)
     known = set(dataset.ids)
     unknown = pre_eval_ids - known
     if unknown:
@@ -377,12 +399,11 @@ def materialize_split(dataset: Dataset, manifest: Mapping) -> SplitResult:
     return SplitResult(
         train=train,
         pre_eval=pre_eval,
-        fraction=float(manifest["fraction"]),
-        seed=int(manifest["seed"]),
-        granularity=Granularity(manifest["granularity"]),
+        fraction=float(fraction),
+        seed=seed,
+        granularity=Granularity(granularity),
     )
 
 
 def load_split_manifest(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(path)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .corpus import Dataset, PredictionSet, SchemaError, _require, write_json
+from .corpus import Dataset, PredictionSet, SchemaError, _require, read_json, write_json
 from .metrics import normalize_answer
 from .taxonomy import default_rules
 
@@ -78,8 +77,7 @@ class AccuracyProfile:
 
 
 def load_profile(path: str | Path) -> AccuracyProfile:
-    with open(path, encoding="utf-8") as fh:
-        return AccuracyProfile.from_json_dict(json.load(fh))
+    return AccuracyProfile.from_json_dict(read_json(path))
 
 
 def save_profile(profile: AccuracyProfile, path: str | Path) -> None:

@@ -23,6 +23,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+from .corpus import read_json
+
 
 class QuestionClass(str, enum.Enum):
     """The fourteen question classes, in report row order (alphabetical).
@@ -168,11 +170,7 @@ class ClassRuleSet:
 
 def load_rules(path: str | Path) -> ClassRuleSet:
     """Load a rule file (JSON list of {pattern, class, priority})."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RuleError(f"{path}: not valid JSON: {exc}") from exc
+    entries = read_json(path)
     if not isinstance(entries, list):
         raise RuleError(f"{path}: rule file must be a JSON list")
     return ClassRuleSet.from_json(entries)
@@ -184,36 +182,20 @@ def default_rules() -> ClassRuleSet:
     return ClassRuleSet.from_json(json.loads(data))
 
 
-def classify(question: str, rules: ClassRuleSet) -> str:
-    """Class label of the highest-priority matching rule, else 'undefined'."""
-    return rules.classify(question)
-
-
 def question_length(question: str) -> int:
     """Question length in words (whitespace tokens after trimming)."""
     return len(question.split())
-
-
-def classify_by_length(question: str, bucket_edges: list[int] | tuple[int, ...]) -> int:
-    """Bucket index: first edge strictly greater than the word count wins.
-
-    A count at or past the last edge lands in the final bucket
-    (index ``len(bucket_edges)``).
-    """
-    edges = list(bucket_edges)
-    if not edges:
-        raise ValueError("bucket_edges must be non-empty")
-    if any(b >= a for a, b in zip(edges[1:], edges)):
-        raise ValueError("bucket_edges must be strictly increasing")
-    return bisect_right(edges, question_length(question))
 
 
 class LengthClassifier:
     """Length-bucket classifier exposing the same callable surface as rules.
 
     Emits labels ``len_0``, ..., ``len_<k>`` for k = len(edges) buckets plus
-    the overflow bucket. It never emits ``undefined``, so the voting fallback
-    for undefined questions stays inert under length classification.
+    the overflow bucket: a question's bucket is the index of the first edge
+    strictly greater than its word count, and a count at or past the last
+    edge lands in bucket ``len_<k>``. It never emits ``undefined``, so the
+    voting fallback for undefined questions stays inert under length
+    classification.
     """
 
     def __init__(self, bucket_edges: Iterable[int]):
@@ -228,7 +210,7 @@ class LengthClassifier:
         return tuple(f"len_{i}" for i in range(len(self.edges) + 1))
 
     def __call__(self, question: str) -> str:
-        return f"len_{classify_by_length(question, self.edges)}"
+        return f"len_{bisect_right(self.edges, question_length(question))}"
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,11 @@ ties to earlier model order) answers undefined-class questions.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import _require, write_json
+from .corpus import _require, read_json, write_json
 from .metrics import ClassStats, EvalReport
 from .taxonomy import CLASS_LABELS
 
@@ -212,9 +211,4 @@ def save_weights(table: WeightTable, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> WeightTable:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise WeightError(f"{path}: not valid JSON: {exc}") from exc
-    return WeightTable.from_json_dict(data)
+    return WeightTable.from_json_dict(read_json(path))

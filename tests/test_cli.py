@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_squad_dict, uniform_counts
 
@@ -464,9 +468,10 @@ class TestClassifyOnce:
 
 class TestErrorCodes:
     def test_missing_input_file(self, tmp_path, capsys):
-        rc = main(["classify-stats", "--dataset", str(tmp_path / "nope.json")])
+        missing = tmp_path / "nope.json"
+        rc = main(["classify-stats", "--dataset", str(missing)])
         assert rc == 3
-        assert "missing input file" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
     def test_missing_output_directory_names_the_output(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "no_dir" / "m.json"
@@ -475,6 +480,11 @@ class TestErrorCodes:
         err = capsys.readouterr().err
         assert f"'{out}'" in err and ".tmp" not in err
         assert not out.parent.exists()
+
+    def test_path_through_a_file_exits_three(self, corpus_file, capsys):
+        missing = corpus_file / "x.json"
+        assert main(["classify-stats", "--dataset", str(missing)]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{missing}'\n"
 
     def test_schema_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -590,6 +600,155 @@ class TestErrorCodes:
             ["compare", "--dataset", str(corpus_file), "--preds", f"a={preds}"]
         )
         assert rc == 4
+
+
+def _command(command: str, files: dict[str, Path], out: Path) -> list[str]:
+    """Argv of ``command`` reading ``files`` and writing under ``out``."""
+    dataset = ["--dataset", str(files["dataset"])]
+    models = ["--preds", f"a={files['preds']}", "--preds", f"b={files['preds']}"]
+    return {
+        "classify-stats": ["classify-stats", *dataset, "--rules", str(files["rules"])],
+        "split": ["split", *dataset, "--fraction", "0.5", "--seed", "1",
+                  "--out-dir", str(out / "split")],
+        "evaluate": ["evaluate", *dataset, *models],
+        "weights": ["weights", "--pre-eval", str(files["dataset"]), *models,
+                    "--out", str(out / "w.json")],
+        "ensemble": ["ensemble", *dataset, *models, "--weights", str(files["weights"]),
+                     "--out", str(out / "e.json")],
+        "compare": ["compare", *dataset, *models],
+        "synth": ["synth", *dataset, "--profile", str(files["profile"]), "--name", "m",
+                  "--out", str(out / "m.json")],
+    }[command]
+
+
+# (command, the kind of input file it reads through the flag under test)
+INPUT_FLAGS = [
+    ("classify-stats", "dataset"), ("split", "dataset"), ("evaluate", "dataset"),
+    ("ensemble", "dataset"), ("compare", "dataset"), ("synth", "dataset"),
+    ("weights", "dataset"),  # --pre-eval
+    ("evaluate", "preds"), ("ensemble", "weights"), ("synth", "profile"),
+    ("classify-stats", "rules"),
+]
+INPUT_FLAG_IDS = [f"{command}-{kind}" for command, kind in INPUT_FLAGS]
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """One small valid file of each input kind, keyed by kind, and their directory."""
+    root = tmp_path_factory.mktemp("inputs")
+    for name in ("mutated", "out"):
+        (root / name).mkdir()
+    files = {kind: root / f"{kind}.json" for kind in
+             ("dataset", "preds", "weights", "profile", "rules")}
+    files["dataset"].write_text(json.dumps(make_squad_dict(uniform_counts(1))), encoding="utf-8")
+    golds = {item.id: item.gold_answers[0] for item in load_dataset(files["dataset"]).items}
+    files["preds"].write_text(json.dumps(golds), encoding="utf-8")
+    files["profile"].write_text(
+        json.dumps({"per_class": {"what": 0.5}, "corruption": "disjoint_token", "seed": 1}),
+        encoding="utf-8",
+    )
+    files["rules"].write_text(json.dumps(default_rules().to_json()), encoding="utf-8")
+    assert main(["weights", "--pre-eval", str(files["dataset"]), "--preds", f"a={files['preds']}",
+                 "--preds", f"b={files['preds']}", "--out", str(files["weights"])]) == 0
+    return files, root
+
+
+class TestMalformedInputs:
+    """No input file makes a command exit 1: every file that cannot be read as
+    UTF-8 JSON is exit 4 (exit 3 for a directory), one line naming the file."""
+
+    BAD_INPUTS = {
+        "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, 4),
+        "directory": (None, 3),
+        "invalid-utf8": (b'{"k": "\xff\xfe"}', 4),
+        "duplicate-key": (b'{"k": "Paris", "k": "London"}', 4),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD_INPUTS))
+    @pytest.mark.parametrize("command, kind", INPUT_FLAGS, ids=INPUT_FLAG_IDS)
+    def test_bad_file_exits_three_or_four_naming_it(self, tmp_path, input_files, command,
+                                                    kind, bad):
+        files, _ = input_files
+        content, expected = self.BAD_INPUTS[bad]
+        path = tmp_path / "bad_input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, err = _run_quietly(_command(command, {**files, kind: path}, tmp_path))
+        assert code == expected, err
+        assert str(path) in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(INPUT_FLAGS), data=st.data())
+    def test_mutated_file_never_crashes(self, input_files, case, data):
+        files, root = input_files
+        command, kind = case
+        content = data.draw(_mutations(files[kind].read_bytes()), label="content")
+        path = root / "mutated" / f"{kind}.json"
+        path.write_bytes(content)
+        code, err = _run_quietly(_command(command, {**files, kind: path}, root / "out"))
+        assert code in (0, 3, 4), err
+        assert "Traceback" not in err
+
+
+_SWAP_VALUES = [None, True, 0, -1, 2.5, "", "x", [], {}, [1], {"k": None}]
+
+
+def _nodes(value, path=()):
+    """Every (path, value) in a parsed JSON document, the root included."""
+    yield path, value
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _replace(document, path, new):
+    if not path:
+        return new
+    copy = document.copy()
+    copy[path[0]] = _replace(document[path[0]], path[1:], new)
+    return copy
+
+
+_DUPLICATE = "\0duplicate-key-marker\0"
+
+
+@st.composite
+def _mutations(draw, valid: bytes):
+    """Bytes near ``valid``: truncated, a byte flipped, one value swapped for a value
+    of another JSON type, nested deep, or one object with a key written twice."""
+    document = json.loads(valid)
+    kind = draw(st.sampled_from(["truncate", "flip", "swap", "nest", "duplicate"]))
+    if kind == "truncate":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(valid) - 1))
+        return valid[:i] + bytes([valid[i] ^ draw(st.integers(1, 255))]) + valid[i + 1:]
+    if kind == "nest":
+        depth = draw(st.sampled_from([1, 50, 5_000, 100_000]))
+        return b"[" * depth + valid + b"]" * depth
+    nodes = list(_nodes(document))
+    if kind == "swap":
+        path, _ = draw(st.sampled_from(nodes))
+        return json.dumps(_replace(document, path, draw(st.sampled_from(_SWAP_VALUES)))).encode()
+    objects = [(path, node) for path, node in nodes if isinstance(node, dict) and node]
+    path, node = draw(st.sampled_from(objects))
+    key = draw(st.sampled_from(sorted(node)))
+    members = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in node.items()]
+    members.append(f"{json.dumps(key)}: {json.dumps(draw(st.sampled_from(_SWAP_VALUES)))}")
+    text = json.dumps(_replace(document, path, _DUPLICATE))
+    return text.replace(json.dumps(_DUPLICATE), "{" + ", ".join(members) + "}").encode()
 
 
 class TestTracedNames:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,8 +45,8 @@ class TestLoadDataset:
         assert len(dataset) == 42
         assert dataset.provenance == str(path)
         # every item sits in exactly one paragraph group
-        group_of = dataset.group_of()
-        assert set(group_of) == set(dataset.ids)
+        grouped = [qid for group in dataset.groups for qid in group.item_ids]
+        assert sorted(grouped) == sorted(dataset.ids)
         sizes = [len(g.item_ids) for g in dataset.groups]
         assert sum(sizes) == 42 and max(sizes) <= 4
 
@@ -247,6 +249,53 @@ class TestSplit:
         with pytest.raises(SchemaError, match="ghost"):
             materialize_split(small_dataset, manifest)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("seed", "5", "$.seed must be int, got str"),
+         ("seed", 5.0, "$.seed must be int, got float"),
+         ("seed", True, "$.seed must be int, got bool"),
+         ("fraction", "0.2", "$.fraction must be int or float, got str"),
+         ("fraction", 1.5, "$.fraction must be within [0, 1], got 1.5"),
+         ("granularity", "word", "$.granularity must be one of"),
+         ("pre_eval_ids", None, "missing required field at $.pre_eval_ids"),
+         ("pre_eval_ids", "q1", "$.pre_eval_ids must be list, got str"),
+         ("pre_eval_ids", ["q1", 7], "$.pre_eval_ids[1] must be str, got int")],
+        ids=["string-seed", "float-seed", "bool-seed", "string-fraction", "fraction-above-one",
+             "unknown-granularity",
+             "no-pre-eval-ids", "string-pre-eval-ids", "int-pre-eval-id"],
+    )
+    def test_manifest_field_types_are_checked(self, small_dataset, field, value, message):
+        manifest = split_pre_eval(small_dataset, 0.2, seed=5).manifest()
+        if value is None:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        with pytest.raises(SchemaError) as excinfo:
+            materialize_split(small_dataset, manifest)
+        assert message in str(excinfo.value)
+
+
+class TestReadJson:
+    """Every input file is parsed by ``read_json``; a file it cannot decode is a
+    SchemaError naming the file."""
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"{broken", "Expecting property name"),
+         (b"\xff\xfe{}", "can't decode byte 0xff"),
+         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+         (b'{"q1": "Paris", "q1": "London"}', "duplicate key 'q1'"),
+         (b'{"a": [{"k": 1, "k": 2}]}', "duplicate key 'k'")],
+        ids=["invalid-json", "invalid-utf8", "deep-nesting", "duplicate-key", "nested-duplicate-key"],
+    )
+    def test_decode_failure_is_one_schema_error(self, tmp_path, content, reason):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError) as excinfo:
+            corpus.read_json(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: not valid JSON: ") and reason in message
+
 
 class TestAtomicWrites:
     """A failed write leaves the previous file byte-identical and no temporary file."""
@@ -320,3 +369,48 @@ class TestAtomicWrites:
             os.umask(previous)
         mode = os.stat(tmp_path / "preds.json").st_mode & 0o777
         assert mode == os.stat(tmp_path / "reference").st_mode & 0o777 == 0o666 & ~umask
+
+
+class TestOneReaderOneWriter:
+    """Only ``read_json`` parses an input file and only ``atomic_write`` opens one:
+    the package's one reader and one writer."""
+
+    PACKAGE = Path(corpus.__file__).resolve().parent
+
+    @classmethod
+    def calls(cls, is_target) -> set[tuple[str, str]]:
+        """(module, innermost enclosing function) of every call whose callee
+        ``is_target`` accepts; "<module>" for a call outside any function."""
+        found = set()
+        for source in sorted(cls.PACKAGE.glob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            functions = [node for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and is_target(node.func):
+                    enclosing = [f.name for f in functions
+                                 if f.lineno <= node.lineno <= f.end_lineno]
+                    found.add((source.stem, enclosing[-1] if enclosing else "<module>"))
+        return found
+
+    def test_json_is_parsed_only_by_read_json_and_default_rules(self):
+        def is_json_parse(func):
+            return (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+                    and isinstance(func.value, ast.Name) and func.value.id == "json")
+
+        assert self.calls(is_json_parse) == {("corpus", "read_json"),
+                                             ("taxonomy", "default_rules")}
+
+    def test_files_are_opened_only_by_read_json_and_atomic_write(self):
+        def is_open(func):
+            return isinstance(func, ast.Name) and func.id == "open"
+
+        assert self.calls(is_open) == {("corpus", "read_json"), ("corpus", "atomic_write")}
+
+    def test_no_other_file_access(self):
+        def is_path_io(func):
+            return isinstance(func, ast.Attribute) and func.attr in (
+                "open", "read_text", "read_bytes", "write_text", "write_bytes")
+
+        # default_rules reads package data through importlib.resources
+        assert self.calls(is_path_io) == {("taxonomy", "default_rules")}

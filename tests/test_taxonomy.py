@@ -15,8 +15,6 @@ from qavote.taxonomy import (
     QuestionClass,
     RuleError,
     class_distribution,
-    classify,
-    classify_by_length,
     load_rules,
 )
 
@@ -50,30 +48,30 @@ class TestClassify:
         ],
     )
     def test_default_rule_assignments(self, rules, question, expected):
-        assert classify(question, rules) == expected
+        assert rules(question) == expected
 
     def test_specificity_tie_goes_to_higher_priority(self, rules):
         # both "during ..." and "what" match; during carries higher priority
-        assert classify("During what year did the empire fall?", rules) == "during"
-        assert classify("What time period saw the most growth?", rules) == "what_time"
+        assert rules("During what year did the empire fall?") == "during"
+        assert rules("What time period saw the most growth?") == "what_time"
 
     def test_whom_not_swallowed_by_who(self, rules):
-        assert classify("Whom did the committee select?", rules) == "whom"
+        assert rules("Whom did the committee select?") == "whom"
 
     def test_mid_sentence_during_needs_what_or_which(self, rules):
         # plain mid-sentence "during" must not steal the question
-        assert classify("What happened during the siege?", rules) == "what"
+        assert rules("What happened during the siege?") == "what"
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(max_size=80))
     def test_total_and_case_insensitive(self, rules, text):
-        label = classify(text, rules)
+        label = rules(text)
         assert label in CLASS_LABELS
-        assert classify(text.upper(), rules) == label
+        assert rules(text.upper()) == label
 
     def test_no_which_class_exists(self, rules):
         assert "which" not in CLASS_LABELS
-        assert classify("Which option is correct?", rules) == "what"
+        assert rules("Which option is correct?") == "what"
 
     def test_exactly_fourteen_classes(self):
         assert len(QuestionClass) == 14
@@ -141,15 +139,15 @@ class TestClassifyByLength:
         ],
     )
     def test_bucketing(self, question, edges, expected):
-        assert classify_by_length(question, edges) == expected
+        assert LengthClassifier(edges)(question) == f"len_{expected}"
 
     def test_empty_edges_rejected(self):
         with pytest.raises(ValueError):
-            classify_by_length("anything", [])
+            LengthClassifier([])
 
     def test_non_increasing_edges_rejected(self):
         with pytest.raises(ValueError):
-            classify_by_length("anything", [5, 5])
+            LengthClassifier([5, 5])
 
     def test_length_classifier_labels(self):
         clf = LengthClassifier([6, 9, 12])
