@@ -9,8 +9,9 @@ written to a temporary file and then renamed over its path, so a write
 that fails leaves the previous file as it was; the manifest is written last.
 
 Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
-exist or is a directory, 4 a malformed input file or invalid value, 1
-anything else (with its traceback on stderr).
+exist, is a directory, or is a file where a directory is needed, 4 a
+malformed input file or invalid value, 1 anything else (with its traceback
+on stderr).
 """
 from __future__ import annotations
 
@@ -114,8 +115,14 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
 
 def _model_inputs(args, *flags: str) -> tuple[dict[str, Path], dict[str, str]]:
     """The --preds paths, and the manifest inputs: the file of each of ``flags``,
-    then every model file."""
+    then every model file. A model named like one of ``flags`` is rejected, as
+    it would replace that input in the manifest."""
     pred_paths = _parse_preds(args.preds)
+    for flag in flags:
+        if flag in pred_paths:
+            raise ValueError(
+                f"--preds model name {flag!r} is taken by the --{flag.replace('_', '-')} input"
+            )
     files = {**{flag: getattr(args, flag) for flag in flags}, **pred_paths}
     return pred_paths, {name: str(path) for name, path in files.items()}
 
@@ -472,7 +479,7 @@ def main(argv=None) -> int:
             }
             write_json(manifest, f"{run.base or run.outputs[0]}.manifest.json", indent=1)
         return EXIT_OK
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PATH
     except (SchemaError, RuleError, WeightError, VoteError, ValueError) as exc:

@@ -69,7 +69,10 @@ def atomic_write(path: str | Path):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # e.g. path is a directory: name the target, not tmp
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

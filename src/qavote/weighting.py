@@ -65,6 +65,11 @@ class WeightTable:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.class_weights)
 
+    def row(self, label: str) -> tuple[float, ...]:
+        """The label's weights in model order; an unknown label gets the global weights."""
+        weights = self.class_weights.get(label, self.global_weights)
+        return tuple(weights[model] for model in self.models)
+
     def weight_for(self, model: str, label: str) -> float:
         """Class weight for (model, label); unknown labels fall back globally."""
         if model not in self.global_weights:

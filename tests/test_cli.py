@@ -481,6 +481,59 @@ class TestErrorCodes:
         assert f"'{out}'" in err and ".tmp" not in err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["split", "compare"])
+    def test_out_dir_that_is_a_file_exits_three(self, tmp_path, corpus_file, capsys, command):
+        out_dir = tmp_path / "afile"
+        out_dir.write_text("GOOD\n", encoding="utf-8")
+        if command == "split":
+            argv = ["split", "--dataset", str(corpus_file), "--fraction", "0.5", "--seed", "1"]
+        else:
+            preds = tmp_path / "p.json"
+            preds.write_text("{}", encoding="utf-8")
+            argv = ["compare", "--dataset", str(corpus_file), "--preds", f"a={preds}",
+                    "--preds", f"b={preds}"]
+        assert main([*argv, "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 17] File exists: '{out_dir}'\n"
+        assert out_dir.read_text(encoding="utf-8") == "GOOD\n"
+
+    def test_output_that_is_a_directory_names_it(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "out_dir"
+        out.mkdir()
+        rc = main(["synth", "--dataset", str(corpus_file), "--name", "m", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("evaluate", "dataset"), ("compare", "dataset"), ("weights", "pre_eval"),
+         ("ensemble", "dataset"), ("ensemble", "weights")],
+    )
+    def test_model_named_like_an_input_flag_is_rejected(
+        self, tmp_path, corpus_file, capsys, command, flag
+    ):
+        preds = tmp_path / "p.json"
+        preds.write_text("{}", encoding="utf-8")
+        weights = tmp_path / "w.json"
+        assert main(["weights", "--pre-eval", str(corpus_file), "--preds", f"a={preds}",
+                     "--preds", f"b={preds}", "--out", str(weights)]) == 0
+        data = "--pre-eval" if command == "weights" else "--dataset"
+        argv = [command, data, str(corpus_file), "--preds", f"a={preds}",
+                "--preds", f"{flag}={preds}"]
+        if command == "ensemble":
+            argv += ["--weights", str(weights)]
+        if command in ("weights", "ensemble"):
+            argv += ["--out", str(tmp_path / "out.json")]
+        capsys.readouterr()
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"--{flag.replace('_', '-')}" in err and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.json", "p.json", "w.json", "w.json.manifest.json",
+        ]
+
     def test_path_through_a_file_exits_three(self, corpus_file, capsys):
         missing = corpus_file / "x.json"
         assert main(["classify-stats", "--dataset", str(missing)]) == 3

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_dataset, make_squad_dict, uniform_counts
+from vote_oracle import table_for
 
 from qavote import corpus
 from qavote.cli import main
@@ -28,7 +29,7 @@ from qavote.corpus import (
     split_pre_eval,
     PredictionSet,
 )
-from qavote.voting import VoteTrace, save_traces
+from qavote.voting import _TraceLines, save_traces, vote
 
 
 def write_json(tmp_path, name, payload):
@@ -312,12 +313,8 @@ class TestAtomicWrites:
         assert sorted(p.name for p in path.parent.glob("*.tmp")) == []
 
     def test_save_traces_failing_midway(self, target):
-        class Trace:
-            def to_json_dict(self):
-                return {"q": 1}
-
         def traces():
-            yield Trace()
+            yield vote({"m": "x"}, "what", table_for({"m": 0.5}, {"m": 0.5}))
             raise RuntimeError("vote failed")
 
         with pytest.raises(RuntimeError, match="vote failed"):
@@ -343,15 +340,15 @@ class TestAtomicWrites:
         manifest.write_bytes(b"GOOD\n")
 
         calls = []
-        original = VoteTrace.to_json_dict
+        original = _TraceLines.line
 
-        def fail_on_second_trace(trace):
+        def fail_on_second_trace(lines, trace):
             calls.append(trace)
             if len(calls) == 2:
                 raise RuntimeError("disk full")
-            return original(trace)
+            return original(lines, trace)
 
-        monkeypatch.setattr(VoteTrace, "to_json_dict", fail_on_second_trace)
+        monkeypatch.setattr(_TraceLines, "line", fail_on_second_trace)
         rc = main(["ensemble", "--dataset", str(dataset_path), *preds, "--weights", str(weights),
                    "--out", str(out), "--trace", str(target)])
         assert rc == 1

@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gold_map, make_dataset, uniform_counts
 from vote_oracle import (
@@ -15,7 +17,7 @@ from vote_oracle import (
     table_for,
 )
 
-from qavote.corpus import PredictionSet
+from qavote.corpus import Dataset, PredictionSet
 from qavote.metrics import QuestionScore, report_from_scores
 from qavote.voting import (
     Combine,
@@ -293,3 +295,108 @@ class TestRunEnsemble:
         ensemble, traces = run_ensemble(dataset, preds, table, rules)
         assert dict(ensemble.answers) == answers
         assert all(t.reason is Reason.UNDEFINED_FALLBACK for t in traces)
+
+
+# Answers that JSON must escape or that normalize alike, and weights whose
+# reprs are long, short, exponent-form or sums. -0.0 and the int 1 are valid
+# table weights whose JSON differs from that of the equal 0.0 and 1.0.
+_ANSWERS = st.one_of(
+    st.sampled_from(["", "alpha", "the Alpha!", "Alpha", 'say "hi"', "back\\slash",
+                     "tab\there\nline", "\x00\x1f\x7f", "café", "日本語", "\u2028"]),
+    st.text(max_size=6),
+)
+_WEIGHTS = st.sampled_from([0.1, 1 / 3, 1e-05, 0.0, 1.0, 0.1 + 0.2, 0.25, 2 / 3, -0.0, 1])
+_MODELS = ("m1", 'q"2', "é3", "m4")
+_LABELS = ("what", "who", "undefined", "no_such_label")
+_QUESTIONS = make_dataset(uniform_counts(1))  # 14 questions, one per template
+
+
+@st.composite
+def _ensembles(draw):
+    """(dataset, predictions, table, classifier, config) over _QUESTIONS."""
+    models = _MODELS[: draw(st.integers(1, len(_MODELS)))]
+    weight_rows = {
+        label: {m: draw(_WEIGHTS) for m in models} for label in _LABELS[:2]
+    }
+    global_weights = {m: draw(_WEIGHTS) for m in models}
+    table = table_for(weight_rows["what"], global_weights, models=models)
+    table = replace(table, class_weights=weight_rows)
+    ids = _QUESTIONS.ids
+    predictions = {
+        m: PredictionSet(m, {qid: draw(_ANSWERS) for qid in ids
+                             if draw(st.integers(0, 9))})  # a tenth are missing
+        for m in models
+    }
+    label_of = {item.question: draw(st.sampled_from(_LABELS)) for item in _QUESTIONS.items}
+    config = draw(st.sampled_from(ALL_CONFIGS))
+    return _QUESTIONS, predictions, table, label_of.__getitem__, config
+
+
+class TestTraceLines:
+    """save_traces writes each line straight from the trace; to_json_dict is the reference."""
+
+    @given(case=_ensembles(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lines_equal_json_dumps_of_to_json_dict(self, tmp_path_factory, case, data):
+        dataset, predictions, table, classifier, config = case
+        _, traces = run_ensemble(dataset, predictions, table, classifier, config)
+        # A vote on part of the models has its own candidates and row.
+        models = data.draw(st.lists(st.sampled_from(table.models), min_size=1, unique=True))
+        answers = {m: data.draw(_ANSWERS) for m in models}
+        label = data.draw(st.sampled_from(_LABELS))
+        if not (config.undefined_special_case and label == "undefined"
+                and table.best_overall not in answers):
+            traces.append(vote(answers, label, table, config, question_id='q"\\'))
+        path = tmp_path_factory.getbasetemp() / "trace.jsonl"
+        save_traces(traces, path)
+        want = "".join(json.dumps(t.to_json_dict(), ensure_ascii=False) + "\n" for t in traces)
+        assert path.read_text(encoding="utf-8") == want
+
+    @given(case=_ensembles())
+    @settings(max_examples=150, deadline=None)
+    def test_run_ensemble_traces_equal_vote(self, case):
+        dataset, predictions, table, classifier, config = case
+        ensemble, traces = run_ensemble(dataset, predictions, table, classifier, config)
+        for item, trace in zip(dataset.items, traces, strict=True):
+            answers = {m: predictions[m].answers.get(item.id, "") for m in table.models}
+            want = vote(answers, classifier(item.question), table, config, question_id=item.id)
+            assert trace == want
+            assert (trace.candidates, trace.groups, trace.winner) == (
+                want.candidates, want.groups, want.winner)
+            assert ensemble.answers[item.id] == want.winner.answer
+
+
+class TestPerQuestionIndependence:
+    """Metamorphic: a vote depends on its own question only, so the per-run row
+    and normalization memos carry nothing from one question to the next."""
+
+    @given(case=_ensembles(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shards_concatenate_to_the_whole_run(self, tmp_path_factory, case, data):
+        dataset, predictions, table, classifier, config = case
+        ids = list(dataset.ids)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(ids) - 1), max_size=4)))
+        shards = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+        work = tmp_path_factory.getbasetemp()
+
+        def ensemble(part, name):
+            answers, traces = run_ensemble(part, predictions, table, classifier, config)
+            save_traces(traces, work / name)
+            return list(answers.answers.items()), (work / name).read_bytes()
+
+        whole_answers, whole_lines = ensemble(dataset, "whole.jsonl")
+        shard_answers, shard_lines = [], b""
+        for n, shard in enumerate(shards):
+            answers, lines = ensemble(dataset.subset(shard, f"shard{n}"), f"shard{n}.jsonl")
+            shard_answers += answers
+            shard_lines += lines
+        assert shard_answers == whole_answers
+        assert shard_lines == whole_lines
+
+        order = data.draw(st.permutations(dataset.items))
+        permuted = Dataset(items=tuple(order), provenance="permuted", groups=dataset.groups)
+        answers, traces = run_ensemble(permuted, predictions, table, classifier, config)
+        assert dict(answers.answers) == dict(whole_answers)
+        winners = {t.question_id: (t.winner, t.reason) for t in traces}
+        _, whole_traces = run_ensemble(dataset, predictions, table, classifier, config)
+        assert winners == {t.question_id: (t.winner, t.reason) for t in whole_traces}
