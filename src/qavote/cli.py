@@ -12,10 +12,18 @@ Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
 exist, is a directory, or is a file where a directory is needed, 4 a
 malformed input file or invalid value, 1 anything else (with its traceback
 on stderr).
+
+``main`` runs with the cyclic garbage collector paused and turns it back on
+(if it was on) when it returns. A command loads a whole corpus and builds
+records that hold no reference cycles, which reference counting frees; the
+collector would only rescan those objects many times to find almost nothing
+(about 600 objects of argparse's, the same at every corpus size). An
+in-process caller gets the collector back with whatever cycles a command left.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -462,35 +470,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    start = time.monotonic()
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring: the command builds no reference cycles
     try:
-        run = args.func(args)
-        if run and run.outputs:
-            manifest = {
-                "command": args.command,
-                "inputs": run.inputs,
-                "config": run.config,
-                "seeds": run.seeds,
-                "outputs": [str(path) for path in run.outputs],
-                "duration_seconds": time.monotonic() - start,
-                "tool_version": __version__,
-            }
-            write_json(manifest, f"{run.base or run.outputs[0]}.manifest.json", indent=1)
-        return EXIT_OK
-    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PATH
-    except (SchemaError, RuleError, WeightError, VoteError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except Exception as exc:
-        import traceback  # only a crash pays for this import
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        start = time.monotonic()
+        try:
+            run = args.func(args)
+            if run and run.outputs:
+                manifest = {
+                    "command": args.command,
+                    "inputs": run.inputs,
+                    "config": run.config,
+                    "seeds": run.seeds,
+                    "outputs": [str(path) for path in run.outputs],
+                    "duration_seconds": time.monotonic() - start,
+                    "tool_version": __version__,
+                }
+                write_json(manifest, f"{run.base or run.outputs[0]}.manifest.json", indent=1)
+            return EXIT_OK
+        except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_PATH
+        except (SchemaError, RuleError, WeightError, VoteError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
+        except Exception as exc:
+            import traceback  # only a crash pays for this import
 
-        traceback.print_exc()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+            traceback.print_exc()
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_OTHER
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

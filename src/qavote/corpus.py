@@ -14,6 +14,12 @@ byte-identical split regardless of platform or interpreter version.
 Every input file goes through ``read_json`` and every output through
 ``atomic_write``: an input that is not JSON is one SchemaError naming the
 file, and a failed write leaves the previous file in place.
+
+A dataset is decoded in one pass (``dataset_from_squad_dict``): exact type
+checks per object, and a JSON path is built only for an object that fails
+them. ``write_json`` encodes compact output (datasets, predictions) with one
+``json.dumps`` call, the only call that runs CPython's C encoder, and streams
+indented output (reports, manifests), which has no C encoder.
 """
 from __future__ import annotations
 
@@ -21,11 +27,12 @@ import enum
 import hashlib
 import json
 import os
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class SchemaError(ValueError):
@@ -41,15 +48,47 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _lone_surrogate(value) -> str | None:
+    """Where the first string (key or value) of a parsed JSON document holds a
+    lone surrogate, as "the string at <JSON path>" or "a key of <JSON path>";
+    None if no string does. Walks with its own stack: the document may be
+    nested nearly as deep as the recursion limit."""
+    stack = [("$", value)]
+    while stack:
+        path, node = stack.pop()
+        if type(node) is str:
+            if _SURROGATE.search(node):
+                return f"the string at {path}"
+        elif type(node) is dict:
+            for key in node:
+                if _SURROGATE.search(key):
+                    return f"a key of {path}"
+            stack.extend((f"{path}.{key}", child) for key, child in reversed(node.items()))
+        elif type(node) is list:
+            stack.extend((f"{path}[{i}]", child) for i, child in reversed(list(enumerate(node))))
+    return None
+
+
 def read_json(path: str | Path):
     """Parse the UTF-8 JSON file at ``path``. Invalid UTF-8 or JSON, nesting too
-    deep to parse and a key repeated within one object all raise
+    deep to parse, a key repeated within one object and a string holding a lone
+    surrogate escape (``"\\ud800"``, which no UTF-8 output can hold) all raise
     ``SchemaError("<path>: not valid JSON: <reason>")``."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
+            value = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    # Only a \uD800-\uDFFF escape makes a surrogate: skip the walk without one.
+    if "\\ud" in text or "\\uD" in text:
+        where = _lone_surrogate(value)
+        if where is not None:
+            raise SchemaError(f"{path}: not valid JSON: lone surrogate in {where}")
+    return value
 
 
 @contextmanager
@@ -81,28 +120,25 @@ def atomic_write(path: str | Path):
 def write_json(obj, path: str | Path, indent: int | None = None) -> None:
     """Write ``obj`` as JSON (non-ASCII characters kept) plus a newline, atomically."""
     with atomic_write(path) as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=indent)
+        if indent is None:  # json.dumps runs the C encoder; json.dump never does
+            fh.write(json.dumps(obj, ensure_ascii=False))
+        else:  # no C encoder for indented output: stream it
+            json.dump(obj, fh, ensure_ascii=False, indent=indent)
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class QaItem:
-    """One question: its paragraph context and the accepted gold answers."""
+class QaItem(NamedTuple):
+    """One question: its paragraph context and the accepted gold answers.
+
+    Immutable; build a changed copy with ``item._replace(...)``. A ``Dataset``
+    checks its items: at least one gold answer, one start per gold answer.
+    """
 
     id: str
     question: str
     context: str
     gold_answers: tuple[str, ...]
     answer_starts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.gold_answers:
-            raise SchemaError(f"question {self.id!r}: gold_answers is empty")
-        if len(self.answer_starts) != len(self.gold_answers):
-            raise SchemaError(
-                f"question {self.id!r}: {len(self.answer_starts)} answer_starts "
-                f"for {len(self.gold_answers)} gold_answers"
-            )
 
 
 @dataclass(frozen=True)
@@ -124,14 +160,24 @@ class Dataset:
     groups: tuple[ParagraphGroup, ...]
 
     def __post_init__(self):
+        for item in self.items:
+            if not item.gold_answers:
+                raise SchemaError(f"question {item.id!r}: gold_answers is empty")
+            if len(item.answer_starts) != len(item.gold_answers):
+                raise SchemaError(
+                    f"question {item.id!r}: {len(item.answer_starts)} answer_starts "
+                    f"for {len(item.gold_answers)} gold_answers"
+                )
         ids = [item.id for item in self.items]
-        if len(set(ids)) != len(ids):
+        unique = set(ids)
+        if len(unique) != len(ids):
             seen, dupes = set(), set()
             for i in ids:
                 (dupes if i in seen else seen).add(i)
             raise SchemaError(f"duplicate question ids: {sorted(dupes)[:5]}")
+        # With unique ids, equal sizes and equal sets make the groups a permutation.
         grouped = [qid for group in self.groups for qid in group.item_ids]
-        if sorted(grouped) != sorted(ids):
+        if len(grouped) != len(ids) or set(grouped) != unique:
             raise SchemaError("paragraph groups do not partition the item ids")
 
     def __len__(self) -> int:
@@ -225,40 +271,55 @@ def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
 
     Every field must have its SQuAD type; nothing is coerced. A violation
     raises SchemaError naming the field's JSON path.
+
+    One pass over the document: each object's fields are tested with exact
+    ``type(x) is ...`` checks. Only an object that fails them is read again
+    field by field through ``_require``, which builds the JSON path and either
+    raises or accepts the value (a ``str`` or ``int`` subclass), so every
+    error and every accepted input is the same as a ``_require`` per field.
     """
     articles = _require(data, "data", "$", list)
     items: list[QaItem] = []
     groups: list[ParagraphGroup] = []
     for a_idx, article in enumerate(articles):
-        a_path = f"$.data[{a_idx}]"
-        paragraphs = _require(article, "paragraphs", a_path, list)
-        title = _require(article, "title", a_path, str) if "title" in article else ""
+        if not (type(article) is dict
+                and type(paragraphs := article.get("paragraphs")) is list
+                and type(title := article.get("title", "")) is str):
+            a_path = f"$.data[{a_idx}]"
+            paragraphs = _require(article, "paragraphs", a_path, list)
+            title = _require(article, "title", a_path, str) if "title" in article else ""
         for p_idx, paragraph in enumerate(paragraphs):
-            p_path = f"{a_path}.paragraphs[{p_idx}]"
-            context = _require(paragraph, "context", p_path, str)
-            qas = _require(paragraph, "qas", p_path, list)
+            if not (type(paragraph) is dict
+                    and type(context := paragraph.get("context")) is str
+                    and type(qas := paragraph.get("qas")) is list):
+                p_path = f"$.data[{a_idx}].paragraphs[{p_idx}]"
+                context = _require(paragraph, "context", p_path, str)
+                qas = _require(paragraph, "qas", p_path, list)
             group_ids = []
             for q_idx, qa in enumerate(qas):
-                q_path = f"{p_path}.qas[{q_idx}]"
-                qid = _require(qa, "id", q_path, str)
-                question = _require(qa, "question", q_path, str)
-                answers = _require(qa, "answers", q_path, list)
-                if not answers:
-                    raise SchemaError(f"empty answers list at {q_path}.answers")
+                if not (type(qa) is dict
+                        and type(qid := qa.get("id")) is str
+                        and type(question := qa.get("question")) is str
+                        and type(answers := qa.get("answers")) is list
+                        and answers):
+                    q_path = f"$.data[{a_idx}].paragraphs[{p_idx}].qas[{q_idx}]"
+                    qid = _require(qa, "id", q_path, str)
+                    question = _require(qa, "question", q_path, str)
+                    answers = _require(qa, "answers", q_path, list)
+                    if not answers:
+                        raise SchemaError(f"empty answers list at {q_path}.answers")
                 golds, starts = [], []
                 for ans_idx, answer in enumerate(answers):
-                    ans_path = f"{q_path}.answers[{ans_idx}]"
-                    golds.append(_require(answer, "text", ans_path, str))
-                    starts.append(_require(answer, "answer_start", ans_path, int))
-                items.append(
-                    QaItem(
-                        id=qid,
-                        question=question,
-                        context=context,
-                        gold_answers=tuple(golds),
-                        answer_starts=tuple(starts),
-                    )
-                )
+                    if not (type(answer) is dict
+                            and type(text := answer.get("text")) is str
+                            and type(start := answer.get("answer_start")) is int):
+                        ans_path = (f"$.data[{a_idx}].paragraphs[{p_idx}].qas[{q_idx}]"
+                                    f".answers[{ans_idx}]")
+                        text = _require(answer, "text", ans_path, str)
+                        start = _require(answer, "answer_start", ans_path, int)
+                    golds.append(text)
+                    starts.append(start)
+                items.append(QaItem(qid, question, context, tuple(golds), tuple(starts)))
                 group_ids.append(qid)
             groups.append(
                 ParagraphGroup(
@@ -316,7 +377,7 @@ def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
     for qid, answer in raw.items():
         if not isinstance(answer, str):
             raise SchemaError(f"{path}: value for id {qid!r} is not a string")
-    return PredictionSet(model_name=model_name, answers=dict(raw))
+    return PredictionSet(model_name=model_name, answers=raw)
 
 
 def save_predictions(predictions: PredictionSet, path: str | Path) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import io
 import json
 from collections import Counter
@@ -693,15 +694,13 @@ def _run_quietly(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@pytest.fixture(scope="module")
-def input_files(tmp_path_factory):
-    """One small valid file of each input kind, keyed by kind, and their directory."""
-    root = tmp_path_factory.mktemp("inputs")
-    for name in ("mutated", "out"):
-        (root / name).mkdir()
+def _write_inputs(root: Path, per_class: int) -> dict[str, Path]:
+    """One valid file of each input kind under ``root``, keyed by kind; the
+    dataset holds ``per_class`` questions of every class."""
     files = {kind: root / f"{kind}.json" for kind in
              ("dataset", "preds", "weights", "profile", "rules")}
-    files["dataset"].write_text(json.dumps(make_squad_dict(uniform_counts(1))), encoding="utf-8")
+    files["dataset"].write_text(json.dumps(make_squad_dict(uniform_counts(per_class))),
+                                encoding="utf-8")
     golds = {item.id: item.gold_answers[0] for item in load_dataset(files["dataset"]).items}
     files["preds"].write_text(json.dumps(golds), encoding="utf-8")
     files["profile"].write_text(
@@ -711,7 +710,16 @@ def input_files(tmp_path_factory):
     files["rules"].write_text(json.dumps(default_rules().to_json()), encoding="utf-8")
     assert main(["weights", "--pre-eval", str(files["dataset"]), "--preds", f"a={files['preds']}",
                  "--preds", f"b={files['preds']}", "--out", str(files["weights"])]) == 0
-    return files, root
+    return files
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """One small valid file of each input kind, keyed by kind, and their directory."""
+    root = tmp_path_factory.mktemp("inputs")
+    for name in ("mutated", "out"):
+        (root / name).mkdir()
+    return _write_inputs(root, 1), root
 
 
 class TestMalformedInputs:
@@ -723,6 +731,7 @@ class TestMalformedInputs:
         "directory": (None, 3),
         "invalid-utf8": (b'{"k": "\xff\xfe"}', 4),
         "duplicate-key": (b'{"k": "Paris", "k": "London"}', 4),
+        "lone-surrogate": (b'{"k": "\\ud800"}', 4),
     }
 
     @pytest.mark.parametrize("bad", list(BAD_INPUTS))
@@ -752,6 +761,69 @@ class TestMalformedInputs:
         code, err = _run_quietly(_command(command, {**files, kind: path}, root / "out"))
         assert code in (0, 3, 4), err
         assert "Traceback" not in err
+
+
+class TestLoneSurrogate:
+    def test_ensemble_with_trace_names_the_prediction_file(self, tmp_path, input_files):
+        """A lone surrogate cannot be written as UTF-8: the read that let it
+        through used to fail only in the ensemble and trace writes, naming
+        neither the file nor the question."""
+        files, _ = input_files
+        golds = json.loads(files["preds"].read_text(encoding="utf-8"))
+        qid = sorted(golds)[0]
+        bad = tmp_path / "surrogate.json"
+        bad.write_text(json.dumps({**golds, qid: "Par\ud800is"}), encoding="utf-8")
+        argv = ["ensemble", "--dataset", str(files["dataset"]), "--preds", f"a={files['preds']}",
+                "--preds", f"b={bad}", "--weights", str(files["weights"]),
+                "--out", str(tmp_path / "e.json"), "--trace", str(tmp_path / "t.jsonl")]
+        code, err = _run_quietly(argv)
+        assert code == 4
+        assert err == f"error: {bad}: not valid JSON: lone surrogate in the string at $.{qid}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
+
+
+COMMANDS = ["classify-stats", "split", "evaluate", "weights", "ensemble", "compare", "synth"]
+
+
+class TestGcPause:
+    """``main`` pauses the cyclic collector for the command and restores it after."""
+
+    @pytest.fixture(scope="class")
+    def sizes(self, tmp_path_factory):
+        """Input files for two corpora, 14 and 140 questions."""
+        return [_write_inputs(tmp_path_factory.mktemp(f"x{n}"), n) for n in (1, 10)]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path, sizes, command):
+        """What the paused collector would have found: the same at both sizes, so
+        a command leaves no cycle per question, paragraph or answer."""
+        found = []
+        for n, files in enumerate(sizes):
+            (tmp_path / f"out{n}").mkdir()
+            gc.collect()
+            gc.disable()  # so that no collection runs between main and the count
+            try:
+                code, err = _run_quietly(_command(command, files, tmp_path / f"out{n}"))
+                found.append(gc.collect())
+            finally:
+                gc.enable()
+            assert code == 0, err
+        assert found[0] == found[1]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["success", "exit-4"])
+    def test_collector_state_is_restored(self, tmp_path, input_files, enabled, bad):
+        files, _ = input_files
+        if bad:
+            (tmp_path / "bad.json").write_bytes(b"{broken")
+            files = {**files, "preds": tmp_path / "bad.json"}
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, err = _run_quietly(_command("evaluate", files, tmp_path))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert code == (4 if bad else 0), err
 
 
 _SWAP_VALUES = [None, True, 0, -1, 2.5, "", "x", [], {}, [1], {"k": None}]

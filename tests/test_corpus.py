@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import inspect
+import io
 import json
 import os
 from pathlib import Path
@@ -9,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_dataset, make_squad_dict, uniform_counts
+from helpers import QUESTION_TEMPLATES, make_dataset, make_squad_dict, uniform_counts
+from squad_reference import RefQaItem, ref_dataset_from_squad_dict, ref_items
 from vote_oracle import table_for
 
 from qavote import corpus
 from qavote.cli import main
 from qavote.corpus import (
+    Dataset,
     Granularity,
+    ParagraphGroup,
+    QaItem,
     SchemaError,
     dataset_from_squad_dict,
     dataset_to_squad_dict,
@@ -132,6 +138,128 @@ class TestLoadDataset:
         assert reloaded.items == dataset.items
         assert [g.item_ids for g in reloaded.groups] == [g.item_ids for g in dataset.groups]
         assert dataset_to_squad_dict(reloaded) == dataset_to_squad_dict(dataset)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_SUBCLASS = {str: _Str, int: _Int, list: _List, dict: _Dict}
+_WRONG_VALUES = [None, True, False, 0, 7, 2.5, "", "7", [], ["x"], {}, {"text": "x"}]
+# The fields each kind of object is read for.
+_FIELDS = {
+    "root": ("data",),
+    "article": ("title", "paragraphs"),
+    "paragraph": ("context", "qas"),
+    "qa": ("id", "question", "answers"),
+    "answer": ("text", "answer_start"),
+}
+_CHILDREN = {"root": ("data", "article"), "article": ("paragraphs", "paragraph"),
+             "paragraph": ("qas", "qa"), "qa": ("answers", "answer")}
+
+
+def _objects(data):
+    """(kind, object, list holding it, index) for every object of a SQuAD dict;
+    the root has no list."""
+    found = [("root", data, None, None)]
+    for kind, node, _, _ in found:
+        if kind in _CHILDREN:
+            key, child_kind = _CHILDREN[kind]
+            found += [(child_kind, child, node[key], i) for i, child in enumerate(node[key])]
+    return found
+
+
+@st.composite
+def _squad_documents(draw):
+    """A make_squad_dict corpus, valid or with one mutation a decoder must
+    treat exactly like the reference does."""
+    labels = draw(st.lists(st.sampled_from(list(QUESTION_TEMPLATES)), min_size=1, max_size=4,
+                           unique=True))
+    data = make_squad_dict({label: draw(st.integers(1, 3)) for label in labels},
+                           per_paragraph=draw(st.integers(1, 3)),
+                           paragraphs_per_article=draw(st.integers(1, 2)),
+                           golds_per_item=draw(st.integers(1, 3)))
+    objects = _objects(data)
+    kind, node, holder, index = draw(st.sampled_from(objects))
+    mutation = draw(st.sampled_from(
+        ["none", "missing", "wrong-type", "subclass", "non-object", "empty-answers",
+         "duplicate-id", "start-type"]))
+    if mutation in ("missing", "wrong-type", "subclass"):
+        key = draw(st.sampled_from(_FIELDS[kind]))
+        if mutation == "missing":
+            node.pop(key, None)
+        elif mutation == "wrong-type":
+            node[key] = draw(st.sampled_from(_WRONG_VALUES))
+        elif key in node:
+            node[key] = _SUBCLASS[type(node[key])](node[key])
+    elif mutation == "non-object":
+        value = draw(st.sampled_from([None, 1, "x", ["a"], True, _Dict(node)]))
+        if holder is None:
+            data = value
+        else:
+            holder[index] = value
+    elif mutation == "empty-answers":
+        qas = [qa for kind, qa, _, _ in objects if kind == "qa"]
+        draw(st.sampled_from(qas))["answers"] = []
+    elif mutation == "start-type":  # JSON true is an int to Python, a quoted number is not
+        answers = [answer for kind, answer, _, _ in objects if kind == "answer"]
+        draw(st.sampled_from(answers))["answer_start"] = draw(st.sampled_from([True, False, "0"]))
+    elif mutation == "duplicate-id":
+        qas = [qa for kind, qa, _, _ in objects if kind == "qa"]
+        first, second = draw(st.sampled_from(qas)), draw(st.sampled_from(qas))
+        second["id"] = first["id"]
+    return data
+
+
+def _outcome(decode, data):
+    """The decoded dataset's items, groups and provenance, or the error's type and message."""
+    try:
+        dataset = decode(data, "corpus.json")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ref_items(dataset), dataset.groups, dataset.provenance
+
+
+class TestDecoderMatchesReference:
+    """``dataset_from_squad_dict`` checks types per object, not per field; the
+    reference reads every field through its own ``_require``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=_squad_documents())
+    def test_same_dataset_or_same_error(self, data):
+        assert _outcome(dataset_from_squad_dict, data) == _outcome(
+            ref_dataset_from_squad_dict, data)
+
+    @pytest.mark.parametrize("golds, starts", [((), ()), (("a", "b"), (0,)), (("a",), (0, 1))],
+                             ids=["no-golds", "fewer-starts", "more-starts"])
+    def test_item_checks_through_dataset(self, golds, starts):
+        group = (ParagraphGroup("p0", "t", "a b", ("q0",)),)
+        with pytest.raises(SchemaError) as expected:
+            Dataset(items=(RefQaItem("q0", "Who?", "a b", golds, starts),), provenance="x",
+                    groups=group)
+        with pytest.raises(SchemaError) as actual:
+            Dataset(items=(QaItem("q0", "Who?", "a b", golds, starts),), provenance="x",
+                    groups=group)
+        assert str(actual.value) == str(expected.value)
+
+    @pytest.mark.parametrize("item_ids", [("q0",), ("q0", "q1", "q1"), ("q0", "q2")],
+                             ids=["missing", "repeated", "unknown"])
+    def test_groups_must_partition_the_ids(self, item_ids):
+        items = tuple(QaItem(qid, "Who?", "a", ("a",), (0,)) for qid in ("q0", "q1"))
+        with pytest.raises(SchemaError, match="do not partition"):
+            Dataset(items=items, provenance="x", groups=(ParagraphGroup("p0", "t", "a", item_ids),))
 
 
 class TestLoadPredictions:
@@ -286,8 +414,12 @@ class TestReadJson:
          (b"\xff\xfe{}", "can't decode byte 0xff"),
          (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
          (b'{"q1": "Paris", "q1": "London"}', "duplicate key 'q1'"),
-         (b'{"a": [{"k": 1, "k": 2}]}', "duplicate key 'k'")],
-        ids=["invalid-json", "invalid-utf8", "deep-nesting", "duplicate-key", "nested-duplicate-key"],
+         (b'{"a": [{"k": 1, "k": 2}]}', "duplicate key 'k'"),
+         (b'{"q1": ["ok", "\\ud800"]}', "lone surrogate in the string at $.q1[1]"),
+         (b'{"q1": {"\\uDFFF": 1}}', "lone surrogate in a key of $.q1"),
+         (b'["\\udc00\\ud83d"]', "lone surrogate in the string at $[0]")],
+        ids=["invalid-json", "invalid-utf8", "deep-nesting", "duplicate-key", "nested-duplicate-key",
+             "lone-surrogate", "lone-surrogate-key", "swapped-surrogate-pair"],
     )
     def test_decode_failure_is_one_schema_error(self, tmp_path, content, reason):
         path = tmp_path / "input.json"
@@ -296,6 +428,44 @@ class TestReadJson:
             corpus.read_json(path)
         message = str(excinfo.value)
         assert message.startswith(f"{path}: not valid JSON: ") and reason in message
+
+    def test_surrogate_pair_escape_is_one_character(self, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"q1": "\\ud83d\\ude00", "q2": "\\\\ud800"}')
+        assert corpus.read_json(path) == {"q1": "\U0001F600", "q2": "\\ud800"}
+
+
+_JSON_TEXT = st.lists(
+    st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "/", "é", "中",
+                               "\U0001F600"]),
+              st.characters(blacklist_categories=("Cs",))),
+    max_size=6,
+).map("".join)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _JSON_TEXT, st.floats(),
+    st.sampled_from([0.1, 1e-05, 1e16, -0.0, float("nan"), float("inf"), float("-inf")]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_JSON_TEXT, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestWriteJsonBytes:
+    """Compact output goes through ``json.dumps``, the C encoder; the file must be
+    the same bytes as the streaming ``json.dump`` it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_same_bytes_as_streaming_dump(self, tmp_path_factory, value):
+        path = tmp_path_factory.mktemp("write_json") / "out.json"
+        for indent in (None, 1):
+            streamed = io.StringIO()
+            json.dump(value, streamed, ensure_ascii=False, indent=indent)
+            corpus.write_json(value, path, indent=indent)
+            assert path.read_bytes() == (streamed.getvalue() + "\n").encode("utf-8")
 
 
 class TestAtomicWrites:
@@ -403,6 +573,30 @@ class TestOneReaderOneWriter:
             return isinstance(func, ast.Name) and func.id == "open"
 
         assert self.calls(is_open) == {("corpus", "read_json"), ("corpus", "atomic_write")}
+
+    def test_gc_is_paused_only_by_cli_main(self):
+        def is_gc_disable(func):
+            return (isinstance(func, ast.Attribute) and func.attr == "disable"
+                    and isinstance(func.value, ast.Name) and func.value.id == "gc")
+
+        assert self.calls(is_gc_disable) == {("cli", "main")}
+
+    def test_streaming_json_dump_only_for_indented_output(self):
+        def json_call(name):
+            return lambda func: (isinstance(func, ast.Attribute) and func.attr == name
+                                 and isinstance(func.value, ast.Name) and func.value.id == "json")
+
+        assert self.calls(json_call("dump")) == {("corpus", "write_json")}
+        tree = ast.parse(inspect.getsource(corpus.write_json))
+        branch = next(node for node in ast.walk(tree) if isinstance(node, ast.If))
+        assert ast.unparse(branch.test) == "indent is None"
+
+        def called(statements, name):
+            return any(isinstance(node, ast.Call) and json_call(name)(node.func)
+                       for statement in statements for node in ast.walk(statement))
+
+        assert called(branch.body, "dumps") and not called(branch.body, "dump")
+        assert called(branch.orelse, "dump") and not called(branch.orelse, "dumps")
 
     def test_no_other_file_access(self):
         def is_path_io(func):
