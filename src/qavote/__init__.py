@@ -12,7 +12,6 @@ from .corpus import (
     SplitResult,
     load_dataset,
     load_predictions,
-    materialize_split,
     save_dataset,
     save_predictions,
     split_pre_eval,

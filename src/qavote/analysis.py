@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import write_json
-from .metrics import EvalReport
+from .metrics import ClassStats, EvalReport
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,14 @@ def similarity_csv(report: SimilarityReport) -> str:
 
 
 def eval_breakdown_csv(reports: Sequence[EvalReport]) -> str:
-    """Side-by-side per-class metrics for several reports over one dataset."""
+    """Per-class metrics of several reports over one dataset, then a ``SUM`` row.
+
+    Each model has its own ``<name>_count``, ``<name>_f1`` and ``<name>_em``
+    columns, since under ``exclude`` models may score different questions; a
+    class with none of a model's questions reads count 0 and empty metrics.
+    Metric cells are percentages at 2 decimals; the JSON report keeps full
+    precision.
+    """
     if not reports:
         raise ValueError("need at least one report")
     labels: list[str] = []
@@ -142,32 +149,19 @@ def eval_breakdown_csv(reports: Sequence[EvalReport]) -> str:
         for label in report.per_class:
             if label not in labels:
                 labels.append(label)
-    header = ["class", "count"]
-    for report in reports:
-        name = report.model or "model"
-        header += [f"{name}_f1", f"{name}_em"]
+
+    def cells(stats: ClassStats | None) -> list:
+        if stats is None:
+            return [0, "", ""]
+        return [stats.count, f"{100 * stats.mean_f1:.2f}", f"{100 * stats.em_rate:.2f}"]
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(["class"] + [f"{r.model or 'model'}_{column}" for r in reports
+                                 for column in ("count", "f1", "em")])
     for label in labels:
-        counts = {r.per_class[label].count for r in reports if label in r.per_class}
-        if len(counts) > 1:
-            raise ValueError(f"reports disagree on the count for class {label!r}")
-        row = [label, counts.pop() if counts else 0]
-        for report in reports:
-            stats = report.per_class.get(label)
-            if stats is None:
-                row += ["", ""]
-            else:
-                row += [f"{100 * stats.mean_f1:.2f}", f"{100 * stats.em_rate:.2f}"]
-        writer.writerow(row)
-    sum_counts = {r.overall.count for r in reports}
-    if len(sum_counts) > 1:
-        raise ValueError("reports disagree on the overall count")
-    sum_row: list = ["SUM", sum_counts.pop()]
-    for report in reports:
-        sum_row += [f"{100 * report.overall.mean_f1:.2f}", f"{100 * report.overall.em_rate:.2f}"]
-    writer.writerow(sum_row)
+        writer.writerow([label] + [c for r in reports for c in cells(r.per_class.get(label))])
+    writer.writerow(["SUM"] + [c for r in reports for c in cells(r.overall)])
     return buf.getvalue()
 
 

@@ -221,18 +221,10 @@ def cmd_evaluate(args) -> Run:
             f"EM={100 * report.overall.em_rate:.2f}% (n={report.overall.count})"
         )
     if args.json_out:
-        if len(reports) == 1:
-            save_report_json(next(iter(reports.values())), args.json_out)
-        else:
-            write_json({name: r.to_json_dict() for name, r in reports.items()}, args.json_out,
-                       indent=1)
+        save_report_json(reports, args.json_out)
         run.outputs.append(args.json_out)
     if args.csv:
-        if len(reports) == 1:
-            save_report_csv(next(iter(reports.values())), args.csv)
-        else:
-            with atomic_write(args.csv) as fh:
-                fh.write(eval_breakdown_csv(list(reports.values())))
+        save_report_csv(eval_breakdown_csv(list(reports.values())), args.csv)
         run.outputs.append(args.csv)
     return run
 

@@ -239,7 +239,8 @@ class SplitResult:
     granularity: Granularity
 
     def manifest(self) -> dict:
-        """JSON-ready manifest sufficient to re-materialize this split."""
+        """JSON-ready manifest: ``split_pre_eval`` with its fraction, seed and
+        granularity rebuilds the split it lists."""
         return {
             "fraction": self.fraction,
             "seed": self.seed,
@@ -431,43 +432,3 @@ def split_pre_eval(
 
 def save_split_manifest(split: SplitResult, path: str | Path) -> None:
     write_json(split.manifest(), path, indent=1)
-
-
-def materialize_split(dataset: Dataset, manifest: Mapping) -> SplitResult:
-    """Rebuild the exact SplitResult a saved manifest describes; a field of the
-    wrong type raises SchemaError naming its JSON path, nothing is coerced."""
-    seed = _require(manifest, "seed", "$", int)
-    fraction = _require(manifest, "fraction", "$", (int, float))
-    if not 0 <= fraction <= 1:
-        raise SchemaError(f"field $.fraction must be within [0, 1], got {fraction}")
-    granularity = _require(manifest, "granularity", "$", str)
-    if granularity not in {g.value for g in Granularity}:
-        raise SchemaError(
-            f"field $.granularity must be one of {[g.value for g in Granularity]}, "
-            f"got {granularity!r}"
-        )
-    ids = _require(manifest, "pre_eval_ids", "$", list)
-    for i, qid in enumerate(ids):
-        if not isinstance(qid, str):
-            raise SchemaError(f"field $.pre_eval_ids[{i}] must be str, got {type(qid).__name__}")
-    pre_eval_ids = set(ids)
-    known = set(dataset.ids)
-    unknown = pre_eval_ids - known
-    if unknown:
-        raise SchemaError(f"manifest pre_eval_ids not in dataset: {sorted(unknown)[:5]}")
-    pre_eval = dataset.subset(pre_eval_ids, provenance=f"{dataset.provenance}[pre_eval]")
-    train = dataset.subset(
-        [qid for qid in dataset.ids if qid not in pre_eval_ids],
-        provenance=f"{dataset.provenance}[train]",
-    )
-    return SplitResult(
-        train=train,
-        pre_eval=pre_eval,
-        fraction=float(fraction),
-        seed=seed,
-        granularity=Granularity(granularity),
-    )
-
-
-def load_split_manifest(path: str | Path) -> dict:
-    return read_json(path)

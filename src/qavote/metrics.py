@@ -21,9 +21,7 @@ reports and never score or classify again.
 """
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import string
 import unicodedata
 from collections import Counter
@@ -160,29 +158,6 @@ class EvalReport:
             },
         }
 
-    def to_csv(self) -> str:
-        """CSV rows (class, count, mean_f1, em_rate) plus an overall row.
-
-        Metric cells are percentages rendered at 2 decimals; underlying
-        values stay full precision in the JSON export.
-        """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["class", "count", "mean_f1", "em_rate"])
-        for label, stats in self.per_class.items():
-            writer.writerow(
-                [label, stats.count, f"{100 * stats.mean_f1:.2f}", f"{100 * stats.em_rate:.2f}"]
-            )
-        writer.writerow(
-            [
-                "overall",
-                self.overall.count,
-                f"{100 * self.overall.mean_f1:.2f}",
-                f"{100 * self.overall.em_rate:.2f}",
-            ]
-        )
-        return buf.getvalue()
-
 
 def report_from_scores(
     scores: Mapping[str, QuestionScore],
@@ -250,10 +225,12 @@ def evaluate(
     )
 
 
-def save_report_json(report: EvalReport, path) -> None:
-    write_json(report.to_json_dict(), path, indent=1)
+def save_report_json(reports: Mapping[str, EvalReport], path) -> None:
+    """Write ``{model name: report}`` for any number of models."""
+    write_json({name: r.to_json_dict() for name, r in reports.items()}, path, indent=1)
 
 
-def save_report_csv(report: EvalReport, path) -> None:
+def save_report_csv(table: str, path) -> None:
+    """Write a CSV table (``analysis.eval_breakdown_csv``) as it is."""
     with atomic_write(path) as fh:
-        fh.write(report.to_csv())
+        fh.write(table)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .corpus import Dataset, PredictionSet, SchemaError, _require, read_json, write_json
+from .corpus import Dataset, PredictionSet, SchemaError, _require, read_json
 from .metrics import normalize_answer
 from .taxonomy import default_rules
 
@@ -48,13 +48,6 @@ class AccuracyProfile:
     def probability(self, label: str) -> float:
         return self.per_class.get(label, 0.0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "per_class": dict(self.per_class),
-            "corruption": self.corruption.value,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AccuracyProfile":
         """Profile from parsed JSON; nothing is coerced, and a field of the
@@ -78,10 +71,6 @@ class AccuracyProfile:
 
 def load_profile(path: str | Path) -> AccuracyProfile:
     return AccuracyProfile.from_json_dict(read_json(path))
-
-
-def save_profile(profile: AccuracyProfile, path: str | Path) -> None:
-    write_json(profile.to_json_dict(), path, indent=1)
 
 
 def _hash_int(seed: int, qid: str, purpose: str) -> int:

@@ -15,11 +15,9 @@ bucket questions by length instead of by phrase.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
@@ -178,8 +176,9 @@ def load_rules(path: str | Path) -> ClassRuleSet:
 
 def default_rules() -> ClassRuleSet:
     """The rule set shipped with the package."""
-    data = resources.files("qavote").joinpath("data/default_rules.json").read_text("utf-8")
-    return ClassRuleSet.from_json(json.loads(data))
+    return ClassRuleSet.from_json(
+        read_json(Path(__file__).with_name("data") / "default_rules.json")
+    )
 
 
 def question_length(question: str) -> int:

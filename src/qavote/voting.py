@@ -126,26 +126,6 @@ class VoteTrace(NamedTuple):
         i = self.winner_index
         return Candidate(self.models[i], self.answers[i], self.weights[i])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "question_class": self.question_class,
-            "candidates": [
-                {"model": c.model, "answer": c.answer, "weight": c.weight}
-                for c in self.candidates
-            ],
-            "groups": [
-                {
-                    "answer": g.answer,
-                    "models": list(g.models),
-                    "combined_weight": g.combined_weight,
-                }
-                for g in self.groups
-            ],
-            "winner": {"model": self.winner.model, "answer": self.winner.answer},
-            "reason": self.reason.value,
-        }
-
 
 class _NormalizedKeys(dict):
     """answer -> its normalized tokens joined by spaces, computed once per answer."""
@@ -287,8 +267,10 @@ def _json_number(value: float) -> str:
 
 
 class _TraceLines:
-    """Each trace's JSON line: ``json.dumps(trace.to_json_dict(), ensure_ascii=False)``
-    and a newline, byte for byte.
+    """Each trace's JSON line, as ``json.dumps(..., ensure_ascii=False)`` would write
+    ``{"question_id", "question_class", "candidates": [{"model", "answer", "weight"}],
+    "groups": [{"answer", "models", "combined_weight"}], "winner": {"model", "answer"},
+    "reason"}``, and a newline.
 
     What depends only on a trace's models and weight row (the candidates'
     names and weight reprs, the models list of each member set) is built

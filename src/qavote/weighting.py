@@ -70,15 +70,6 @@ class WeightTable:
         weights = self.class_weights.get(label, self.global_weights)
         return tuple(weights[model] for model in self.models)
 
-    def weight_for(self, model: str, label: str) -> float:
-        """Class weight for (model, label); unknown labels fall back globally."""
-        if model not in self.global_weights:
-            raise WeightError(f"unknown model {model!r}")
-        row = self.class_weights.get(label)
-        if row is None:
-            return self.global_weights[model]
-        return row[model]
-
     def ignoring_classes(self) -> "WeightTable":
         """This table with every class row replaced by the global weights."""
         return replace(

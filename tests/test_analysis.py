@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 
@@ -151,21 +153,26 @@ class TestExports:
         bad = {qid: "granite" for qid in golds}
         r2 = evaluate(PredictionSet("m2", bad), small_dataset, rules)
         lines = eval_breakdown_csv([r1, r2]).strip().splitlines()
-        assert lines[0] == "class,count,m1_f1,m1_em,m2_f1,m2_em"
+        assert lines[0] == "class,m1_count,m1_f1,m1_em,m2_count,m2_f1,m2_em"
         assert len(lines) == 1 + 14 + 1
-        sum_row = lines[-1].split(",")
-        assert sum_row[:2] == ["SUM", str(len(small_dataset))]
-        assert sum_row[2] == "100.00" and sum_row[4] == "0.00"
+        n = str(len(small_dataset))
+        assert lines[-1].split(",") == ["SUM", n, "100.00", "100.00", n, "0.00", "0.00"]
 
-    def test_eval_breakdown_rejects_mismatched_counts(self, rules, small_dataset):
+    def test_eval_breakdown_shows_each_models_count_under_exclude(self, rules, small_dataset):
         golds = gold_map(small_dataset)
         r1 = evaluate(PredictionSet("m1", golds), small_dataset, rules)
         half = dict(list(golds.items())[::2])
         r2 = evaluate(
             PredictionSet("m2", half), small_dataset, rules, MissingPolicy.EXCLUDE
         )
-        with pytest.raises(ValueError, match="disagree"):
-            eval_breakdown_csv([r1, r2])
+        rows = list(csv.reader(io.StringIO(eval_breakdown_csv([r1, r2]))))
+        assert rows[0] == ["class", "m1_count", "m1_f1", "m1_em", "m2_count", "m2_f1", "m2_em"]
+        for row in rows[1:-1]:
+            label = row[0]
+            assert row[1] == str(r1.per_class[label].count)
+            assert row[4] == str(r2.per_class[label].count if label in r2.per_class else 0)
+        assert [rows[-1][1], rows[-1][4]] == [str(len(golds)), str(len(half))]
+        assert len(half) < len(golds)
 
     def test_json_mirror(self, rules, small_dataset):
         report = self.similarity_report(rules, small_dataset)

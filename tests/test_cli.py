@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_squad_dict, uniform_counts
+from helpers import gold_map, make_squad_dict, uniform_counts
 
 from qavote import __version__
 import qavote.cli
@@ -151,7 +151,7 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "ensemble: F1=" in out and "m1: F1=" in out
         header = (tmp_path / "eval.csv").read_text().splitlines()[0]
-        assert header == "class,count,ensemble_f1,ensemble_em,m1_f1,m1_em"
+        assert header == "class,ensemble_count,ensemble_f1,ensemble_em,m1_count,m1_f1,m1_em"
 
         rc = main(
             [
@@ -246,6 +246,38 @@ class TestPipeline:
 
 MANIFEST_KEYS = ["command", "inputs", "config", "seeds", "outputs", "duration_seconds",
                  "tool_version"]
+
+
+class TestEvaluateSchema:
+    """evaluate writes one JSON and one CSV form, whatever the number of models."""
+
+    @pytest.mark.parametrize("n_models", [1, 2])
+    def test_name_keyed_json_and_per_model_csv(self, tmp_path, corpus_file, n_models):
+        golds = gold_map(load_dataset(corpus_file))
+        half = {qid: "granite" for qid in list(golds)[::2]}  # m2 covers other questions
+        flags = []
+        for name, answers in list({"m1": golds, "m2": half}.items())[:n_models]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(answers), encoding="utf-8")
+            flags += ["--preds", f"{name}={path}"]
+        report_path, csv_path = tmp_path / "e.json", tmp_path / "e.csv"
+        assert main(["evaluate", "--dataset", str(corpus_file), *flags,
+                     "--missing-policy", "exclude",
+                     "--json", str(report_path), "--csv", str(csv_path)]) == 0
+
+        names = ["m1", "m2"][:n_models]
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert list(report) == names
+        for name in names:
+            assert list(report[name]) == [
+                "model", "missing_policy", "overall", "per_class", "per_question"]
+            assert report[name]["model"] == name
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(
+            ["class"] + [f"{n}_{col}" for n in names for col in ("count", "f1", "em")])
+        assert len(lines) == 1 + len(CLASS_LABELS) + 1
+        want = {"m1": [str(len(golds)), "100.00", "100.00"], "m2": [str(len(half)), "0.00", "0.00"]}
+        assert lines[-1].split(",") == ["SUM"] + [cell for n in names for cell in want[n]]
 
 
 @pytest.fixture()

@@ -27,8 +27,6 @@ from qavote.corpus import (
     dataset_to_squad_dict,
     load_dataset,
     load_predictions,
-    load_split_manifest,
-    materialize_split,
     save_dataset,
     save_predictions,
     save_split_manifest,
@@ -368,40 +366,12 @@ class TestSplit:
         split = split_pre_eval(small_dataset, 0.2, seed=5, granularity="paragraph")
         path = tmp_path / "manifest.json"
         save_split_manifest(split, path)
-        rebuilt = materialize_split(small_dataset, load_split_manifest(path))
+        m = json.loads(path.read_text(encoding="utf-8"))
+        rebuilt = split_pre_eval(small_dataset, m["fraction"], m["seed"], m["granularity"])
+        assert list(rebuilt.pre_eval.ids) == m["pre_eval_ids"]
         assert rebuilt.pre_eval.ids == split.pre_eval.ids
         assert rebuilt.train.ids == split.train.ids
         assert rebuilt.granularity is Granularity.PARAGRAPH
-
-    def test_manifest_unknown_ids_rejected(self, small_dataset):
-        manifest = {"fraction": 0.1, "seed": 1, "granularity": "question", "pre_eval_ids": ["ghost"]}
-        with pytest.raises(SchemaError, match="ghost"):
-            materialize_split(small_dataset, manifest)
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [("seed", "5", "$.seed must be int, got str"),
-         ("seed", 5.0, "$.seed must be int, got float"),
-         ("seed", True, "$.seed must be int, got bool"),
-         ("fraction", "0.2", "$.fraction must be int or float, got str"),
-         ("fraction", 1.5, "$.fraction must be within [0, 1], got 1.5"),
-         ("granularity", "word", "$.granularity must be one of"),
-         ("pre_eval_ids", None, "missing required field at $.pre_eval_ids"),
-         ("pre_eval_ids", "q1", "$.pre_eval_ids must be list, got str"),
-         ("pre_eval_ids", ["q1", 7], "$.pre_eval_ids[1] must be str, got int")],
-        ids=["string-seed", "float-seed", "bool-seed", "string-fraction", "fraction-above-one",
-             "unknown-granularity",
-             "no-pre-eval-ids", "string-pre-eval-ids", "int-pre-eval-id"],
-    )
-    def test_manifest_field_types_are_checked(self, small_dataset, field, value, message):
-        manifest = split_pre_eval(small_dataset, 0.2, seed=5).manifest()
-        if value is None:
-            del manifest[field]
-        else:
-            manifest[field] = value
-        with pytest.raises(SchemaError) as excinfo:
-            materialize_split(small_dataset, manifest)
-        assert message in str(excinfo.value)
 
 
 class TestReadJson:
@@ -560,13 +530,12 @@ class TestOneReaderOneWriter:
                     found.add((source.stem, enclosing[-1] if enclosing else "<module>"))
         return found
 
-    def test_json_is_parsed_only_by_read_json_and_default_rules(self):
+    def test_json_is_parsed_only_by_read_json(self):
         def is_json_parse(func):
             return (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
                     and isinstance(func.value, ast.Name) and func.value.id == "json")
 
-        assert self.calls(is_json_parse) == {("corpus", "read_json"),
-                                             ("taxonomy", "default_rules")}
+        assert self.calls(is_json_parse) == {("corpus", "read_json")}
 
     def test_files_are_opened_only_by_read_json_and_atomic_write(self):
         def is_open(func):
@@ -603,5 +572,4 @@ class TestOneReaderOneWriter:
             return isinstance(func, ast.Attribute) and func.attr in (
                 "open", "read_text", "read_bytes", "write_text", "write_bytes")
 
-        # default_rules reads package data through importlib.resources
-        assert self.calls(is_path_io) == {("taxonomy", "default_rules")}
+        assert self.calls(is_path_io) == set()

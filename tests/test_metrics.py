@@ -259,13 +259,6 @@ class TestReportExports:
         preds = PredictionSet("m", gold_map(dataset))
         return evaluate(preds, dataset, rules)
 
-    def test_csv_has_class_rows_and_overall(self, rules, small_dataset):
-        csv_text = self.make_report(rules, small_dataset).to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "class,count,mean_f1,em_rate"
-        assert lines[-1].startswith("overall,")
-        assert len(lines) == 1 + 14 + 1
-
     def test_json_dict_round_trips_through_json(self, rules, small_dataset):
         report = self.make_report(rules, small_dataset)
         blob = json.loads(json.dumps(report.to_json_dict()))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gold_map, make_dataset, uniform_counts
+from trace_reference import trace_json_dict
 from vote_oracle import (
     ALL_CONFIGS,
     build_table,
@@ -333,11 +334,11 @@ def _ensembles(draw):
 
 
 class TestTraceLines:
-    """save_traces writes each line straight from the trace; to_json_dict is the reference."""
+    """save_traces writes each line straight from the trace; trace_json_dict is the reference."""
 
     @given(case=_ensembles(), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_lines_equal_json_dumps_of_to_json_dict(self, tmp_path_factory, case, data):
+    def test_lines_equal_json_dumps_of_trace_json_dict(self, tmp_path_factory, case, data):
         dataset, predictions, table, classifier, config = case
         _, traces = run_ensemble(dataset, predictions, table, classifier, config)
         # A vote on part of the models has its own candidates and row.
@@ -349,7 +350,7 @@ class TestTraceLines:
             traces.append(vote(answers, label, table, config, question_id='q"\\'))
         path = tmp_path_factory.getbasetemp() / "trace.jsonl"
         save_traces(traces, path)
-        want = "".join(json.dumps(t.to_json_dict(), ensure_ascii=False) + "\n" for t in traces)
+        want = "".join(json.dumps(trace_json_dict(t), ensure_ascii=False) + "\n" for t in traces)
         assert path.read_text(encoding="utf-8") == want
 
     @given(case=_ensembles())

@@ -145,13 +145,10 @@ class TestWeightTable:
         loaded = load_weights(path)
         assert loaded == table
 
-    def test_weight_for_unknown_label_falls_back(self):
+    def test_row_of_unknown_label_is_the_global_weights(self):
         table = self.make_table()
-        assert table.weight_for("a", "no_such_label") == table.global_weights["a"]
-
-    def test_weight_for_unknown_model_rejected(self):
-        with pytest.raises(WeightError):
-            self.make_table().weight_for("ghost", "who")
+        assert table.row("no_such_label") == tuple(table.global_weights[m] for m in table.models)
+        assert table.row("no_such_label") != table.row("who")
 
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(WeightError, match="out of"):
