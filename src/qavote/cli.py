@@ -9,9 +9,11 @@ written to a temporary file and then renamed over its path, so a write
 that fails leaves the previous file as it was; the manifest is written last.
 
 Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
-exist, is a directory, or is a file where a directory is needed, 4 a
-malformed input file or invalid value, 1 anything else (with its traceback
-on stderr).
+exist, is a directory, or is a file where a directory is needed, 4 any
+``ValueError`` (a malformed input file or an invalid value; every layer's
+error class subclasses it), 1 anything else (with its traceback on stderr).
+The classifier is set by ``--rules`` or ``--length-buckets`` alone; no
+environment variable changes it.
 
 ``main`` runs with the cyclic garbage collector paused and turns it back on
 (if it was on) when it returns. A command loads a whole corpus and builds
@@ -36,7 +38,6 @@ from . import __version__
 from .analysis import pairwise_similarity, save_similarity_json, similarity_csv, eval_breakdown_csv
 from .corpus import (
     Granularity,
-    SchemaError,
     atomic_write,
     load_dataset,
     load_predictions,
@@ -51,15 +52,13 @@ from .synth import AccuracyProfile, Corruption, generate_predictions, load_profi
 from .taxonomy import (
     ClassRuleSet,
     LengthClassifier,
-    RuleError,
     class_distribution,
     default_rules,
     load_rules,
 )
-from .voting import Combine, Equality, VoteConfig, VoteError, run_ensemble, save_traces
+from .voting import Combine, Equality, VoteConfig, run_ensemble, save_traces
 from .weighting import (
     MetricBasis,
-    WeightError,
     compute_class_weights,
     compute_global_weights,
     load_weights,
@@ -71,8 +70,6 @@ EXIT_USAGE = 2
 EXIT_BAD_PATH = 3
 EXIT_SCHEMA = 4
 EXIT_OTHER = 1
-
-RULES_ENV_VAR = "QAVOTE_RULES"
 
 
 @dataclass
@@ -90,42 +87,31 @@ class Run:
     base: Path | None = None
 
 
-def _parse_preds(pairs: list[str]) -> dict[str, Path]:
-    """--preds name=path pairs, in command-line order."""
-    out: dict[str, Path] = {}
-    for pair in pairs:
-        name, sep, path = pair.partition("=")
-        if not sep or not name or not path:
-            raise ValueError(f"--preds expects NAME=PATH, got {pair!r}")
-        if name in out:
-            raise ValueError(f"duplicate model name in --preds: {name!r}")
-        out[name] = Path(path)
-    return out
-
-
 def _classifier_from_args(args):
-    if getattr(args, "length_buckets", None):
+    if args.length_buckets:
         edges = [int(x) for x in args.length_buckets.split(",") if x.strip()]
         return LengthClassifier(edges), {"length_buckets": edges}
-    rules_path = getattr(args, "rules", None) or os.environ.get(RULES_ENV_VAR)
-    if rules_path:
-        return load_rules(rules_path), {"rules": str(rules_path)}
+    if args.rules:
+        return load_rules(args.rules), {"rules": str(args.rules)}
     return default_rules(), {"rules": "<default>"}
 
 
-def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rules", help=f"rule file (default: ${RULES_ENV_VAR} or built-in)")
-    parser.add_argument(
-        "--length-buckets",
-        help="comma-separated word-count edges; classify by question length instead of rules",
-    )
-
-
 def _model_inputs(args, *flags: str) -> tuple[dict[str, Path], dict[str, str]]:
-    """The --preds paths, and the manifest inputs: the file of each of ``flags``,
-    then every model file. A model named like one of ``flags`` is rejected, as
-    it would replace that input in the manifest."""
-    pred_paths = _parse_preds(args.preds)
+    """The --preds NAME=PATH pairs as paths by name, in command-line order, and the
+    manifest inputs: the file of each of ``flags``, then every model file. A name is
+    part of the ``compare --out-dir`` file names, so it may hold no path separator;
+    a model named like one of ``flags`` is rejected, as it would replace that input
+    in the manifest."""
+    pred_paths: dict[str, Path] = {}
+    for pair in args.preds:
+        name, sep, path = pair.partition("=")
+        if not sep or not name or not path:
+            raise ValueError(f"--preds expects NAME=PATH, got {pair!r}")
+        if any(s and s in name for s in ("/", os.sep, os.altsep)):
+            raise ValueError(f"--preds model name {name!r} holds a path separator")
+        if name in pred_paths:
+            raise ValueError(f"duplicate model name in --preds: {name!r}")
+        pred_paths[name] = Path(path)
     for flag in flags:
         if flag in pred_paths:
             raise ValueError(
@@ -135,16 +121,23 @@ def _model_inputs(args, *flags: str) -> tuple[dict[str, Path], dict[str, str]]:
     return pred_paths, {name: str(path) for name, path in files.items()}
 
 
-def _scoring_setup(args, dataset_flag: str, **config):
-    """What evaluate, weights and compare share: the classifier, the dataset, the
-    missing policy, the --preds paths and a Run holding their manifest inputs and
-    config (``config`` goes between the classifier's and the policy's keys)."""
+def _score_models(args, dataset_flag: str, check=None, **config):
+    """What evaluate, weights and compare share: the classifier, ``{name: report}``
+    of every --preds model on the dataset, and a Run holding their manifest inputs
+    and config (``config`` goes between the classifier's and the policy's keys).
+    ``check`` sees the --preds paths before any model file is read."""
     classifier, classifier_cfg = _classifier_from_args(args)
     dataset = load_dataset(getattr(args, dataset_flag))
     policy = MissingPolicy(args.missing_policy.replace("-", "_"))
     pred_paths, inputs = _model_inputs(args, dataset_flag)
+    if check:
+        check(pred_paths)
+    reports = {
+        name: evaluate(load_predictions(path, name), dataset, classifier, policy)
+        for name, path in pred_paths.items()
+    }
     run = Run(inputs, {**classifier_cfg, **config, "missing_policy": policy.value})
-    return classifier, dataset, policy, pred_paths, run
+    return classifier, reports, run
 
 
 def cmd_rules_show(args) -> None:
@@ -164,19 +157,18 @@ def cmd_classify_stats(args) -> Run:
     classifier, classifier_cfg = _classifier_from_args(args)
     dataset = load_dataset(args.dataset)
     hist = class_distribution(dataset, classifier)
-    rows = [(label, count) for label, count in hist.counts.items()]
+    rows = [(label, count, 100 * hist.share(label)) for label, count in hist.counts.items()]
+    rows.append(("SUM", hist.total, 100.0 if hist.total else 0.0))
     print(f"{'class':<16} {'count':>8} {'share':>7}")
-    for label, count in rows:
-        print(f"{label:<16} {count:>8} {100 * hist.share(label):>6.1f}%")
-    print(f"{'SUM':<16} {hist.total:>8} {100.0 if hist.total else 0.0:>6.1f}%")
+    for label, count, share in rows:
+        print(f"{label:<16} {count:>8} {share:>6.1f}%")
 
     run = Run({"dataset": str(args.dataset)}, classifier_cfg)
     if args.csv:
         with atomic_write(args.csv) as fh:
             fh.write("class,count,percentage\n")
-            for label, count in rows:
-                fh.write(f"{label},{count},{100 * hist.share(label):.1f}\n")
-            fh.write(f"SUM,{hist.total},{100.0 if hist.total else 0.0:.1f}\n")
+            for label, count, share in rows:
+                fh.write(f"{label},{count},{share:.1f}\n")
         run.outputs.append(args.csv)
     if args.json_out:
         write_json({"counts": hist.counts, "total": hist.total}, args.json_out, indent=1)
@@ -210,12 +202,8 @@ def cmd_split(args) -> Run:
 
 
 def cmd_evaluate(args) -> Run:
-    classifier, dataset, policy, pred_paths, run = _scoring_setup(args, "dataset")
-    reports = {}
-    for name, path in pred_paths.items():
-        preds = load_predictions(path, name)
-        report = evaluate(preds, dataset, classifier, policy)
-        reports[name] = report
+    _, reports, run = _score_models(args, "dataset")
+    for name, report in reports.items():
         print(
             f"{name}: F1={100 * report.overall.mean_f1:.2f}% "
             f"EM={100 * report.overall.em_rate:.2f}% (n={report.overall.count})"
@@ -234,18 +222,11 @@ _BASIS_BY_FLAG = {"f1": MetricBasis.MEAN_F1, "em": MetricBasis.EM_RATE}
 
 def cmd_weights(args) -> Run:
     basis = _BASIS_BY_FLAG[args.basis]
-    classifier, dataset, policy, pred_paths, run = _scoring_setup(
+    classifier, reports, run = _score_models(
         args, "pre_eval", basis=basis.value, no_classes=bool(args.no_classes)
     )
-    reports = {
-        name: evaluate(load_predictions(path, name), dataset, classifier, policy)
-        for name, path in pred_paths.items()
-    }
-    labels = getattr(classifier, "labels", ())
-    if args.no_classes:
-        table = compute_global_weights(reports, basis, labels)
-    else:
-        table = compute_class_weights(reports, basis, labels)
+    compute = compute_global_weights if args.no_classes else compute_class_weights
+    table = compute(reports, basis, classifier.labels)
     save_weights(table, args.out)
     for model in table.models:
         marker = " (best overall)" if model == table.best_overall else ""
@@ -289,18 +270,18 @@ def cmd_ensemble(args) -> Run:
 
 
 def cmd_compare(args) -> Run:
-    classifier, dataset, policy, pred_paths, run = _scoring_setup(args, "dataset")
-    if len(pred_paths) < 2:
-        raise ValueError("compare needs at least two --preds")
-    if (args.csv or args.json_out) and len(pred_paths) > 2:
-        raise ValueError("--csv/--json fit one pair; use --out-dir for more models")
-    reports = {
-        name: evaluate(load_predictions(path, name), dataset, classifier, policy)
-        for name, path in pred_paths.items()
-    }
-    labels = getattr(classifier, "labels", ())
+    def check(pred_paths):
+        if len(pred_paths) < 2:
+            raise ValueError("compare needs at least two --preds")
+        if (args.csv or args.json_out) and len(pred_paths) > 2:
+            raise ValueError("--csv/--json fit one pair; use --out-dir for more models")
+
+    classifier, reports, run = _score_models(args, "dataset", check)
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     for name_a, name_b in combinations(reports, 2):
-        report = pairwise_similarity(reports[name_a], reports[name_b], labels)
+        report = pairwise_similarity(reports[name_a], reports[name_b], classifier.labels)
         o = report.overall
         print(
             f"{name_a} vs {name_b}: equal F1 {o.equal_f1}/{o.total}, "
@@ -308,25 +289,18 @@ def cmd_compare(args) -> Run:
             f"{100 * report.mean_of_equal_f1s:.1f}%, EM true among equal "
             f"{report.equal_em_true_count} ({100 * report.equal_em_true_rate:.1f}%)"
         )
-        targets = []
-        if args.out_dir:
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            targets = [
-                (out_dir / f"{name_a}_vs_{name_b}.csv", "csv"),
-                (out_dir / f"{name_a}_vs_{name_b}.json", "json"),
-            ]
-        if args.csv:
-            targets.append((Path(args.csv), "csv"))
-        if args.json_out:
-            targets.append((Path(args.json_out), "json"))
-        for path, kind in targets:
-            if kind == "csv":
-                with atomic_write(path) as fh:
+        targets = [(args.csv, args.json_out)]
+        if out_dir:
+            pair = out_dir / f"{name_a}_vs_{name_b}"
+            targets.insert(0, (f"{pair}.csv", f"{pair}.json"))
+        for csv_path, json_path in targets:
+            if csv_path:
+                with atomic_write(csv_path) as fh:
                     fh.write(similarity_csv(report))
-            else:
-                save_similarity_json(report, path)
-            run.outputs.append(path)
+                run.outputs.append(csv_path)
+            if json_path:
+                save_similarity_json(report, json_path)
+                run.outputs.append(json_path)
     return run
 
 
@@ -336,9 +310,8 @@ def cmd_synth(args) -> Run:
     if args.profile:
         profile = load_profile(args.profile)
     else:
-        labels = getattr(classifier, "labels", ())
         profile = AccuracyProfile(
-            per_class={label: args.prob_all for label in labels},
+            per_class={label: args.prob_all for label in classifier.labels},
             corruption=Corruption(args.corruption),
             seed=args.seed,
         )
@@ -365,22 +338,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qavote {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the flags several commands share, each defined once and passed as parents=
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", required=True)
+    preds = argparse.ArgumentParser(add_help=False)
+    preds.add_argument("--preds", action="append", required=True, metavar="NAME=PATH")
+    classifier = argparse.ArgumentParser(add_help=False)
+    classifier.add_argument("--rules", help="rule file (default: built-in)")
+    classifier.add_argument(
+        "--length-buckets",
+        help="comma-separated word-count edges; classify by question length instead of rules",
+    )
+    policy = argparse.ArgumentParser(add_help=False)
+    policy.add_argument(
+        "--missing-policy", default="score-as-empty", choices=["score-as-empty", "exclude"]
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+
+    def command(name, func, help, *parents, under=sub):
+        p = under.add_parser(name, parents=list(parents), help=help)
+        p.set_defaults(func=func)
+        return p
+
     p_rules = sub.add_parser("rules", help="inspect classification rules")
     rules_sub = p_rules.add_subparsers(dest="rules_command", required=True)
-    p_rules_show = rules_sub.add_parser("show", help="print the effective rule set")
-    _add_classifier_flags(p_rules_show)
+    p_rules_show = command("show", cmd_rules_show, "print the effective rule set", classifier,
+                           under=rules_sub)
     p_rules_show.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    p_rules_show.set_defaults(func=cmd_rules_show)
 
-    p_stats = sub.add_parser("classify-stats", help="question-class histogram of a dataset")
-    p_stats.add_argument("--dataset", required=True)
-    _add_classifier_flags(p_stats)
+    p_stats = command("classify-stats", cmd_classify_stats,
+                      "question-class histogram of a dataset", dataset, classifier)
     p_stats.add_argument("--csv", help="write the histogram as CSV")
     p_stats.add_argument("--json", dest="json_out", help="write the histogram as JSON")
-    p_stats.set_defaults(func=cmd_classify_stats)
 
-    p_split = sub.add_parser("split", help="deterministic train / pre-evaluation split")
-    p_split.add_argument("--dataset", required=True)
+    p_split = command("split", cmd_split, "deterministic train / pre-evaluation split", dataset)
     p_split.add_argument("--fraction", type=float, required=True)
     p_split.add_argument("--seed", type=int, required=True)
     p_split.add_argument(
@@ -389,38 +381,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=Granularity.QUESTION.value,
     )
     p_split.add_argument("--out-dir", required=True)
-    p_split.set_defaults(func=cmd_split)
 
-    p_eval = sub.add_parser("evaluate", help="score prediction files against a dataset")
-    p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--preds", action="append", required=True, metavar="NAME=PATH")
-    _add_classifier_flags(p_eval)
-    p_eval.add_argument(
-        "--missing-policy", default="score-as-empty", choices=["score-as-empty", "exclude"]
-    )
+    p_eval = command("evaluate", cmd_evaluate, "score prediction files against a dataset",
+                     dataset, preds, classifier, policy)
     p_eval.add_argument("--json", dest="json_out", help="write the full report(s) as JSON")
     p_eval.add_argument("--csv", help="write the per-class breakdown as CSV")
-    p_eval.set_defaults(func=cmd_evaluate)
 
-    p_weights = sub.add_parser("weights", help="voting weights from a pre-evaluation dataset")
+    p_weights = command("weights", cmd_weights, "voting weights from a pre-evaluation dataset",
+                        preds, classifier, policy, out)
     p_weights.add_argument("--pre-eval", required=True)
-    p_weights.add_argument("--preds", action="append", required=True, metavar="NAME=PATH")
-    _add_classifier_flags(p_weights)
     p_weights.add_argument("--basis", choices=["f1", "em"], default="f1")
     p_weights.add_argument(
         "--no-classes", action="store_true", help="single global weight per model"
     )
-    p_weights.add_argument(
-        "--missing-policy", default="score-as-empty", choices=["score-as-empty", "exclude"]
-    )
-    p_weights.add_argument("--out", required=True)
-    p_weights.set_defaults(func=cmd_weights)
 
-    p_ens = sub.add_parser("ensemble", help="weighted-voting ensemble over prediction files")
-    p_ens.add_argument("--dataset", required=True)
-    p_ens.add_argument("--preds", action="append", required=True, metavar="NAME=PATH")
+    p_ens = command("ensemble", cmd_ensemble, "weighted-voting ensemble over prediction files",
+                    dataset, preds, classifier, out)
     p_ens.add_argument("--weights", required=True)
-    _add_classifier_flags(p_ens)
     p_ens.add_argument("--mode", choices=["class-aware", "global"], default="class-aware")
     p_ens.add_argument("--combine", choices=["sum", "max"], default="sum")
     p_ens.add_argument(
@@ -429,24 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="vote undefined-class questions like any other class",
     )
     p_ens.add_argument("--equality", choices=["normalized", "raw"], default="normalized")
-    p_ens.add_argument("--out", required=True)
     p_ens.add_argument("--trace", help="write one JSON vote trace per question")
-    p_ens.set_defaults(func=cmd_ensemble)
 
-    p_cmp = sub.add_parser("compare", help="pairwise prediction-similarity statistics")
-    p_cmp.add_argument("--dataset", required=True)
-    p_cmp.add_argument("--preds", action="append", required=True, metavar="NAME=PATH")
-    _add_classifier_flags(p_cmp)
-    p_cmp.add_argument(
-        "--missing-policy", default="score-as-empty", choices=["score-as-empty", "exclude"]
-    )
+    p_cmp = command("compare", cmd_compare, "pairwise prediction-similarity statistics",
+                    dataset, preds, classifier, policy)
     p_cmp.add_argument("--csv", help="write the per-class table (single pair only)")
     p_cmp.add_argument("--json", dest="json_out", help="write the report JSON (single pair only)")
     p_cmp.add_argument("--out-dir", help="write per-pair CSV+JSON files here")
-    p_cmp.set_defaults(func=cmd_compare)
 
-    p_synth = sub.add_parser("synth", help="generate synthetic prediction files")
-    p_synth.add_argument("--dataset", required=True)
+    p_synth = command("synth", cmd_synth, "generate synthetic prediction files",
+                      dataset, classifier, out)
     p_synth.add_argument("--profile", help="accuracy profile JSON")
     p_synth.add_argument("--prob-all", type=float, default=0.0,
                          help="without --profile: gold probability for every class")
@@ -454,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=Corruption.DISJOINT_TOKEN.value)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--name", required=True, help="model name for the output")
-    _add_classifier_flags(p_synth)
-    p_synth.add_argument("--out", required=True)
-    p_synth.set_defaults(func=cmd_synth)
 
     return parser
 
@@ -482,12 +448,10 @@ def main(argv=None) -> int:
                 }
                 write_json(manifest, f"{run.base or run.outputs[0]}.manifest.json", indent=1)
             return EXIT_OK
-        except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+        except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+                ValueError) as exc:  # every layer's error class subclasses ValueError
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_PATH
-        except (SchemaError, RuleError, WeightError, VoteError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
+            return EXIT_SCHEMA if isinstance(exc, ValueError) else EXIT_BAD_PATH
         except Exception as exc:
             import traceback  # only a crash pays for this import
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import gc
@@ -233,15 +234,90 @@ class TestPipeline:
         assert all({"pattern", "class", "priority"} <= set(r) for r in rules)
 
     def test_rules_env_override(self, tmp_path, corpus_file, monkeypatch, capsys):
+        """QAVOTE_RULES no longer sets the rules: only --rules does."""
         custom = [{"pattern": r"\bwho\b", "class": "who", "priority": 1}]
         rules_path = tmp_path / "rules.json"
         rules_path.write_text(json.dumps(custom), encoding="utf-8")
+        assert main(["classify-stats", "--dataset", str(corpus_file)]) == 0
+        default_out = capsys.readouterr().out
         monkeypatch.setenv("QAVOTE_RULES", str(rules_path))
-        rc = main(["classify-stats", "--dataset", str(corpus_file)])
-        assert rc == 0
-        out = capsys.readouterr().out
+        assert main(["classify-stats", "--dataset", str(corpus_file)]) == 0
+        assert capsys.readouterr().out == default_out
+        assert main(["classify-stats", "--dataset", str(corpus_file),
+                     "--rules", str(rules_path)]) == 0
         # only "who" questions match; everything else is undefined
-        assert any(line.startswith("who") and " 6 " in line for line in out.splitlines())
+        assert capsys.readouterr().out != default_out
+
+
+def _option_tables(parser, command=""):
+    """Command -> sorted (option strings, dest, default, choices, required, action type,
+    value type) of every option, the root parser's and every subcommand's."""
+    rows, nested = [], []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            nested += [(f"{command} {name}".strip(), sub) for name, sub in action.choices.items()]
+        elif not isinstance(action, argparse._HelpAction):
+            rows.append((tuple(action.option_strings), action.dest, action.default,
+                         action.choices and list(action.choices), action.required,
+                         type(action).__name__, getattr(action.type, "__name__", None)))
+    tables = {command: sorted(rows)}
+    for name, sub in nested:
+        tables.update(_option_tables(sub, name))
+    return tables
+
+
+_STORE, _TRUE, _APPEND = "_StoreAction", "_StoreTrueAction", "_AppendAction"
+_DATASET = (("--dataset",), "dataset", None, None, True, _STORE, None)
+_PREDS = (("--preds",), "preds", None, None, True, _APPEND, None)
+_CLASSIFIER = [(("--length-buckets",), "length_buckets", None, None, False, _STORE, None),
+               (("--rules",), "rules", None, None, False, _STORE, None)]
+_POLICY = (("--missing-policy",), "missing_policy", "score-as-empty",
+           ["score-as-empty", "exclude"], False, _STORE, None)
+
+
+def _opt(flag, dest=None, default=None, choices=None, required=False, action=_STORE,
+         value_type=None):
+    return ((flag,), dest or flag[2:].replace("-", "_"), default, choices, required, action,
+            value_type)
+
+
+OPTION_TABLES = {
+    "": [(("--version",), "version", "==SUPPRESS==", None, False, "_VersionAction", None)],
+    "rules": [],
+    "rules show": [*_CLASSIFIER, _opt("--json", default=False, action=_TRUE)],
+    "classify-stats": [_DATASET, *_CLASSIFIER, _opt("--csv"), _opt("--json", "json_out")],
+    "split": [_DATASET, _opt("--fraction", required=True, value_type="float"),
+              _opt("--seed", required=True, value_type="int"),
+              _opt("--granularity", default="question", choices=["question", "paragraph"]),
+              _opt("--out-dir", required=True)],
+    "evaluate": [_DATASET, _PREDS, *_CLASSIFIER, _POLICY, _opt("--json", "json_out"),
+                 _opt("--csv")],
+    "weights": [_opt("--pre-eval", required=True), _PREDS, *_CLASSIFIER,
+                _opt("--basis", default="f1", choices=["f1", "em"]),
+                _opt("--no-classes", default=False, action=_TRUE), _POLICY,
+                _opt("--out", required=True)],
+    "ensemble": [_DATASET, _PREDS, _opt("--weights", required=True), *_CLASSIFIER,
+                 _opt("--mode", default="class-aware", choices=["class-aware", "global"]),
+                 _opt("--combine", default="sum", choices=["sum", "max"]),
+                 _opt("--no-undefined-special-case", default=False, action=_TRUE),
+                 _opt("--equality", default="normalized", choices=["normalized", "raw"]),
+                 _opt("--out", required=True), _opt("--trace")],
+    "compare": [_DATASET, _PREDS, *_CLASSIFIER, _POLICY, _opt("--csv"),
+                _opt("--json", "json_out"), _opt("--out-dir")],
+    "synth": [_DATASET, _opt("--profile"), _opt("--prob-all", default=0.0, value_type="float"),
+              _opt("--corruption", default="disjoint_token",
+                   choices=["disjoint_token", "truncate_gold", "random_span"]),
+              _opt("--seed", default=0, value_type="int"), _opt("--name", required=True),
+              *_CLASSIFIER, _opt("--out", required=True)],
+}
+
+
+class TestOptionTables:
+    def test_every_command_keeps_its_options(self):
+        """Every flag keeps its dest, default, choices, required-ness, action and type;
+        only the order --help lists them in is free."""
+        tables = _option_tables(qavote.cli.build_parser())
+        assert tables == {command: sorted(rows) for command, rows in OPTION_TABLES.items()}
 
 
 MANIFEST_KEYS = ["command", "inputs", "config", "seeds", "outputs", "duration_seconds",
@@ -679,6 +755,23 @@ class TestErrorCodes:
         assert rc == 4
         assert "NAME=PATH" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../evil", "a/b"])
+    def test_model_name_with_a_path_separator_is_rejected(self, tmp_path, corpus_file, capsys,
+                                                          name):
+        """A model name becomes part of ``compare --out-dir`` file names, so one that
+        holds a separator could write outside the directory."""
+        (tmp_path / "work").mkdir()
+        preds = tmp_path / "work" / "p.json"
+        preds.write_text(json.dumps(gold_map(load_dataset(corpus_file))), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["compare", "--dataset", str(corpus_file), "--out-dir",
+                   str(tmp_path / "work" / "cmp"), "--preds", f"{name}={preds}",
+                   "--preds", f"b={preds}"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "--preds" in err and repr(name) in err and len(err.splitlines()) == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_compare_needs_two_models(self, tmp_path, corpus_file, capsys):
         preds = tmp_path / "p.json"
         preds.write_text("{}", encoding="utf-8")
@@ -926,16 +1019,63 @@ class TestTracedNames:
         "qavote.synth": ["load_profile", "generate_predictions"],
     }
 
-    def test_every_traced_name_resolves_to_its_module(self):
+    @staticmethod
+    def traced() -> tuple[str, ...]:
         source = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
         tree = ast.parse(source.read_text(encoding="utf-8"))
-        traced = next(
+        return next(
             ast.literal_eval(node.value)
             for node in tree.body
             if isinstance(node, ast.Assign)
             and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
         )
+
+    def test_every_traced_name_resolves_to_its_module(self):
+        traced = self.traced()
         expected = {name: module for module, names in self.MODULES.items() for name in names}
         assert sorted(traced) == sorted(expected)
         for name in traced:
             assert getattr(qavote.cli, name).__module__ == expected[name], name
+
+    def test_every_traced_name_is_called_through_cli(self, tmp_path, corpus_file, monkeypatch):
+        """Wrapped in ``qavote.cli`` the way the tracer wraps them, every traced name is
+        called by a pipeline that reaches each: a command that calls the layer function
+        some other way would zero its layer metric without this failing."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.traced():
+            monkeypatch.setattr(qavote.cli, name, counted(name, getattr(qavote.cli, name)))
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(default_rules().to_json()), encoding="utf-8")
+        d = str(corpus_file)
+        preds = {}
+        for seed, (name, classifier) in enumerate(
+            [("m1", ["--rules", str(rules)]), ("m2", ["--length-buckets", "6,9"]), ("m3", [])]
+        ):
+            profile = write_profile(tmp_path, name, {c: 1.0 for c in CLASS_LABELS[seed::3]}, seed)
+            preds[name] = tmp_path / f"{name}.json"
+            assert main(["synth", "--dataset", d, "--profile", str(profile), "--name", name,
+                         *classifier, "--out", str(preds[name])]) == 0
+        flags, two = pred_flags(preds), pred_flags(dict(list(preds.items())[:2]))
+        out = tmp_path / "out"
+        for argv in (
+            ["classify-stats", "--dataset", d],
+            ["split", "--dataset", d, "--fraction", "0.5", "--seed", "1", "--out-dir", str(out)],
+            ["weights", "--pre-eval", d, *flags, "--out", str(out / "w.json")],
+            ["weights", "--pre-eval", d, *flags, "--no-classes", "--out", str(out / "g.json")],
+            ["ensemble", "--dataset", d, *flags, "--weights", str(out / "w.json"),
+             "--out", str(out / "ens.json"), "--trace", str(out / "ens.jsonl")],
+            ["evaluate", "--dataset", d, *flags, "--csv", str(out / "e.csv"),
+             "--json", str(out / "e.json")],
+            ["compare", "--dataset", d, *two, "--csv", str(out / "c.csv"),
+             "--json", str(out / "c.json")],
+            ["compare", "--dataset", d, *flags, "--out-dir", str(out / "cmp")],
+        ):
+            assert main(argv) == 0, argv
+        assert [name for name in self.traced() if not calls[name]] == []
