@@ -88,9 +88,12 @@ class Run:
 
 
 def _classifier_from_args(args):
-    if args.length_buckets:
-        edges = [int(x) for x in args.length_buckets.split(",") if x.strip()]
-        return LengthClassifier(edges), {"length_buckets": edges}
+    if args.length_buckets is not None:
+        try:
+            edges = [int(x) for x in args.length_buckets.split(",") if x.strip()]
+            return LengthClassifier(edges), {"length_buckets": edges}
+        except ValueError as exc:
+            raise ValueError(f"--length-buckets {args.length_buckets!r}: {exc}") from None
     if args.rules:
         return load_rules(args.rules), {"rules": str(args.rules)}
     return default_rules(), {"rules": "<default>"}
@@ -239,6 +242,9 @@ def cmd_ensemble(args) -> Run:
     classifier, classifier_cfg = _classifier_from_args(args)
     dataset = load_dataset(args.dataset)
     table = load_weights(args.weights)
+    unweighted = [label for label in classifier.labels if label not in table.class_weights]
+    if table.class_weights and unweighted:  # a table without class rows votes globally
+        raise ValueError(f"--weights {args.weights} has no row for the labels {unweighted}")
     pred_paths, inputs = _model_inputs(args, "dataset", "weights")
     predictions = {name: load_predictions(path, name) for name, path in pred_paths.items()}
     special_case = not args.no_undefined_special_case

@@ -11,9 +11,9 @@ The splitter orders units (questions, or whole paragraphs) by a seeded hash
 of their id and takes the prefix, so identical inputs always produce a
 byte-identical split regardless of platform or interpreter version.
 
-Every input file goes through ``read_json`` and every output through
-``atomic_write``: an input that is not JSON is one SchemaError naming the
-file, and a failed write leaves the previous file in place.
+Every input file goes through ``load_json`` and every output through
+``atomic_write``: a malformed input is one error naming the file and the JSON
+path (``_require``), and a failed write leaves the previous file in place.
 
 A dataset is decoded in one pass (``dataset_from_squad_dict``): exact type
 checks per object, and a JSON path is built only for an object that fails
@@ -32,7 +32,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 class SchemaError(ValueError):
@@ -89,6 +89,16 @@ def read_json(path: str | Path):
         if where is not None:
             raise SchemaError(f"{path}: not valid JSON: lone surrogate in {where}")
     return value
+
+
+def load_json(path: str | Path, decode: Callable):
+    """``decode(read_json(path))``; a ValueError from ``decode`` is raised again,
+    of its class, with ``path`` in front of its message."""
+    value = read_json(path)
+    try:
+        return decode(value)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -250,18 +260,25 @@ class SplitResult:
 
 
 def _require(mapping, key, path, kind):
-    """``mapping[key]``, which must exist and be a ``kind``: a type or a tuple of
-    types (JSON true/false is no int or float). ``path`` is the JSON path of
-    ``mapping``, which must be an object."""
+    """``mapping[key]``, which must exist and be a ``kind``: a type, a tuple of
+    types (JSON true/false is no int or float) or a str Enum, whose member it
+    returns. ``path`` is the JSON path of ``mapping``, which must be an object;
+    an int ``key`` is a list index (``mapping`` is ``dict(enumerate(a_list))``)."""
     if not isinstance(mapping, dict):
         raise SchemaError(f"{path} must be an object, got {type(mapping).__name__}")
+    field = f"{path}[{key}]" if type(key) is int else f"{path}.{key}"
     if key not in mapping:
-        raise SchemaError(f"missing required field at {path}.{key}")
+        raise SchemaError(f"missing required field at {field}")
     value = mapping[key]
+    if isinstance(kind, enum.EnumMeta):
+        values = [member.value for member in kind]
+        if value not in values:
+            raise SchemaError(f"field {field} must be one of {values}, got {value!r}")
+        return kind(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         raise SchemaError(
-            f"field {path}.{key} must be {' or '.join(k.__name__ for k in kinds)}, "
+            f"field {field} must be {' or '.join(k.__name__ for k in kinds)}, "
             f"got {type(value).__name__}"
         )
     return value
@@ -335,7 +352,7 @@ def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
 
 def load_dataset(path: str | Path) -> Dataset:
     """Load a SQuAD v1.1 JSON file. Duplicate question ids are a hard error."""
-    return dataset_from_squad_dict(read_json(path), provenance=str(Path(path)))
+    return load_json(path, lambda data: dataset_from_squad_dict(data, str(Path(path))))
 
 
 def dataset_to_squad_dict(dataset: Dataset, version: str = "1.1") -> dict:
@@ -372,13 +389,15 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
     """Load a flat {id: answer} prediction file; strings kept byte-for-byte."""
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: prediction file must be a JSON object")
-    for qid, answer in raw.items():
-        if not isinstance(answer, str):
-            raise SchemaError(f"{path}: value for id {qid!r} is not a string")
-    return PredictionSet(model_name=model_name, answers=raw)
+    def decode(answers) -> PredictionSet:
+        if not isinstance(answers, dict):
+            raise SchemaError(f"$ must be an object, got {type(answers).__name__}")
+        for qid, answer in answers.items():
+            if not isinstance(answer, str):  # read again for the error
+                _require(answers, qid, "$", str)
+        return PredictionSet(model_name=model_name, answers=answers)
+
+    return load_json(path, decode)
 
 
 def save_predictions(predictions: PredictionSet, path: str | Path) -> None:

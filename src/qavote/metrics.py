@@ -205,7 +205,9 @@ def evaluate(
     """Score a prediction set against a dataset, bucketed by question class.
 
     Questions absent from ``predictions`` are scored as empty-string
-    predictions or excluded, per ``missing_policy``.
+    predictions or excluded, per ``missing_policy``. Prediction ids outside
+    ``dataset`` are ignored: a model file covers the whole corpus, and a
+    dataset may be one split slice of it.
     """
     missing_policy = MissingPolicy(missing_policy)
     answers = predictions.answers

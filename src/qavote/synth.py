@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .corpus import Dataset, PredictionSet, SchemaError, _require, read_json
+from .corpus import Dataset, PredictionSet, _require, load_json
 from .metrics import normalize_answer
 from .taxonomy import default_rules
 
@@ -53,24 +53,18 @@ class AccuracyProfile:
         """Profile from parsed JSON; nothing is coerced, and a field of the
         wrong type raises SchemaError naming its JSON path."""
         per_class = _require(data, "per_class", "$", dict)
-        corruption = _require(data, "corruption", "$", str)
-        if corruption not in {c.value for c in Corruption}:
-            raise SchemaError(
-                f"field $.corruption must be one of {[c.value for c in Corruption]}, "
-                f"got {corruption!r}"
-            )
         return cls(
             per_class={
                 label: float(_require(per_class, label, "$.per_class", (int, float)))
                 for label in per_class
             },
-            corruption=Corruption(corruption),
+            corruption=_require(data, "corruption", "$", Corruption),
             seed=_require(data, "seed", "$", int),
         )
 
 
 def load_profile(path: str | Path) -> AccuracyProfile:
-    return AccuracyProfile.from_json_dict(read_json(path))
+    return load_json(path, AccuracyProfile.from_json_dict)
 
 
 def _hash_int(seed: int, qid: str, purpose: str) -> int:

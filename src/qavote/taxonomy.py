@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import read_json
+from .corpus import SchemaError, _require, load_json
 
 
 class QuestionClass(str, enum.Enum):
@@ -66,7 +66,7 @@ class ClassRule:
 
 
 class RuleError(ValueError):
-    """Raised for an invalid rule file or rule list."""
+    """Raised for a bad pattern, a repeated priority or a rule mapped to undefined."""
 
 
 class ClassRuleSet:
@@ -138,47 +138,28 @@ class ClassRuleSet:
 
     @classmethod
     def from_json(cls, entries: list[dict]) -> "ClassRuleSet":
-        rules = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise RuleError(
-                    f"bad rule entry at index {i}: must be an object, "
-                    f"got {type(entry).__name__}"
-                )
-            if not isinstance(entry.get("pattern"), str):
-                raise RuleError(f"bad rule entry at index {i}: 'pattern' must be a string")
-            priority = entry.get("priority")
-            if not isinstance(priority, int) or isinstance(priority, bool):
-                raise RuleError(
-                    f"bad rule entry at index {i}: 'priority' must be an int, "
-                    f"got {type(priority).__name__}"
-                )
-            try:
-                rules.append(
-                    ClassRule(
-                        pattern=entry["pattern"],
-                        question_class=QuestionClass(entry["class"]),
-                        priority=priority,
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RuleError(f"bad rule entry at index {i}: {exc}") from exc
-        return cls(rules)
+        """Rule set from a parsed rule file; nothing is coerced, and a field of
+        the wrong type raises SchemaError naming its JSON path."""
+        if not isinstance(entries, list):
+            raise SchemaError(f"$ must be a list, got {type(entries).__name__}")
+        return cls(
+            ClassRule(
+                pattern=_require(entry, "pattern", f"$[{i}]", str),
+                question_class=_require(entry, "class", f"$[{i}]", QuestionClass),
+                priority=_require(entry, "priority", f"$[{i}]", int),
+            )
+            for i, entry in enumerate(entries)
+        )
 
 
 def load_rules(path: str | Path) -> ClassRuleSet:
     """Load a rule file (JSON list of {pattern, class, priority})."""
-    entries = read_json(path)
-    if not isinstance(entries, list):
-        raise RuleError(f"{path}: rule file must be a JSON list")
-    return ClassRuleSet.from_json(entries)
+    return load_json(path, ClassRuleSet.from_json)
 
 
 def default_rules() -> ClassRuleSet:
     """The rule set shipped with the package."""
-    return ClassRuleSet.from_json(
-        read_json(Path(__file__).with_name("data") / "default_rules.json")
-    )
+    return load_rules(Path(__file__).with_name("data") / "default_rules.json")
 
 
 def question_length(question: str) -> int:

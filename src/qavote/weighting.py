@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import _require, read_json, write_json
+from .corpus import _require, load_json, write_json
 from .metrics import ClassStats, EvalReport
 from .taxonomy import CLASS_LABELS
 
@@ -28,7 +28,7 @@ class MetricBasis(str, enum.Enum):
 
 
 class WeightError(ValueError):
-    """Raised for inconsistent report sets or malformed weight files."""
+    """Raised for inconsistent report sets or an inconsistent weight table."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class WeightTable:
     def __post_init__(self):
         if not self.models:
             raise WeightError("weight table needs at least one model")
+        if len(set(self.models)) != len(self.models):
+            raise WeightError(f"models repeat a name: {list(self.models)}")
         missing = [m for m in self.models if m not in self.global_weights]
         unknown = sorted(set(self.global_weights) - set(self.models))
         if missing or unknown:
@@ -88,26 +90,16 @@ class WeightTable:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "WeightTable":
         """Table from parsed JSON; nothing is coerced, and a field of the wrong
-        type raises WeightError naming its JSON path."""
-        try:
-            models = _require(data, "models", "$", list)
-            for i, model in enumerate(models):
-                if not isinstance(model, str):
-                    raise WeightError(
-                        f"field $.models[{i}] must be str, got {type(model).__name__}"
-                    )
-            classes = _require(data, "classes", "$", dict)
-            return cls(
-                models=tuple(models),
-                metric_basis=MetricBasis(_require(data, "metric_basis", "$", str)),
-                class_weights={
-                    label: _weight_row(classes, label, "$.classes") for label in classes
-                },
-                global_weights=_weight_row(data, "global", "$"),
-                best_overall=_require(data, "best_overall", "$", str),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WeightError(f"malformed weight table: {exc}") from exc
+        type raises SchemaError naming its JSON path."""
+        models = dict(enumerate(_require(data, "models", "$", list)))
+        classes = _require(data, "classes", "$", dict)
+        return cls(
+            models=tuple(_require(models, i, "$.models", str) for i in models),
+            metric_basis=_require(data, "metric_basis", "$", MetricBasis),
+            class_weights={label: _weight_row(classes, label, "$.classes") for label in classes},
+            global_weights=_weight_row(data, "global", "$"),
+            best_overall=_require(data, "best_overall", "$", str),
+        )
 
 
 def _weight_row(mapping: Mapping, key: str, path: str) -> dict[str, float]:
@@ -207,4 +199,4 @@ def save_weights(table: WeightTable, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> WeightTable:
-    return WeightTable.from_json_dict(read_json(path))
+    return load_json(path, WeightTable.from_json_dict)

@@ -666,11 +666,11 @@ class TestErrorCodes:
 
     @pytest.mark.parametrize(
         "rules, message",
-        [([5], "index 0: must be an object"),
+        [([5], "$[0] must be an object, got int"),
          ([{"pattern": "(", "class": "who", "priority": 1}], "index 0: invalid pattern '('"),
          ([{"pattern": "x", "class": "who", "priority": 1},
            {"pattern": "y", "class": "what", "priority": "7"}],
-          "index 1: 'priority' must be an int")],
+          "field $[1].priority must be int, got str")],
         ids=["not-an-object", "bad-regex", "string-priority"],
     )
     def test_malformed_rule_file_exits_four(self, tmp_path, capsys, rules, message):
@@ -772,6 +772,68 @@ class TestErrorCodes:
         assert "--preds" in err and repr(name) in err and len(err.splitlines()) == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_weight_table_repeating_a_model_exits_four(self, tmp_path, corpus_file, capsys):
+        """A model listed twice used to vote twice, merged with itself."""
+        ids = load_dataset(corpus_file).ids
+        preds = []
+        for model, answer in (("a", "x"), ("b", "y")):
+            path = tmp_path / f"{model}.json"
+            path.write_text(json.dumps({qid: answer for qid in ids}), encoding="utf-8")
+            preds += ["--preds", f"{model}={path}"]
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(
+            {"models": ["a", "b", "a"], "metric_basis": "mean_f1", "global": {"a": 0.4, "b": 0.6},
+             "classes": {label: {"a": 0.4, "b": 0.6} for label in CLASS_LABELS},
+             "best_overall": "b"}), encoding="utf-8")
+        out = tmp_path / "e.json"
+        assert main(["ensemble", "--dataset", str(corpus_file), *preds,
+                     "--weights", str(weights), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {weights}: models repeat a name: ['a', 'b', 'a']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "learned, voted, unweighted",
+        [([], ["--length-buckets", "3,6"], ["len_0", "len_1", "len_2"]),
+         (["--length-buckets", "6,9"], ["--length-buckets", "6,9,12"], ["len_3"])],
+        ids=["rules-then-buckets", "more-buckets"],
+    )
+    def test_weights_of_another_classifier_exit_four(self, tmp_path, corpus_file, capsys,
+                                                     learned, voted, unweighted):
+        """A label without a row used to vote with the global weights, silently."""
+        golds = tmp_path / "p.json"
+        golds.write_text(json.dumps(gold_map(load_dataset(corpus_file))), encoding="utf-8")
+        preds = ["--preds", f"a={golds}", "--preds", f"b={golds}"]
+        weights = tmp_path / "w.json"
+        assert main(["weights", "--pre-eval", str(corpus_file), *preds, *learned,
+                     "--out", str(weights)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "e.json"
+        assert main(["ensemble", "--dataset", str(corpus_file), *preds, *voted,
+                     "--weights", str(weights), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: --weights {weights} has no row for the labels {unweighted}\n")
+        assert not out.exists()
+
+    def test_weights_without_class_rows_vote_globally(self, tmp_path, corpus_file):
+        golds = tmp_path / "p.json"
+        golds.write_text(json.dumps(gold_map(load_dataset(corpus_file))), encoding="utf-8")
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(
+            {"models": ["a", "b"], "metric_basis": "mean_f1", "global": {"a": 0.4, "b": 0.6},
+             "classes": {}, "best_overall": "b"}), encoding="utf-8")
+        assert main(["ensemble", "--dataset", str(corpus_file), "--preds", f"a={golds}",
+                     "--preds", f"b={golds}", "--length-buckets", "6,9", "--weights",
+                     str(weights), "--out", str(tmp_path / "e.json")]) == 0
+
+    @pytest.mark.parametrize("edges", ["", ",", "6,x"], ids=["empty", "comma", "not-int"])
+    def test_length_buckets_that_are_no_edge_list_exit_four(self, corpus_file, capsys, edges):
+        assert main(["classify-stats", "--dataset", str(corpus_file),
+                     "--length-buckets", edges]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --length-buckets {edges!r}: ")
+        assert len(err.splitlines()) == 1
+
     def test_compare_needs_two_models(self, tmp_path, corpus_file, capsys):
         preds = tmp_path / "p.json"
         preds.write_text("{}", encoding="utf-8")
@@ -857,6 +919,7 @@ class TestMalformedInputs:
         "invalid-utf8": (b'{"k": "\xff\xfe"}', 4),
         "duplicate-key": (b'{"k": "Paris", "k": "London"}', 4),
         "lone-surrogate": (b'{"k": "\\ud800"}', 4),
+        "wrong-schema": (b'{"k": 1}', 4),
     }
 
     @pytest.mark.parametrize("bad", list(BAD_INPUTS))

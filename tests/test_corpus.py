@@ -33,7 +33,10 @@ from qavote.corpus import (
     split_pre_eval,
     PredictionSet,
 )
+from qavote.synth import Corruption, load_profile
+from qavote.taxonomy import QuestionClass, load_rules
 from qavote.voting import _TraceLines, save_traces, vote
+from qavote.weighting import MetricBasis, load_weights
 
 
 def write_json(tmp_path, name, payload):
@@ -278,14 +281,16 @@ class TestLoadPredictions:
             load_predictions(path, "m1")
 
     def test_non_string_value(self, tmp_path):
-        path = write_json(tmp_path, "p.json", {"q1": 5})
-        with pytest.raises(SchemaError, match="not a string"):
+        path = write_json(tmp_path, "p.json", {"q0": "a", "q1": 5})
+        with pytest.raises(SchemaError) as excinfo:
             load_predictions(path, "m1")
+        assert str(excinfo.value) == f"{path}: field $.q1 must be str, got int"
 
     def test_non_object(self, tmp_path):
         path = write_json(tmp_path, "p.json", ["a"])
-        with pytest.raises(SchemaError, match="JSON object"):
+        with pytest.raises(SchemaError) as excinfo:
             load_predictions(path, "m1")
+        assert str(excinfo.value) == f"{path}: $ must be an object, got list"
 
     def test_partial_coverage_loads(self, tmp_path):
         # fewer predictions than dataset questions is fine at load time
@@ -403,6 +408,29 @@ class TestReadJson:
         path = tmp_path / "input.json"
         path.write_bytes(b'{"q1": "\\ud83d\\ude00", "q2": "\\\\ud800"}')
         assert corpus.read_json(path) == {"q1": "\U0001F600", "q2": "\\ud800"}
+
+
+class TestLoadJson:
+    """Every loader decodes through ``load_json``: a schema error names the file
+    and the JSON path."""
+
+    @pytest.mark.parametrize(
+        "load, payload, field, bad, kind",
+        [(load_rules, [{"pattern": "x", "class": "whose", "priority": 1}], "$[0].class",
+          "whose", QuestionClass),
+         (load_weights, {"models": ["a"], "metric_basis": "f1", "global": {"a": 0.5},
+                         "classes": {}, "best_overall": "a"}, "$.metric_basis", "f1",
+          MetricBasis),
+         (load_profile, {"per_class": {}, "corruption": ["random_span"], "seed": 1},
+          "$.corruption", ["random_span"], Corruption)],
+        ids=["rule-class", "weights-basis", "profile-corruption"],
+    )
+    def test_enum_field_lists_its_values(self, tmp_path, load, payload, field, bad, kind):
+        path = write_json(tmp_path, "input.json", payload)
+        with pytest.raises(SchemaError) as excinfo:
+            load(path)
+        values = [member.value for member in kind]
+        assert str(excinfo.value) == f"{path}: field {field} must be one of {values}, got {bad!r}"
 
 
 _JSON_TEXT = st.lists(
@@ -536,6 +564,12 @@ class TestOneReaderOneWriter:
                     and isinstance(func.value, ast.Name) and func.value.id == "json")
 
         assert self.calls(is_json_parse) == {("corpus", "read_json")}
+
+    def test_read_json_is_called_only_by_load_json(self):
+        def is_read_json(func):
+            return isinstance(func, ast.Name) and func.id == "read_json"
+
+        assert self.calls(is_read_json) == {("corpus", "load_json")}
 
     def test_files_are_opened_only_by_read_json_and_atomic_write(self):
         def is_open(func):

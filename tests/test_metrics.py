@@ -223,6 +223,15 @@ class TestEvaluate:
         assert report.overall.count == 10
         assert report.overall.mean_f1 == 1.0
 
+    def test_ids_outside_the_dataset_are_ignored(self, rules, small_dataset):
+        """A model file covers the whole corpus; scoring one split slice of it
+        reads only that slice's ids."""
+        answers = gold_map(small_dataset)
+        slice_ = small_dataset.subset(list(answers)[:10], "slice")
+        report = evaluate(PredictionSet("m", {**answers, "ghost-id": "x"}), slice_, rules)
+        assert list(report.per_question) == list(slice_.ids)
+        assert report.overall.count == 10 and report.overall.em_rate == 1.0
+
     def test_one_hit_one_miss(self, rules):
         dataset = make_dataset({"who": 2})
         ids = list(dataset.ids)

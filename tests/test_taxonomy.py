@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qavote.corpus import Dataset
+from qavote.corpus import Dataset, SchemaError
 from qavote.taxonomy import (
     CLASS_LABELS,
     ClassRule,
@@ -104,24 +104,29 @@ class TestRuleSet:
     def test_load_rules_rejects_bad_file(self, tmp_path):
         good = {"pattern": r"\bwho\b", "class": "who", "priority": 2}
         cases = [
-            ({}, "JSON list"),
-            ([5], "index 0: must be an object"),
-            ([good, {"pattern": "(", "class": "what", "priority": 1}],
-             r"index 1: invalid pattern '\('"),
-            ([{"pattern": 5, "class": "what", "priority": 1}], "index 0: 'pattern'"),
-            ([good, {"pattern": "x", "class": "what", "priority": None}], "index 1"),
-            ([good, {"pattern": "x", "class": "what", "priority": "7"}],
-             "index 1: 'priority' must be an int, got str"),
-            ([good, {"pattern": "x", "class": "what", "priority": 2.9}],
-             "index 1: 'priority' must be an int, got float"),
-            ([good, {"pattern": "x", "class": "what", "priority": True}],
-             "index 1: 'priority' must be an int, got bool"),
+            ({}, SchemaError, "$ must be a list, got dict"),
+            ([5], SchemaError, "$[0] must be an object, got int"),
+            ([good, {"pattern": "(", "class": "what", "priority": 1}], RuleError,
+             "bad rule at index 1: invalid pattern '('"),
+            ([{"pattern": 5, "class": "what", "priority": 1}], SchemaError,
+             "field $[0].pattern must be str, got int"),
+            ([good, {"pattern": "x", "class": "what", "priority": None}], SchemaError,
+             "field $[1].priority must be int, got NoneType"),
+            ([good, {"pattern": "x", "class": "what", "priority": "7"}], SchemaError,
+             "field $[1].priority must be int, got str"),
+            ([good, {"pattern": "x", "class": "what", "priority": 2.9}], SchemaError,
+             "field $[1].priority must be int, got float"),
+            ([good, {"pattern": "x", "class": "what", "priority": True}], SchemaError,
+             "field $[1].priority must be int, got bool"),
+            ([good, {"pattern": "x", "priority": 1}], SchemaError,
+             "missing required field at $[1].class"),
         ]
         path = tmp_path / "rules.json"
-        for content, message in cases:
+        for content, error, message in cases:
             path.write_text(json.dumps(content), encoding="utf-8")
-            with pytest.raises(RuleError, match=message):
+            with pytest.raises(error) as excinfo:
                 load_rules(path)
+            assert str(excinfo.value).startswith(f"{path}: {message}")
 
     def test_default_rules_priorities_unique(self, rules):
         priorities = [r.priority for r in rules.rules]

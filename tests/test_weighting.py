@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from qavote.corpus import SchemaError
 from qavote.metrics import QuestionScore, report_from_scores
 from qavote.weighting import (
     MetricBasis,
@@ -198,11 +199,25 @@ class TestWeightTable:
             load_weights(path)
         assert named in str(excinfo.value)
 
+    def test_repeated_model_rejected(self, tmp_path):
+        """A model listed twice would vote twice: its weight merged with itself."""
+        path = tmp_path / "weights.json"
+        path.write_text(
+            json.dumps({"models": ["a", "b", "a"], "metric_basis": "mean_f1",
+                        "global": {"a": 0.4, "b": 0.6},
+                        "classes": {"who": {"a": 0.4, "b": 0.6}}, "best_overall": "b"}),
+            encoding="utf-8",
+        )
+        with pytest.raises(WeightError) as excinfo:
+            load_weights(path)
+        assert str(excinfo.value) == f"{path}: models repeat a name: ['a', 'b', 'a']"
+
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "weights.json"
         path.write_text('{"models": ["m"]}', encoding="utf-8")
-        with pytest.raises(WeightError, match="malformed"):
+        with pytest.raises(SchemaError) as excinfo:
             load_weights(path)
+        assert str(excinfo.value) == f"{path}: missing required field at $.classes"
 
     @pytest.mark.parametrize(
         "mutate, field",
@@ -232,5 +247,5 @@ class TestWeightTable:
         mutate(data)
         path = tmp_path / "weights.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(WeightError, match=re.escape(field)):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ") + ".*" + re.escape(field)):
             load_weights(path)
