@@ -53,7 +53,6 @@ from .voting import (
     VoteConfig,
     VoteTrace,
     run_ensemble,
-    vote,
 )
 from .analysis import SimilarityReport, pairwise_similarity
 from .synth import AccuracyProfile, Corruption, generate_predictions

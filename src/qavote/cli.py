@@ -94,7 +94,9 @@ def _classifier_from_args(args):
             return LengthClassifier(edges), {"length_buckets": edges}
         except ValueError as exc:
             raise ValueError(f"--length-buckets {args.length_buckets!r}: {exc}") from None
-    if args.rules:
+    if args.rules is not None:
+        if not args.rules:
+            raise ValueError("--rules '': no rule file given")
         return load_rules(args.rules), {"rules": str(args.rules)}
     return default_rules(), {"rules": "<default>"}
 

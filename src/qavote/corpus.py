@@ -284,6 +284,16 @@ def _require(mapping, key, path, kind):
     return value
 
 
+def _require_float(mapping, key, path) -> float:
+    """``mapping[key]``, which must be a JSON number, as a float; an integer too
+    large for a float raises SchemaError naming its JSON path."""
+    value = _require(mapping, key, path, (int, float))
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"field {path}.{key} is too large for a float") from None
+
+
 def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
     """Build a Dataset from already-parsed SQuAD-format JSON.
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .corpus import Dataset, PredictionSet, _require, load_json
+from .corpus import Dataset, PredictionSet, _require, _require_float, load_json
 from .metrics import normalize_answer
-from .taxonomy import default_rules
 
 
 class Corruption(str, enum.Enum):
@@ -54,10 +53,8 @@ class AccuracyProfile:
         wrong type raises SchemaError naming its JSON path."""
         per_class = _require(data, "per_class", "$", dict)
         return cls(
-            per_class={
-                label: float(_require(per_class, label, "$.per_class", (int, float)))
-                for label in per_class
-            },
+            per_class={label: _require_float(per_class, label, "$.per_class")
+                       for label in per_class},
             corruption=_require(data, "corruption", "$", Corruption),
             seed=_require(data, "seed", "$", int),
         )
@@ -121,7 +118,7 @@ def generate_predictions(
     dataset: Dataset,
     profile: AccuracyProfile,
     model_name: str,
-    classifier: Callable[[str], str] | None = None,
+    classifier: Callable[[str], str],
 ) -> PredictionSet:
     """Deterministic synthetic answers covering every dataset id.
 
@@ -133,8 +130,6 @@ def generate_predictions(
     """
     if not len(dataset):
         raise ValueError("dataset is empty")
-    if classifier is None:
-        classifier = default_rules()
     answers: dict[str, str] = {}
     sentinel_ids: list[str] = []
     for item in dataset.items:

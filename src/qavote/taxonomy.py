@@ -127,9 +127,6 @@ class ClassRuleSet:
     def __call__(self, question: str) -> str:
         return self.classify(question)
 
-    def __len__(self) -> int:
-        return len(self._rules)
-
     def to_json(self) -> list[dict]:
         return [
             {"pattern": r.pattern, "class": r.question_class.value, "priority": r.priority}

@@ -1,24 +1,23 @@
 """Weighted voting over per-model candidate answers.
 
-One vote per question: each model's answer gets the table's weight of its
-model for the question's class. (The class-ignoring ensemble is this vote on
-a table whose class rows all hold the global weights.) Answers that are
-duplicates of each other, raw or normalized string equality by
-configuration, form a group whose weights are combined by sum (default) or
-max; the heaviest group wins. Undefined-class questions are answered by the
-globally best model when the special case is enabled. All ties break toward
-the earlier model in the table's model order.
+``run_ensemble`` is the vote: one per dataset question, where each model's
+answer gets the table's weight of its model for the question's class. (The
+class-ignoring ensemble is this vote on a table whose class rows all hold
+the global weights.) Answers that are duplicates of each other, raw or
+normalized string equality by configuration, form a group whose weights are
+combined by sum (default) or max; the heaviest group wins. Undefined-class
+questions are answered by the globally best model when the special case is
+enabled. All ties break toward the earlier model in the table's model order.
 
-``vote`` and ``run_ensemble`` share one decision core, ``_decide``, which
-works on indices. The answers and the weight row (``WeightTable.row``) are
-tuples in model order; the answers enter only as their duplicate pattern
-(the index of each answer's first duplicate), and groups are tuples of
-candidate indices. So a vote is a function of the label's row and the
-pattern, and each pair is decided once per run (``_Decisions``).
-``run_ensemble`` also fetches each label's row once and normalizes each
-distinct answer once per run. A ``VoteTrace`` keeps these compact fields
-and derives its candidates, groups and winner on access; ``save_traces``
-writes each JSON line straight from them.
+The decision core, ``_decide``, works on indices. A question's answers and
+its label's weight row (``WeightTable.row``) are tuples in model order; the
+answers enter only as their duplicate pattern (the index of each answer's
+first duplicate), and groups are tuples of candidate indices. So a vote is a
+function of the label's row and the pattern, and each pair is decided once
+per run (``_Decisions``). ``run_ensemble`` also fetches each label's row
+once and normalizes each distinct answer once per run. A ``VoteTrace`` keeps
+these compact fields and derives its candidates and winner on access;
+``save_traces`` writes each JSON line straight from them.
 """
 from __future__ import annotations
 
@@ -62,7 +61,7 @@ class Reason(str, enum.Enum):
 
 
 class VoteError(ValueError):
-    """Raised for empty answer sets, unknown models, or mismatched model sets."""
+    """Raised when the prediction models are not the weight table's models."""
 
 
 @dataclass(frozen=True)
@@ -84,21 +83,13 @@ class Candidate(NamedTuple):
     weight: float
 
 
-class VoteGroup(NamedTuple):
-    """Candidates whose answers are duplicates under the configured equality."""
-
-    answer: str  # representative raw answer: the earliest member's
-    models: tuple[str, ...]
-    combined_weight: float
-
-
 class VoteTrace(NamedTuple):
-    """One vote, as the indices the decision core works on.
+    """One vote of ``run_ensemble``, as the indices the decision core works on.
 
     ``models``, ``answers`` and ``weights`` are the candidates in table
     order; each of ``index_groups`` is (candidate indices, combined weight),
-    in the order of their first member. ``candidates``, ``groups`` and
-    ``winner`` are built from these on access.
+    in the order of their first member. ``candidates`` and ``winner`` are
+    derived from these on access.
     """
 
     question_id: str
@@ -113,13 +104,6 @@ class VoteTrace(NamedTuple):
     @property
     def candidates(self) -> tuple[Candidate, ...]:
         return tuple(map(Candidate, self.models, self.answers, self.weights))
-
-    @property
-    def groups(self) -> tuple[VoteGroup, ...]:
-        return tuple(
-            VoteGroup(self.answers[members[0]], tuple(self.models[i] for i in members), combined)
-            for members, combined in self.index_groups
-        )
 
     @property
     def winner(self) -> Candidate:
@@ -167,18 +151,15 @@ def _decide(
 
 class _Decisions(dict):
     """duplicates -> (winner index, reason, index groups) of a vote on one
-    label's ``weights``, each decided once: a vote depends on nothing else."""
+    label's weight row, each decided once: a vote depends on nothing else."""
 
-    def __init__(self, table: WeightTable, models: Sequence[str], weights: tuple[float, ...],
-                 label: str, config: VoteConfig):
+    def __init__(self, table: WeightTable, label: str, config: VoteConfig):
         super().__init__()
-        self.weights = weights
+        self.weights = table.row(label)
         self.use_max = config.combine is Combine.MAX
         self.fallback = None  # the index that answers under the undefined special case
         if config.undefined_special_case and label == UNDEFINED:
-            if table.best_overall not in models:
-                raise VoteError(f"no candidate for model {table.best_overall!r}")
-            self.fallback = models.index(table.best_overall)
+            self.fallback = table.models.index(table.best_overall)
 
     def __missing__(self, duplicates: tuple[int, ...]):
         if self.fallback is None:
@@ -187,37 +168,6 @@ class _Decisions(dict):
             decision = self.fallback, Reason.UNDEFINED_FALLBACK, ()
         self[duplicates] = decision
         return decision
-
-
-def _normalized_keys(config: VoteConfig) -> _NormalizedKeys | None:
-    return None if config.duplicate_equality is Equality.RAW else _NormalizedKeys()
-
-
-def vote(
-    answers: Mapping[str, str],
-    question_class: str,
-    table: WeightTable,
-    config: VoteConfig = VoteConfig(),
-    question_id: str = "",
-) -> VoteTrace:
-    """Decide one question from its model -> answer mapping.
-
-    Each answer is weighted by the table's weight of its model for
-    ``question_class``; candidates follow the table's model order.
-    """
-    if not answers:
-        raise VoteError("empty answer set")
-    unknown = set(answers) - set(table.models)
-    if unknown:
-        raise VoteError(f"unknown models: {sorted(unknown)}")
-    row = table.row(question_class)
-    present = [i for i, model in enumerate(table.models) if model in answers]
-    models = tuple(table.models[i] for i in present)
-    weights = tuple(row[i] for i in present)
-    texts = tuple(answers[model] for model in models)
-    decisions = _Decisions(table, models, weights, question_class, config)
-    winner, reason, groups = decisions[_duplicates(texts, _normalized_keys(config))]
-    return VoteTrace(question_id, question_class, models, texts, weights, groups, winner, reason)
 
 
 def run_ensemble(
@@ -239,7 +189,7 @@ def run_ensemble(
     models = table.models
     ids = [item.id for item in dataset.items]
     columns = [[predictions[model].answers.get(qid, "") for qid in ids] for model in models]
-    normalized = _normalized_keys(config)
+    normalized = None if config.duplicate_equality is Equality.RAW else _NormalizedKeys()
     by_label: dict[str, _Decisions] = {}
     out: dict[str, str] = {}
     traces: list[VoteTrace] = []
@@ -248,9 +198,7 @@ def run_ensemble(
         label = classifier(item.question)
         decisions = by_label.get(label)
         if decisions is None:
-            decisions = by_label[label] = _Decisions(
-                table, models, table.row(label), label, config
-            )
+            decisions = by_label[label] = _Decisions(table, label, config)
         winner, reason, groups = decisions[_duplicates(answers, normalized)]
         out[qid] = answers[winner]
         traces.append(

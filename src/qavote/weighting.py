@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import _require, load_json, write_json
+from .corpus import _require, _require_float, load_json, write_json
 from .metrics import ClassStats, EvalReport
 from .taxonomy import CLASS_LABELS
 
@@ -63,10 +63,6 @@ class WeightTable:
         if self.best_overall != _argmax_model(self.models, self.global_weights):
             raise WeightError("best_overall does not match the global-weight argmax")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.class_weights)
-
     def row(self, label: str) -> tuple[float, ...]:
         """The label's weights in model order; an unknown label gets the global weights."""
         weights = self.class_weights.get(label, self.global_weights)
@@ -105,9 +101,7 @@ class WeightTable:
 def _weight_row(mapping: Mapping, key: str, path: str) -> dict[str, float]:
     """``mapping[key]`` as model -> weight; every weight must be a JSON number."""
     row = _require(mapping, key, path, dict)
-    return {
-        model: float(_require(row, model, f"{path}.{key}", (int, float))) for model in row
-    }
+    return {model: _require_float(row, model, f"{path}.{key}") for model in row}
 
 
 def _check_weight(weight: float, what: str) -> None:

@@ -3,11 +3,34 @@
 Questions are generated from per-class templates that trigger exactly the
 intended rule, golds are two normalized tokens (so truncation lands strictly
 between 0 and 1), and every context contains filler tokens disjoint from all
-golds (so a disjoint corruption span always exists).
+golds (so a disjoint corruption span always exists). ``package_calls`` finds
+the calls the package's source makes, for tests that pin where a call may be.
 """
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+from qavote import corpus
 from qavote.corpus import Dataset, dataset_from_squad_dict
+
+PACKAGE = Path(corpus.__file__).resolve().parent
+
+
+def package_calls(is_target) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every call in the package whose
+    callee ``is_target`` accepts; "<module>" for a call outside any function."""
+    found = set()
+    for source in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and is_target(node.func):
+                enclosing = [f.name for f in functions
+                             if f.lineno <= node.lineno <= f.end_lineno]
+                found.add((source.stem, enclosing[-1] if enclosing else "<module>"))
+    return found
 
 QUESTION_TEMPLATES = {
     "date": "On what date did event {i} take place?",

@@ -20,14 +20,16 @@ from pathlib import Path
 import pytest
 
 from helpers import gold_map, make_dataset, uniform_counts
-from vote_oracle import ALL_CONFIGS, build_table, oracle_vote, random_instance, table_for
+from vote_oracle import (
+    ALL_CONFIGS, build_table, ensemble_vote, oracle_vote, random_instance, table_for,
+)
 
 from qavote.analysis import pairwise_similarity
 from qavote.corpus import PredictionSet, dataset_to_squad_dict, load_dataset, split_pre_eval
 from qavote.metrics import QuestionScore, em, evaluate, report_from_scores, token_f1
 from qavote.synth import AccuracyProfile, generate_predictions
 from qavote.taxonomy import CLASS_LABELS, class_distribution, default_rules
-from qavote.voting import Combine, VoteConfig, run_ensemble, vote
+from qavote.voting import Combine, VoteConfig, run_ensemble
 from qavote.weighting import compute_class_weights, compute_global_weights
 
 RULES = default_rules()
@@ -112,7 +114,7 @@ class TestCriterion4VotingBruteForce:
             models, answers, class_fracs, global_fracs, qclass = random_instance(rng)
             table = build_table(models, class_fracs, global_fracs, qclass)
             for config in ALL_CONFIGS:
-                trace = vote(answers, qclass, table, config)
+                trace = ensemble_vote(answers, qclass, table, config)
                 want = oracle_vote(
                     [(m, answers[m], class_fracs[m]) for m in models],
                     qclass, models, table.best_overall, config,
@@ -145,8 +147,8 @@ class TestCriterion5GlobalDegeneracy:
                 qclass = rng.choice(labels)
                 for combine in (Combine.SUM, Combine.MAX):
                     config = VoteConfig(combine=combine, undefined_special_case=False)
-                    win_a = vote(answers, qclass, table, config).winner
-                    win_b = vote(answers, qclass, no_class_rows, config).winner
+                    win_a = ensemble_vote(answers, qclass, table, config).winner
+                    win_b = ensemble_vote(answers, qclass, no_class_rows, config).winner
                     assert (win_a.model, win_a.answer) == (win_b.model, win_b.answer)
         _pass(5, f"{report_sets} randomized report sets: decisions identical on both paths")
 

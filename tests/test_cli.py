@@ -684,8 +684,10 @@ class TestErrorCodes:
         [({"corruption": "disjoint_token", "seed": 1}, "$.per_class"),
          ([{"per_class": {}}], "$ must be an object"),
          ({"per_class": {"what": "x"}, "corruption": "disjoint_token", "seed": 1},
-          "$.per_class.what")],
-        ids=["no-per-class", "list", "string-probability"],
+          "$.per_class.what"),
+         ({"per_class": {"what": 10**400}, "corruption": "disjoint_token", "seed": 1},
+          "field $.per_class.what is too large for a float")],
+        ids=["no-per-class", "list", "string-probability", "huge-probability"],
     )
     def test_malformed_profile_exits_four(self, tmp_path, corpus_file, capsys, profile, message):
         path = tmp_path / "profile.json"
@@ -693,7 +695,9 @@ class TestErrorCodes:
         rc = main(["synth", "--dataset", str(corpus_file), "--profile", str(path),
                    "--name", "m", "--out", str(tmp_path / "m.json")])
         assert rc == 4
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert len(err.splitlines()) == 1
 
     def test_threads_flag_is_gone(self, corpus_file):
         for command in (["evaluate", "--dataset", str(corpus_file)],
@@ -833,6 +837,15 @@ class TestErrorCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --length-buckets {edges!r}: ")
         assert len(err.splitlines()) == 1
+
+    def test_empty_rules_path_exits_four(self, tmp_path, corpus_file, capsys):
+        """An empty --rules used to classify with the built-in rules, silently."""
+        out = tmp_path / "h.json"
+        assert main(["classify-stats", "--dataset", str(corpus_file), "--rules", "",
+                     "--json", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rules '': ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_compare_needs_two_models(self, tmp_path, corpus_file, capsys):
         preds = tmp_path / "p.json"

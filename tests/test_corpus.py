@@ -5,15 +5,16 @@ import inspect
 import io
 import json
 import os
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import QUESTION_TEMPLATES, make_dataset, make_squad_dict, uniform_counts
+from helpers import (
+    QUESTION_TEMPLATES, make_dataset, make_squad_dict, package_calls, uniform_counts,
+)
 from squad_reference import RefQaItem, ref_dataset_from_squad_dict, ref_items
-from vote_oracle import table_for
+from vote_oracle import ensemble_vote, table_for
 
 from qavote import corpus
 from qavote.cli import main
@@ -35,7 +36,7 @@ from qavote.corpus import (
 )
 from qavote.synth import Corruption, load_profile
 from qavote.taxonomy import QuestionClass, load_rules
-from qavote.voting import _TraceLines, save_traces, vote
+from qavote.voting import _TraceLines, save_traces
 from qavote.weighting import MetricBasis, load_weights
 
 
@@ -482,7 +483,7 @@ class TestAtomicWrites:
 
     def test_save_traces_failing_midway(self, target):
         def traces():
-            yield vote({"m": "x"}, "what", table_for({"m": 0.5}, {"m": 0.5}))
+            yield ensemble_vote({"m": "x"}, "what", table_for({"m": 0.5}, {"m": 0.5}))
             raise RuntimeError("vote failed")
 
         with pytest.raises(RuntimeError, match="vote failed"):
@@ -540,23 +541,7 @@ class TestOneReaderOneWriter:
     """Only ``read_json`` parses an input file and only ``atomic_write`` opens one:
     the package's one reader and one writer."""
 
-    PACKAGE = Path(corpus.__file__).resolve().parent
-
-    @classmethod
-    def calls(cls, is_target) -> set[tuple[str, str]]:
-        """(module, innermost enclosing function) of every call whose callee
-        ``is_target`` accepts; "<module>" for a call outside any function."""
-        found = set()
-        for source in sorted(cls.PACKAGE.glob("*.py")):
-            tree = ast.parse(source.read_text(encoding="utf-8"))
-            functions = [node for node in ast.walk(tree)
-                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call) and is_target(node.func):
-                    enclosing = [f.name for f in functions
-                                 if f.lineno <= node.lineno <= f.end_lineno]
-                    found.add((source.stem, enclosing[-1] if enclosing else "<module>"))
-        return found
+    calls = staticmethod(package_calls)
 
     def test_json_is_parsed_only_by_read_json(self):
         def is_json_parse(func):

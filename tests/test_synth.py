@@ -171,6 +171,7 @@ class TestProfileIO:
             (lambda d: d.update(per_class=[["what", 0.5]]), "$.per_class"),
             (lambda d: d["per_class"].update(what="0.5"), "$.per_class.what"),
             (lambda d: d["per_class"].update(what=True), "$.per_class.what"),
+            (lambda d: d["per_class"].update(what=10**400), "$.per_class.what"),
             (lambda d: d["per_class"].update(what=None), "$.per_class.what"),
             (lambda d: d.pop("corruption"), "$.corruption"),
             (lambda d: d.update(corruption="shuffle"), "$.corruption"),
@@ -180,8 +181,8 @@ class TestProfileIO:
         ],
         ids=[
             "no-per_class", "per_class-list", "probability-str", "probability-bool",
-            "probability-null", "no-corruption", "unknown-corruption", "seed-str",
-            "seed-float", "seed-bool",
+            "probability-huge-int", "probability-null", "no-corruption", "unknown-corruption",
+            "seed-str", "seed-float", "seed-bool",
         ],
     )
     def test_malformed_profile_names_field(self, tmp_path, mutate, field):

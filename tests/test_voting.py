@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import ast
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gold_map, make_dataset, uniform_counts
+from helpers import gold_map, make_dataset, package_calls, uniform_counts
 from trace_reference import trace_json_dict
 from vote_oracle import (
     ALL_CONFIGS,
     build_table,
+    ensemble_vote,
     oracle_vote,
     random_instance,
     table_for,
@@ -28,7 +31,6 @@ from qavote.voting import (
     VoteError,
     run_ensemble,
     save_traces,
-    vote,
 )
 from qavote.weighting import compute_global_weights
 
@@ -41,7 +43,7 @@ class TestVoteAgainstOracle:
             models, answers, class_fracs, global_fracs, qclass = random_instance(rng)
             table = build_table(models, class_fracs, global_fracs, qclass)
             for config in ALL_CONFIGS:
-                trace = vote(answers, qclass, table, config)
+                trace = ensemble_vote(answers, qclass, table, config)
                 assert [(c.model, c.weight) for c in trace.candidates] == [
                     (m, float(class_fracs[m])) for m in models
                 ]
@@ -78,14 +80,14 @@ class TestVoteSemantics:
     def test_distinct_answers_take_class_best(self):
         table = self.make_table()
         answers = {"A": "one", "B": "two", "C": "three"}
-        trace = vote(answers, "what", table)
+        trace = ensemble_vote(answers, "what", table)
         assert trace.winner.answer == "one"
         assert trace.reason is Reason.HIGHEST_WEIGHT_NO_DUPLICATES
 
     def test_sum_lets_two_weaker_models_win(self):
         table = self.make_table()
         answers = {"A": "one", "B": "shared", "C": "shared"}
-        trace = vote(answers, "what", table)
+        trace = ensemble_vote(answers, "what", table)
         assert trace.winner.answer == "shared"
         assert trace.winner.model == "B"
         assert trace.reason is Reason.MERGED_DUPLICATES
@@ -94,14 +96,14 @@ class TestVoteSemantics:
         table = self.make_table()
         config = VoteConfig(combine=Combine.MAX)
         answers = {"A": "one", "B": "shared", "C": "shared"}
-        trace = vote(answers, "what", table, config)
+        trace = ensemble_vote(answers, "what", table, config)
         assert trace.winner.answer == "one"
         assert trace.winner.model == "A"
 
     def test_undefined_goes_to_best_overall(self):
         table = self.make_table(label="undefined")
         answers = {"A": "one", "B": "shared", "C": "shared"}
-        trace = vote(answers, "undefined", table)
+        trace = ensemble_vote(answers, "undefined", table)
         assert trace.winner.model == "A"  # best overall, despite the duplicate pair
         assert trace.reason is Reason.UNDEFINED_FALLBACK
 
@@ -109,13 +111,13 @@ class TestVoteSemantics:
         table = self.make_table(label="undefined")
         config = VoteConfig(undefined_special_case=False)
         answers = {"A": "one", "B": "shared", "C": "shared"}
-        trace = vote(answers, "undefined", table, config)
+        trace = ensemble_vote(answers, "undefined", table, config)
         assert trace.winner.answer == "shared"
 
     def test_normalized_equality_merges_article_variants(self):
         table = self.make_table()
         answers = {"A": "one", "B": "the shared", "C": "Shared!"}
-        trace = vote(answers, "what", table)
+        trace = ensemble_vote(answers, "what", table)
         assert trace.winner.model == "B"
         assert trace.reason is Reason.MERGED_DUPLICATES
 
@@ -123,7 +125,7 @@ class TestVoteSemantics:
         table = self.make_table()
         config = VoteConfig(duplicate_equality=Equality.RAW)
         answers = {"A": "one", "B": "the shared", "C": "Shared!"}
-        trace = vote(answers, "what", table, config)
+        trace = ensemble_vote(answers, "what", table, config)
         assert trace.winner.model == "A"
         assert trace.reason is Reason.HIGHEST_WEIGHT_NO_DUPLICATES
 
@@ -131,14 +133,14 @@ class TestVoteSemantics:
         weights = {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}
         table = table_for(weights, weights, label="what")
         answers = {"a": "x", "b": "y", "c": "x", "d": "y"}
-        trace = vote(answers, "what", table)
+        trace = ensemble_vote(answers, "what", table)
         assert trace.winner.model == "a"
         assert trace.winner.answer == "x"
 
     def test_no_duplicate_tie_breaks_to_earlier_model(self):
         weights = {"a": 0.5, "b": 0.5}
         table = table_for(weights, weights, label="what")
-        trace = vote({"a": "x", "b": "y"}, "what", table)
+        trace = ensemble_vote({"a": "x", "b": "y"}, "what", table)
         assert trace.winner.model == "a"
 
     def test_scaling_weights_never_changes_winner(self):
@@ -156,7 +158,7 @@ class TestVoteSemantics:
                     for factor in (1, 2, 4)
                 ]
                 winners = {
-                    vote(answers, qclass, t, config).winner.model
+                    ensemble_vote(answers, qclass, t, config).winner.model
                     for t in tables
                 }
                 assert len(winners) == 1
@@ -165,7 +167,7 @@ class TestVoteSemantics:
         table = self.make_table()
         answers = {"A": "same", "B": "same", "C": "same"}
         for config in ALL_CONFIGS:
-            trace = vote(answers, "what", table, config)
+            trace = ensemble_vote(answers, "what", table, config)
             assert trace.winner.answer == "same"
 
     def test_winner_is_always_a_candidate_answer(self):
@@ -174,27 +176,8 @@ class TestVoteSemantics:
             models, answers, class_fracs, global_fracs, qclass = random_instance(rng)
             table = build_table(models, class_fracs, global_fracs, qclass)
             config = rng.choice(ALL_CONFIGS)
-            trace = vote(answers, qclass, table, config)
+            trace = ensemble_vote(answers, qclass, table, config)
             assert trace.winner.answer in answers.values()
-
-
-class TestVoteErrors:
-    def test_empty_candidates(self):
-        table = table_for({"m": 0.5}, {"m": 0.5})
-        with pytest.raises(VoteError, match="empty"):
-            vote({}, "what", table)
-
-    def test_unknown_model(self):
-        table = table_for({"m": 0.5}, {"m": 0.5})
-        with pytest.raises(VoteError, match="unknown"):
-            vote({"ghost": "x"}, "what", table)
-
-    def test_candidates_for_unknown_model(self):
-        # Building the candidates from an answer mapping rejects any model the
-        # table does not know, even next to a known one.
-        table = table_for({"m": 0.5}, {"m": 0.5})
-        with pytest.raises(VoteError, match="unknown"):
-            vote({"m": "x", "ghost": "x"}, "what", table)
 
 
 class TestModeDegeneracy:
@@ -220,8 +203,8 @@ class TestModeDegeneracy:
                 qclass = rng.choice(labels)
                 for combine in (Combine.SUM, Combine.MAX):
                     config = VoteConfig(combine=combine, undefined_special_case=False)
-                    win_class = vote(answers, qclass, table, config).winner
-                    win_global = vote(answers, qclass, no_class_rows, config).winner
+                    win_class = ensemble_vote(answers, qclass, table, config).winner
+                    win_global = ensemble_vote(answers, qclass, no_class_rows, config).winner
                     assert (win_class.model, win_class.answer) == (
                         win_global.model, win_global.answer,
                     )
@@ -307,19 +290,21 @@ _ANSWERS = st.one_of(
     st.text(max_size=6),
 )
 _WEIGHTS = st.sampled_from([0.1, 1 / 3, 1e-05, 0.0, 1.0, 0.1 + 0.2, 0.25, 2 / 3, -0.0, 1])
+# Dyadic weights (k/64), as random_instance draws: float sums are exact.
+_DYADIC_WEIGHTS = st.integers(0, 64).map(lambda k: k / 64)
 _MODELS = ("m1", 'q"2', "é3", "m4")
 _LABELS = ("what", "who", "undefined", "no_such_label")
 _QUESTIONS = make_dataset(uniform_counts(1))  # 14 questions, one per template
 
 
 @st.composite
-def _ensembles(draw):
+def _ensembles(draw, weights=_WEIGHTS):
     """(dataset, predictions, table, classifier, config) over _QUESTIONS."""
     models = _MODELS[: draw(st.integers(1, len(_MODELS)))]
     weight_rows = {
-        label: {m: draw(_WEIGHTS) for m in models} for label in _LABELS[:2]
+        label: {m: draw(weights) for m in models} for label in _LABELS[:2]
     }
-    global_weights = {m: draw(_WEIGHTS) for m in models}
+    global_weights = {m: draw(weights) for m in models}
     table = table_for(weight_rows["what"], global_weights, models=models)
     table = replace(table, class_weights=weight_rows)
     ids = _QUESTIONS.ids
@@ -336,35 +321,45 @@ def _ensembles(draw):
 class TestTraceLines:
     """save_traces writes each line straight from the trace; trace_json_dict is the reference."""
 
-    @given(case=_ensembles(), data=st.data())
+    @given(case=_ensembles())
     @settings(max_examples=150, deadline=None)
-    def test_lines_equal_json_dumps_of_trace_json_dict(self, tmp_path_factory, case, data):
+    def test_lines_equal_json_dumps_of_trace_json_dict(self, tmp_path_factory, case):
         dataset, predictions, table, classifier, config = case
         _, traces = run_ensemble(dataset, predictions, table, classifier, config)
-        # A vote on part of the models has its own candidates and row.
-        models = data.draw(st.lists(st.sampled_from(table.models), min_size=1, unique=True))
-        answers = {m: data.draw(_ANSWERS) for m in models}
-        label = data.draw(st.sampled_from(_LABELS))
-        if not (config.undefined_special_case and label == "undefined"
-                and table.best_overall not in answers):
-            traces.append(vote(answers, label, table, config, question_id='q"\\'))
         path = tmp_path_factory.getbasetemp() / "trace.jsonl"
         save_traces(traces, path)
         want = "".join(json.dumps(trace_json_dict(t), ensure_ascii=False) + "\n" for t in traces)
         assert path.read_text(encoding="utf-8") == want
 
-    @given(case=_ensembles())
+
+class TestRunEnsembleAgainstOracle:
+    """Every winner of a whole run, with missing answers and several labels (one
+    without a row), equals the exact oracle's; dyadic weights make ties exact."""
+
+    @given(case=_ensembles(weights=_DYADIC_WEIGHTS))
     @settings(max_examples=150, deadline=None)
-    def test_run_ensemble_traces_equal_vote(self, case):
+    def test_every_winner_equals_oracle_vote(self, case):
         dataset, predictions, table, classifier, config = case
         ensemble, traces = run_ensemble(dataset, predictions, table, classifier, config)
         for item, trace in zip(dataset.items, traces, strict=True):
-            answers = {m: predictions[m].answers.get(item.id, "") for m in table.models}
-            want = vote(answers, classifier(item.question), table, config, question_id=item.id)
-            assert trace == want
-            assert (trace.candidates, trace.groups, trace.winner) == (
-                want.candidates, want.groups, want.winner)
-            assert ensemble.answers[item.id] == want.winner.answer
+            label = classifier(item.question)
+            row = table.class_weights.get(label, table.global_weights)
+            cands = [(m, predictions[m].answers.get(item.id, ""), Fraction(row[m]))
+                     for m in table.models]
+            want = oracle_vote(cands, label, table.models, table.best_overall, config)
+            assert (trace.winner.model, trace.winner.answer) == want
+            assert ensemble.answers[item.id] == want[1]
+
+
+class TestOneVotingPath:
+    """run_ensemble is the library's one vote: no other function builds a
+    trace or a decision table."""
+
+    def test_traces_and_decisions_are_built_only_by_run_ensemble(self):
+        def is_vote_core(func):
+            return isinstance(func, ast.Name) and func.id in ("VoteTrace", "_Decisions")
+
+        assert package_calls(is_vote_core) == {("voting", "run_ensemble")}
 
 
 class TestPerQuestionIndependence:

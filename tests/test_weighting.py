@@ -226,17 +226,19 @@ class TestWeightTable:
             (lambda d: d.update(models=["a", 2]), "$.models[1]"),
             (lambda d: d["global"].update(a=True), "$.global.a"),
             (lambda d: d["global"].update(a="0.6"), "$.global.a"),
+            (lambda d: d["global"].update(a=10**400), "$.global.a"),
             (lambda d: d.update({"global": [0.6, 0.4]}), "$.global"),
             (lambda d: d["classes"]["who"].update(b=True), "$.classes.who.b"),
+            (lambda d: d["classes"]["who"].update(b=-10**400), "$.classes.who.b"),
             (lambda d: d["classes"].update(who=[0.6, 0.4]), "$.classes.who"),
             (lambda d: d.update(classes=None), "$.classes"),
             (lambda d: d.update(metric_basis=1), "$.metric_basis"),
             (lambda d: d.update(best_overall=["a"]), "$.best_overall"),
         ],
         ids=[
-            "models-str", "model-int", "global-bool", "global-str", "global-list",
-            "class-weight-bool", "class-row-list", "classes-null", "basis-int",
-            "best-list",
+            "models-str", "model-int", "global-bool", "global-str", "global-huge-int",
+            "global-list", "class-weight-bool", "class-weight-huge-int", "class-row-list",
+            "classes-null", "basis-int", "best-list",
         ],
     )
     def test_wrong_field_type_rejected_without_coercion(self, tmp_path, mutate, field):

@@ -1,8 +1,9 @@
 """Reference trace encoding for test_voting: a trace as a plain JSON dict.
 
 The straightforward encoding that ``voting.save_traces`` replaced: build each
-trace's dict from its derived ``candidates``, ``groups`` and ``winner`` and
-hand it to ``json.dumps``. Every line ``save_traces`` writes must equal
+trace's dict from its derived ``candidates`` and ``winner`` and the groups
+named by its ``index_groups``, and hand it to ``json.dumps``. Every line
+``save_traces`` writes must equal
 ``json.dumps(trace_json_dict(trace), ensure_ascii=False)`` plus a newline.
 """
 from __future__ import annotations
@@ -20,11 +21,11 @@ def trace_json_dict(trace: VoteTrace) -> dict:
         ],
         "groups": [
             {
-                "answer": g.answer,
-                "models": list(g.models),
-                "combined_weight": g.combined_weight,
+                "answer": trace.answers[members[0]],
+                "models": [trace.models[i] for i in members],
+                "combined_weight": combined,
             }
-            for g in trace.groups
+            for members, combined in trace.index_groups
         ],
         "winner": {"model": trace.winner.model, "answer": trace.winner.answer},
         "reason": trace.reason.value,

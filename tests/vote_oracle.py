@@ -4,13 +4,16 @@ Groups candidate answers by pairwise equality with union-find and recomputes
 combined group weights from scratch in exact Fraction arithmetic. Random
 instances use dyadic weights (k/64) so float arithmetic in the production
 path is exact and winners must match the oracle bit-for-bit, ties included.
+``ensemble_vote`` puts one such instance through ``run_ensemble``, the
+library's one vote.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+from qavote.corpus import Dataset, ParagraphGroup, PredictionSet, QaItem
 from qavote.metrics import normalize_answer
-from qavote.voting import Combine, Equality, VoteConfig
+from qavote.voting import Combine, Equality, VoteConfig, VoteTrace, run_ensemble
 from qavote.weighting import MetricBasis, WeightTable
 
 
@@ -28,6 +31,21 @@ def table_for(class_weights_by_model, global_weights, label="what", models=None)
         global_weights=dict(global_weights),
         best_overall=best,
     )
+
+
+_ONE_QUESTION = Dataset(
+    items=(QaItem("q", "Which answer wins?", "context", ("gold",), (0,)),),
+    provenance="one question",
+    groups=(ParagraphGroup("p", "", "context", ("q",)),),
+)
+
+
+def ensemble_vote(answers, label, table, config=VoteConfig()) -> VoteTrace:
+    """The trace of ``run_ensemble`` on one question that every table model
+    answers as in ``answers`` (model -> answer) and that is classed ``label``."""
+    predictions = {m: PredictionSet(m, {"q": answers[m]}) for m in table.models}
+    _, (trace,) = run_ensemble(_ONE_QUESTION, predictions, table, lambda _: label, config)
+    return trace
 
 
 def _answers_equal(a, b, equality):
