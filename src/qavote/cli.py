@@ -10,8 +10,9 @@ that fails leaves the previous file as it was; the manifest is written last.
 
 Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
 exist, is a directory, or is a file where a directory is needed, 4 any
-``ValueError`` (a malformed input file or an invalid value; every layer's
-error class subclasses it), 1 anything else (with its traceback on stderr).
+``ValueError`` (a malformed input file or an invalid value, such as two
+outputs of one command naming one file; every layer's error class subclasses
+it), 1 anything else (with its traceback on stderr).
 The classifier is set by ``--rules`` or ``--length-buckets`` alone; no
 environment variable changes it.
 
@@ -143,6 +144,18 @@ def _score_models(args, dataset_flag: str, check=None, **config):
     }
     run = Run(inputs, {**classifier_cfg, **config, "missing_policy": policy.value})
     return classifier, reports, run
+
+
+def _check_distinct_outputs(args) -> None:
+    """Two output flags of one command may not name one file: the later write would
+    replace the earlier output. Checked before anything is read or written."""
+    flag_of: dict[str, str] = {}
+    for flag, dest in args.outputs.items():
+        path = getattr(args, dest)
+        if path:
+            other = flag_of.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise ValueError(f"{other} and {flag} name the same file {path!r}")
 
 
 def cmd_rules_show(args) -> None:
@@ -283,6 +296,14 @@ def cmd_compare(args) -> Run:
             raise ValueError("compare needs at least two --preds")
         if (args.csv or args.json_out) and len(pred_paths) > 2:
             raise ValueError("--csv/--json fit one pair; use --out-dir for more models")
+        if args.out_dir:
+            pair_of: dict[str, tuple[str, str]] = {}
+            for pair in combinations(pred_paths, 2):
+                stem = "{}_vs_{}".format(*pair)
+                other = pair_of.setdefault(stem, pair)
+                if other != pair:
+                    raise ValueError(f"--out-dir pairs {other} and {pair} both write "
+                                     f"{stem}.csv and {stem}.json")
 
     classifier, reports, run = _score_models(args, "dataset", check)
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -364,9 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
 
-    def command(name, func, help, *parents, under=sub):
+    def command(name, func, help, *parents, under=sub, outputs=None):
+        """``outputs``: output flag -> its dest, for commands with several output flags."""
         p = under.add_parser(name, parents=list(parents), help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, outputs=outputs or {})
         return p
 
     p_rules = sub.add_parser("rules", help="inspect classification rules")
@@ -376,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rules_show.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
     p_stats = command("classify-stats", cmd_classify_stats,
-                      "question-class histogram of a dataset", dataset, classifier)
+                      "question-class histogram of a dataset", dataset, classifier,
+                      outputs={"--csv": "csv", "--json": "json_out"})
     p_stats.add_argument("--csv", help="write the histogram as CSV")
     p_stats.add_argument("--json", dest="json_out", help="write the histogram as JSON")
 
@@ -391,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--out-dir", required=True)
 
     p_eval = command("evaluate", cmd_evaluate, "score prediction files against a dataset",
-                     dataset, preds, classifier, policy)
+                     dataset, preds, classifier, policy,
+                     outputs={"--json": "json_out", "--csv": "csv"})
     p_eval.add_argument("--json", dest="json_out", help="write the full report(s) as JSON")
     p_eval.add_argument("--csv", help="write the per-class breakdown as CSV")
 
@@ -404,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ens = command("ensemble", cmd_ensemble, "weighted-voting ensemble over prediction files",
-                    dataset, preds, classifier, out)
+                    dataset, preds, classifier, out, outputs={"--out": "out", "--trace": "trace"})
     p_ens.add_argument("--weights", required=True)
     p_ens.add_argument("--mode", choices=["class-aware", "global"], default="class-aware")
     p_ens.add_argument("--combine", choices=["sum", "max"], default="sum")
@@ -417,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--trace", help="write one JSON vote trace per question")
 
     p_cmp = command("compare", cmd_compare, "pairwise prediction-similarity statistics",
-                    dataset, preds, classifier, policy)
+                    dataset, preds, classifier, policy,
+                    outputs={"--csv": "csv", "--json": "json_out"})
     p_cmp.add_argument("--csv", help="write the per-class table (single pair only)")
     p_cmp.add_argument("--json", dest="json_out", help="write the report JSON (single pair only)")
     p_cmp.add_argument("--out-dir", help="write per-pair CSV+JSON files here")
@@ -443,6 +468,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         start = time.monotonic()
         try:
+            _check_distinct_outputs(args)
             run = args.func(args)
             if run and run.outputs:
                 manifest = {

@@ -17,15 +17,13 @@ function of the label's row and the pattern, and each pair is decided once
 per run (``_Decisions``). ``run_ensemble`` also fetches each label's row
 once and normalizes each distinct answer once per run. A ``VoteTrace`` keeps
 these compact fields and derives its candidates and winner on access;
-``save_traces`` writes each JSON line straight from them.
+``save_traces`` writes each trace's fields as one JSON line.
 """
 from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -89,7 +87,7 @@ class VoteTrace(NamedTuple):
     ``models``, ``answers`` and ``weights`` are the candidates in table
     order; each of ``index_groups`` is (candidate indices, combined weight),
     in the order of their first member. ``candidates`` and ``winner`` are
-    derived from these on access.
+    derived from these on access; a trace line holds the fields alone.
     """
 
     question_id: str
@@ -207,76 +205,8 @@ def run_ensemble(
     return PredictionSet(model_name="ensemble", answers=out), traces
 
 
-def _json_number(value: float) -> str:
-    """``json.dumps(value)``, which is ``float.__repr__`` for a finite float."""
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
-
-
-class _TraceLines:
-    """Each trace's JSON line, as ``json.dumps(..., ensure_ascii=False)`` would write
-    ``{"question_id", "question_class", "candidates": [{"model", "answer", "weight"}],
-    "groups": [{"answer", "models", "combined_weight"}], "winner": {"model", "answer"},
-    "reason"}``, and a newline.
-
-    What depends only on a trace's models and weight row (the candidates'
-    names and weight reprs, the models list of each member set) is built
-    once per row; the row stays referenced, so no other row takes its id.
-    The repr of each combined weight is built once per value.
-    """
-
-    def __init__(self):
-        self._rows: dict[tuple[int, int], tuple] = {}
-        self._reprs: dict[float, str] = {}
-
-    def _row_parts(self, trace: VoteTrace) -> tuple:
-        key = (id(trace.models), id(trace.weights))
-        parts = self._rows.get(key)
-        if parts is None:
-            names = [encode_basestring(model) for model in trace.models]
-            candidates = [
-                (f'{{"model": {name}, "answer": ', f', "weight": {_json_number(weight)}}}')
-                for name, weight in zip(names, trace.weights)
-            ]
-            parts = self._rows[key] = (trace.models, trace.weights, names, candidates, {})
-        return parts
-
-    def _combined(self, value: float) -> str:
-        # Equal keys need not have equal reprs: 0.0 == -0.0 and 1 == 1.0.
-        if not value or type(value) is not float:
-            return _json_number(value)
-        text = self._reprs.get(value)
-        if text is None:
-            text = self._reprs[value] = _json_number(value)
-        return text
-
-    def line(self, trace: VoteTrace) -> str:
-        _, _, names, candidate_parts, model_lists = self._row_parts(trace)
-        answers = [encode_basestring(answer) for answer in trace.answers]
-        candidates = ", ".join(
-            [head + answer + tail for (head, tail), answer in zip(candidate_parts, answers)]
-        )
-        groups = []
-        for members, combined in trace.index_groups:
-            model_list = model_lists.get(members)
-            if model_list is None:
-                model_list = model_lists[members] = ", ".join([names[i] for i in members])
-            groups.append(
-                f'{{"answer": {answers[members[0]]}, "models": [{model_list}], '
-                f'"combined_weight": {self._combined(combined)}}}'
-            )
-        w = trace.winner_index
-        return (
-            f'{{"question_id": {encode_basestring(trace.question_id)}, '
-            f'"question_class": {encode_basestring(trace.question_class)}, '
-            f'"candidates": [{candidates}], "groups": [{", ".join(groups)}], '
-            f'"winner": {{"model": {names[w]}, "answer": {answers[w]}}}, '
-            f'"reason": {encode_basestring(trace.reason.value)}}}\n'
-        )
-
-
 def save_traces(traces: Iterable[VoteTrace], path: str | Path) -> None:
-    """Write one JSON object per line, in the given order."""
+    """Write each trace as one JSON object of its fields, one per line, in the given order."""
     with atomic_write(path) as fh:
-        fh.writelines(map(_TraceLines().line, traces))
+        for trace in traces:
+            fh.write(json.dumps(trace._asdict(), ensure_ascii=False) + "\n")

@@ -719,6 +719,37 @@ class TestErrorCodes:
         assert rc == 4
         assert "--out-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("ensemble", ("--out", "--trace")),
+        ("evaluate", ("--json", "--csv")),
+        ("classify-stats", ("--csv", "--json")),
+        ("compare", ("--csv", "--json")),
+    ])
+    def test_two_outputs_naming_one_file_exit_four(self, run_inputs, capsys, command, flags):
+        corpus, preds, weights, out = run_inputs
+        two = pred_flags(dict(list(preds.items())[:2]))
+        argv = {
+            "ensemble": ["--dataset", str(corpus), *pred_flags(preds), "--weights", str(weights)],
+            "evaluate": ["--dataset", str(corpus), *two],
+            "classify-stats": ["--dataset", str(corpus)],
+            "compare": ["--dataset", str(corpus), *two],
+        }[command]
+        first, second = flags
+        rc = main([command, *argv, first, str(out / "same"), second, str(out / "." / "same")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert first in err and second in err and len(err.splitlines()) == 1
+        assert list(out.iterdir()) == []
+
+    def test_compare_pair_files_that_collide_exit_four(self, run_inputs, capsys):
+        corpus, preds, _, out = run_inputs
+        models = [f"--preds={name}={preds['m1']}" for name in ("a_vs", "b", "a", "vs_b")]
+        rc = main(["compare", "--dataset", str(corpus), *models, "--out-dir", str(out / "cmp")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "('a_vs', 'b')" in err and "('a', 'vs_b')" in err and "a_vs_vs_b" in err
+        assert list(out.iterdir()) == []
+
     def test_unexpected_error_prints_traceback(self, corpus_file, monkeypatch, capsys):
         def crash(_):
             raise RuntimeError("disk on fire")

@@ -36,7 +36,7 @@ from qavote.corpus import (
 )
 from qavote.synth import Corruption, load_profile
 from qavote.taxonomy import QuestionClass, load_rules
-from qavote.voting import _TraceLines, save_traces
+from qavote.voting import VoteTrace, save_traces
 from qavote.weighting import MetricBasis, load_weights
 
 
@@ -509,15 +509,15 @@ class TestAtomicWrites:
         manifest.write_bytes(b"GOOD\n")
 
         calls = []
-        original = _TraceLines.line
+        original = VoteTrace._asdict
 
-        def fail_on_second_trace(lines, trace):
+        def fail_on_second_trace(trace):  # save_traces encodes each line from this dict
             calls.append(trace)
             if len(calls) == 2:
                 raise RuntimeError("disk full")
-            return original(lines, trace)
+            return original(trace)
 
-        monkeypatch.setattr(_TraceLines, "line", fail_on_second_trace)
+        monkeypatch.setattr(VoteTrace, "_asdict", fail_on_second_trace)
         rc = main(["ensemble", "--dataset", str(dataset_path), *preds, "--weights", str(weights),
                    "--out", str(out), "--trace", str(target)])
         assert rc == 1

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gold_map, make_dataset, package_calls, uniform_counts
-from trace_reference import trace_json_dict
 from vote_oracle import (
     ALL_CONFIGS,
     build_table,
@@ -22,7 +21,7 @@ from vote_oracle import (
 )
 
 from qavote.corpus import Dataset, PredictionSet
-from qavote.metrics import QuestionScore, report_from_scores
+from qavote.metrics import QuestionScore, normalize_answer, report_from_scores
 from qavote.voting import (
     Combine,
     Equality,
@@ -264,7 +263,8 @@ class TestRunEnsemble:
         assert len(lines) == len(dataset)
         parsed = [json.loads(line) for line in lines]
         assert parsed[0]["question_id"] == dataset.ids[0]
-        assert {"question_class", "candidates", "groups", "winner", "reason"} <= set(parsed[0])
+        assert list(parsed[0]) == ["question_id", "question_class", "models", "answers",
+                                   "weights", "index_groups", "winner_index", "reason"]
 
     def test_undefined_questions_fall_back_in_full_run(self, rules):
         dataset = make_dataset({"undefined": 3})
@@ -319,17 +319,50 @@ def _ensembles(draw, weights=_WEIGHTS):
 
 
 class TestTraceLines:
-    """save_traces writes each line straight from the trace; trace_json_dict is the reference."""
+    """Each written line is one vote's record, and what it says is what the vote did."""
 
     @given(case=_ensembles())
     @settings(max_examples=150, deadline=None)
-    def test_lines_equal_json_dumps_of_trace_json_dict(self, tmp_path_factory, case):
+    def test_each_line_records_its_vote(self, tmp_path_factory, case):
         dataset, predictions, table, classifier, config = case
-        _, traces = run_ensemble(dataset, predictions, table, classifier, config)
+        ensemble, traces = run_ensemble(dataset, predictions, table, classifier, config)
         path = tmp_path_factory.getbasetemp() / "trace.jsonl"
         save_traces(traces, path)
-        want = "".join(json.dumps(trace_json_dict(t), ensure_ascii=False) + "\n" for t in traces)
-        assert path.read_text(encoding="utf-8") == want
+        # one line per "\n": an answer's U+2028 stays raw, and str.splitlines would split it
+        *lines, end = path.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == len(dataset) and end == ""
+        combine = max if config.combine is Combine.MAX else sum
+        raw = config.duplicate_equality is Equality.RAW
+        key = str if raw else (lambda answer: tuple(normalize_answer(answer)))
+        for item, line in zip(dataset.items, lines):
+            record = json.loads(line)
+            label = classifier(item.question)
+            assert (record["question_id"], record["question_class"]) == (item.id, label)
+            assert record["models"] == list(table.models)
+            # repr tells -0.0 from 0.0 and the int 1 from 1.0
+            assert repr(record["weights"]) == repr(list(table.row(label)))
+            answers = [predictions[m].answers.get(item.id, "") for m in table.models]
+            assert record["answers"] == answers
+            assert answers[record["winner_index"]] == ensemble.answers[item.id]
+            groups = record["index_groups"]
+            if not groups:
+                assert record["reason"] == Reason.UNDEFINED_FALLBACK.value
+                assert record["winner_index"] == table.models.index(table.best_overall)
+                continue
+            members = [i for group, _ in groups for i in group]
+            assert sorted(members) == list(range(len(answers)))
+            # each group is one class of duplicates
+            group_keys = [{key(answers[i]) for i in group} for group, _ in groups]
+            assert all(len(keys) == 1 for keys in group_keys)
+            assert len(set().union(*group_keys)) == len(groups)
+            for group, combined in groups:
+                assert group == sorted(group)
+                assert repr(combined) == repr(combine([record["weights"][i] for i in group]))
+            assert [group[0] for group, _ in groups] == sorted(group[0] for group, _ in groups)
+            if len(groups) < len(answers):
+                assert record["reason"] == Reason.MERGED_DUPLICATES.value
+            else:
+                assert record["reason"] == Reason.HIGHEST_WEIGHT_NO_DUPLICATES.value
 
 
 class TestRunEnsembleAgainstOracle:
