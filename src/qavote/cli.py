@@ -1,18 +1,19 @@
 """Command-line surface: ingest -> classify -> split -> weights -> ensemble -> evaluate -> compare.
 
-Every command that writes a file also writes a run manifest,
-``<first output>.manifest.json`` (``split``: ``<out-dir>/split.manifest.json``),
-so any run can be reproduced exactly. Its keys, in order: ``command``,
-``inputs`` (flag or model name -> path), ``config``, ``seeds``, ``outputs``,
-``duration_seconds`` and ``tool_version``. Each output and manifest is
-written to a temporary file and then renamed over its path, so a write
-that fails leaves the previous file as it was; the manifest is written last.
+Each command names the files it writes once, from its flags alone, and writes a run
+manifest beside them so any run can be reproduced: ``<out-dir>/<command>.manifest.json``
+under ``--out-dir`` (split, compare), else ``<first output>.manifest.json``. Before
+any input is read, ``main`` checks that no two of these files name one file. The
+manifest's keys, in order: ``command``, ``inputs`` (flag or model name -> path),
+``config``, ``seeds``, ``outputs``, ``duration_seconds`` and ``tool_version``.
+Each file is written to a temporary file and then renamed over its path, so a
+write that fails leaves the previous file as it was; the manifest is written last.
 
 Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
 exist, is a directory, or is a file where a directory is needed, 4 any
-``ValueError`` (a malformed input file or an invalid value, such as two
-outputs of one command naming one file; every layer's error class subclasses
-it), 1 anything else (with its traceback on stderr).
+``ValueError`` (a malformed input file or an invalid value, such as two files of
+one command naming one file; every layer's error class subclasses it), 1 anything
+else (with its traceback on stderr).
 The classifier is set by ``--rules`` or ``--length-buckets`` alone; no
 environment variable changes it.
 
@@ -49,7 +50,7 @@ from .corpus import (
     write_json,
 )
 from .metrics import MissingPolicy, evaluate, save_report_csv, save_report_json
-from .synth import AccuracyProfile, Corruption, generate_predictions, load_profile
+from .synth import generate_predictions, load_profile
 from .taxonomy import (
     ClassRuleSet,
     LengthClassifier,
@@ -75,17 +76,11 @@ EXIT_OTHER = 1
 
 @dataclass
 class Run:
-    """What a command read, its config and seeds, and the files it wrote.
-
-    ``main`` writes this with the command's name, duration and tool version
-    to ``<base>.manifest.json``; ``base`` defaults to the first output.
-    """
+    """What a command read, its config and seeds, for ``main`` to write to its manifest."""
 
     inputs: dict
     config: dict
-    outputs: list = field(default_factory=list)
     seeds: dict = field(default_factory=dict)
-    base: Path | None = None
 
 
 def _classifier_from_args(args):
@@ -127,17 +122,14 @@ def _model_inputs(args, *flags: str) -> tuple[dict[str, Path], dict[str, str]]:
     return pred_paths, {name: str(path) for name, path in files.items()}
 
 
-def _score_models(args, dataset_flag: str, check=None, **config):
+def _score_models(args, dataset_flag: str, **config):
     """What evaluate, weights and compare share: the classifier, ``{name: report}``
     of every --preds model on the dataset, and a Run holding their manifest inputs
-    and config (``config`` goes between the classifier's and the policy's keys).
-    ``check`` sees the --preds paths before any model file is read."""
+    and config (``config`` goes between the classifier's and the policy's keys)."""
     classifier, classifier_cfg = _classifier_from_args(args)
     dataset = load_dataset(getattr(args, dataset_flag))
     policy = MissingPolicy(args.missing_policy.replace("-", "_"))
     pred_paths, inputs = _model_inputs(args, dataset_flag)
-    if check:
-        check(pred_paths)
     reports = {
         name: evaluate(load_predictions(path, name), dataset, classifier, policy)
         for name, path in pred_paths.items()
@@ -146,16 +138,35 @@ def _score_models(args, dataset_flag: str, check=None, **config):
     return classifier, reports, run
 
 
-def _check_distinct_outputs(args) -> None:
-    """Two output flags of one command may not name one file: the later write would
-    replace the earlier output. Checked before anything is read or written."""
-    flag_of: dict[str, str] = {}
-    for flag, dest in args.outputs.items():
-        path = getattr(args, dest)
-        if path:
-            other = flag_of.setdefault(os.path.realpath(path), flag)
-            if other != flag:
-                raise ValueError(f"{other} and {flag} name the same file {path!r}")
+def _split_paths(args) -> list[Path]:
+    """The train, pre-evaluation and split-manifest files ``split`` writes."""
+    return [Path(args.out_dir) / f for f in ("train.json", "pre_eval.json", "split_manifest.json")]
+
+
+def _pair_files(args, name_a: str, name_b: str) -> tuple[str, str]:
+    """The CSV and JSON files ``compare --out-dir`` writes for one pair of models."""
+    stem = Path(args.out_dir) / f"{name_a}_vs_{name_b}"
+    return f"{stem}.csv", f"{stem}.json"
+
+
+def _compare_plan(args) -> list:
+    names = list(_model_inputs(args, "dataset")[0])
+    if len(names) < 2:
+        raise ValueError("compare needs at least two --preds")
+    if (args.csv or args.json_out) and len(names) > 2:
+        raise ValueError("--csv/--json fit one pair; use --out-dir for more models")
+    pairs = list(combinations(names, 2)) if args.out_dir else []
+    return [*((pair, path) for pair in pairs for path in _pair_files(args, *pair)),
+            ("--csv", args.csv), ("--json", args.json_out)]
+
+
+def _check_distinct(files) -> None:
+    """No two ``(label, path)`` files may name one file: the later would replace the earlier."""
+    first = {}
+    for i, (label, path) in enumerate(files):
+        j = first.setdefault(os.path.realpath(path), i)
+        if j != i:
+            raise ValueError(f"{files[j][0]} and {label} name the same file {str(path)!r}")
 
 
 def cmd_rules_show(args) -> None:
@@ -181,27 +192,21 @@ def cmd_classify_stats(args) -> Run:
     for label, count, share in rows:
         print(f"{label:<16} {count:>8} {share:>6.1f}%")
 
-    run = Run({"dataset": str(args.dataset)}, classifier_cfg)
     if args.csv:
         with atomic_write(args.csv) as fh:
             fh.write("class,count,percentage\n")
             for label, count, share in rows:
                 fh.write(f"{label},{count},{share:.1f}\n")
-        run.outputs.append(args.csv)
     if args.json_out:
         write_json({"counts": hist.counts, "total": hist.total}, args.json_out, indent=1)
-        run.outputs.append(args.json_out)
-    return run
+    return Run({"dataset": str(args.dataset)}, classifier_cfg)
 
 
 def cmd_split(args) -> Run:
     dataset = load_dataset(args.dataset)
     split = split_pre_eval(dataset, args.fraction, args.seed, args.granularity)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_path = out_dir / "train.json"
-    pre_eval_path = out_dir / "pre_eval.json"
-    manifest_path = out_dir / "split_manifest.json"
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    train_path, pre_eval_path, manifest_path = _split_paths(args)
     save_dataset(split.train, train_path)
     save_dataset(split.pre_eval, pre_eval_path)
     save_split_manifest(split, manifest_path)
@@ -214,8 +219,6 @@ def cmd_split(args) -> Run:
         inputs={"dataset": str(args.dataset)},
         config={"fraction": args.fraction, "granularity": str(split.granularity)},
         seeds={"split": args.seed},
-        outputs=[train_path, pre_eval_path, manifest_path],
-        base=out_dir / "split",
     )
 
 
@@ -228,10 +231,8 @@ def cmd_evaluate(args) -> Run:
         )
     if args.json_out:
         save_report_json(reports, args.json_out)
-        run.outputs.append(args.json_out)
     if args.csv:
         save_report_csv(eval_breakdown_csv(list(reports.values())), args.csv)
-        run.outputs.append(args.csv)
     return run
 
 
@@ -249,7 +250,6 @@ def cmd_weights(args) -> Run:
     for model in table.models:
         marker = " (best overall)" if model == table.best_overall else ""
         print(f"{model}: global weight {table.global_weights[model]:.4f}{marker}")
-    run.outputs.append(args.out)
     return run
 
 
@@ -272,10 +272,8 @@ def cmd_ensemble(args) -> Run:
     )
     ensemble, traces = run_ensemble(dataset, predictions, table, classifier, config)
     save_predictions(ensemble, args.out)
-    outputs = [args.out]
     if args.trace:
         save_traces(traces, args.trace)
-        outputs.append(args.trace)
     print(f"ensemble answers for {len(ensemble)} questions -> {args.out}")
     return Run(
         inputs,
@@ -286,29 +284,21 @@ def cmd_ensemble(args) -> Run:
             "undefined_special_case": config.undefined_special_case,
             "duplicate_equality": config.duplicate_equality.value,
         },
-        outputs,
     )
 
 
-def cmd_compare(args) -> Run:
-    def check(pred_paths):
-        if len(pred_paths) < 2:
-            raise ValueError("compare needs at least two --preds")
-        if (args.csv or args.json_out) and len(pred_paths) > 2:
-            raise ValueError("--csv/--json fit one pair; use --out-dir for more models")
-        if args.out_dir:
-            pair_of: dict[str, tuple[str, str]] = {}
-            for pair in combinations(pred_paths, 2):
-                stem = "{}_vs_{}".format(*pair)
-                other = pair_of.setdefault(stem, pair)
-                if other != pair:
-                    raise ValueError(f"--out-dir pairs {other} and {pair} both write "
-                                     f"{stem}.csv and {stem}.json")
+def _write_similarity(report, csv_path, json_path) -> None:
+    if csv_path:
+        with atomic_write(csv_path) as fh:
+            fh.write(similarity_csv(report))
+    if json_path:
+        save_similarity_json(report, json_path)
 
-    classifier, reports, run = _score_models(args, "dataset", check)
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+
+def cmd_compare(args) -> Run:
+    classifier, reports, run = _score_models(args, "dataset")
+    if args.out_dir:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     for name_a, name_b in combinations(reports, 2):
         report = pairwise_similarity(reports[name_a], reports[name_b], classifier.labels)
         o = report.overall
@@ -318,32 +308,16 @@ def cmd_compare(args) -> Run:
             f"{100 * report.mean_of_equal_f1s:.1f}%, EM true among equal "
             f"{report.equal_em_true_count} ({100 * report.equal_em_true_rate:.1f}%)"
         )
-        targets = [(args.csv, args.json_out)]
-        if out_dir:
-            pair = out_dir / f"{name_a}_vs_{name_b}"
-            targets.insert(0, (f"{pair}.csv", f"{pair}.json"))
-        for csv_path, json_path in targets:
-            if csv_path:
-                with atomic_write(csv_path) as fh:
-                    fh.write(similarity_csv(report))
-                run.outputs.append(csv_path)
-            if json_path:
-                save_similarity_json(report, json_path)
-                run.outputs.append(json_path)
+        if args.out_dir:
+            _write_similarity(report, *_pair_files(args, name_a, name_b))
+        _write_similarity(report, args.csv, args.json_out)
     return run
 
 
 def cmd_synth(args) -> Run:
     classifier, classifier_cfg = _classifier_from_args(args)
     dataset = load_dataset(args.dataset)
-    if args.profile:
-        profile = load_profile(args.profile)
-    else:
-        profile = AccuracyProfile(
-            per_class={label: args.prob_all for label in classifier.labels},
-            corruption=Corruption(args.corruption),
-            seed=args.seed,
-        )
+    profile = load_profile(args.profile)
     preds = generate_predictions(dataset, profile, args.name, classifier)
     save_predictions(preds, args.out)
     note = ""
@@ -351,11 +325,10 @@ def cmd_synth(args) -> Run:
         note = f" ({len(preds.meta['sentinel_fallback_ids'])} sentinel fallbacks)"
     print(f"generated {len(preds)} synthetic answers as {args.name!r} -> {args.out}{note}")
     return Run(
-        inputs={"dataset": str(args.dataset), "profile": str(args.profile or "<inline>")},
+        inputs={"dataset": str(args.dataset), "profile": str(args.profile)},
         config={**classifier_cfg, "corruption": profile.corruption.value,
                 "model_name": args.name},
         seeds={"profile": profile.seed},
-        outputs=[args.out],
     )
 
 
@@ -385,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
 
-    def command(name, func, help, *parents, under=sub, outputs=None):
-        """``outputs``: output flag -> its dest, for commands with several output flags."""
+    def command(name, func, help, *parents, under=sub, plan=lambda args: []):
+        """``plan(args)``: ``(flag or model pair, path)`` of each file written, in order."""
         p = under.add_parser(name, parents=list(parents), help=help)
-        p.set_defaults(func=func, outputs=outputs or {})
+        p.set_defaults(func=func, plan=plan)
         return p
 
     p_rules = sub.add_parser("rules", help="inspect classification rules")
@@ -399,11 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = command("classify-stats", cmd_classify_stats,
                       "question-class histogram of a dataset", dataset, classifier,
-                      outputs={"--csv": "csv", "--json": "json_out"})
+                      plan=lambda a: [("--csv", a.csv), ("--json", a.json_out)])
     p_stats.add_argument("--csv", help="write the histogram as CSV")
     p_stats.add_argument("--json", dest="json_out", help="write the histogram as JSON")
 
-    p_split = command("split", cmd_split, "deterministic train / pre-evaluation split", dataset)
+    p_split = command("split", cmd_split, "deterministic train / pre-evaluation split", dataset,
+                      plan=lambda a: [("--out-dir", path) for path in _split_paths(a)])
     p_split.add_argument("--fraction", type=float, required=True)
     p_split.add_argument("--seed", type=int, required=True)
     p_split.add_argument(
@@ -415,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = command("evaluate", cmd_evaluate, "score prediction files against a dataset",
                      dataset, preds, classifier, policy,
-                     outputs={"--json": "json_out", "--csv": "csv"})
+                     plan=lambda a: [("--json", a.json_out), ("--csv", a.csv)])
     p_eval.add_argument("--json", dest="json_out", help="write the full report(s) as JSON")
     p_eval.add_argument("--csv", help="write the per-class breakdown as CSV")
 
     p_weights = command("weights", cmd_weights, "voting weights from a pre-evaluation dataset",
-                        preds, classifier, policy, out)
+                        preds, classifier, policy, out, plan=lambda a: [("--out", a.out)])
     p_weights.add_argument("--pre-eval", required=True)
     p_weights.add_argument("--basis", choices=["f1", "em"], default="f1")
     p_weights.add_argument(
@@ -428,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ens = command("ensemble", cmd_ensemble, "weighted-voting ensemble over prediction files",
-                    dataset, preds, classifier, out, outputs={"--out": "out", "--trace": "trace"})
+                    dataset, preds, classifier, out,
+                    plan=lambda a: [("--out", a.out), ("--trace", a.trace)])
     p_ens.add_argument("--weights", required=True)
     p_ens.add_argument("--mode", choices=["class-aware", "global"], default="class-aware")
     p_ens.add_argument("--combine", choices=["sum", "max"], default="sum")
@@ -441,20 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--trace", help="write one JSON vote trace per question")
 
     p_cmp = command("compare", cmd_compare, "pairwise prediction-similarity statistics",
-                    dataset, preds, classifier, policy,
-                    outputs={"--csv": "csv", "--json": "json_out"})
+                    dataset, preds, classifier, policy, plan=_compare_plan)
     p_cmp.add_argument("--csv", help="write the per-class table (single pair only)")
     p_cmp.add_argument("--json", dest="json_out", help="write the report JSON (single pair only)")
     p_cmp.add_argument("--out-dir", help="write per-pair CSV+JSON files here")
 
     p_synth = command("synth", cmd_synth, "generate synthetic prediction files",
-                      dataset, classifier, out)
-    p_synth.add_argument("--profile", help="accuracy profile JSON")
-    p_synth.add_argument("--prob-all", type=float, default=0.0,
-                         help="without --profile: gold probability for every class")
-    p_synth.add_argument("--corruption", choices=[c.value for c in Corruption],
-                         default=Corruption.DISJOINT_TOKEN.value)
-    p_synth.add_argument("--seed", type=int, default=0)
+                      dataset, classifier, out, plan=lambda a: [("--out", a.out)])
+    p_synth.add_argument("--profile", required=True, help="accuracy profile JSON")
     p_synth.add_argument("--name", required=True, help="model name for the output")
 
     return parser
@@ -468,19 +437,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         start = time.monotonic()
         try:
-            _check_distinct_outputs(args)
+            outputs = [(label, path) for label, path in args.plan(args) if path]
+            if outputs:
+                out_dir = getattr(args, "out_dir", None)
+                base = Path(out_dir) / args.command if out_dir is not None else outputs[0][1]
+                manifest_path = f"{base}.manifest.json"
+                _check_distinct([*outputs, ("the manifest", manifest_path)])
             run = args.func(args)
-            if run and run.outputs:
+            if outputs:
                 manifest = {
                     "command": args.command,
                     "inputs": run.inputs,
                     "config": run.config,
                     "seeds": run.seeds,
-                    "outputs": [str(path) for path in run.outputs],
+                    "outputs": [str(path) for _, path in outputs],
                     "duration_seconds": time.monotonic() - start,
                     "tool_version": __version__,
                 }
-                write_json(manifest, f"{run.base or run.outputs[0]}.manifest.json", indent=1)
+                write_json(manifest, manifest_path, indent=1)
             return EXIT_OK
         except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
                 ValueError) as exc:  # every layer's error class subclasses ValueError

@@ -304,10 +304,7 @@ OPTION_TABLES = {
                  _opt("--out", required=True), _opt("--trace")],
     "compare": [_DATASET, _PREDS, *_CLASSIFIER, _POLICY, _opt("--csv"),
                 _opt("--json", "json_out"), _opt("--out-dir")],
-    "synth": [_DATASET, _opt("--profile"), _opt("--prob-all", default=0.0, value_type="float"),
-              _opt("--corruption", default="disjoint_token",
-                   choices=["disjoint_token", "truncate_gold", "random_span"]),
-              _opt("--seed", default=0, value_type="int"), _opt("--name", required=True),
+    "synth": [_DATASET, _opt("--profile", required=True), _opt("--name", required=True),
               *_CLASSIFIER, _opt("--out", required=True)],
 }
 
@@ -398,6 +395,7 @@ def manifest_cases(corpus, preds, weights, out):
             "ensemble", {"dataset": d, "weights": w, **p}, config, outputs)
 
     pairs = ["m1_vs_m2", "m1_vs_m3", "m2_vs_m3"]
+    profile = write_profile(weights.parent, "m9", {f"len_{i}": 0.5 for i in range(3)}, 5)
     return {
         "classify-stats": (
             ["classify-stats", "--dataset", d, "--csv", str(out / "s.csv"),
@@ -412,10 +410,10 @@ def manifest_cases(corpus, preds, weights, out):
             expected("split", {"dataset": d}, {"fraction": 0.25, "granularity": "paragraph"},
                      ["train.json", "pre_eval.json", "split_manifest.json"], {"split": 7})),
         "synth": (
-            ["synth", "--dataset", d, "--length-buckets", "6,9", "--prob-all", "0.5",
-             "--seed", "5", "--name", "m9", "--out", str(out / "m9.json")],
+            ["synth", "--dataset", d, "--length-buckets", "6,9", "--profile", str(profile),
+             "--name", "m9", "--out", str(out / "m9.json")],
             out / "m9.json.manifest.json",
-            expected("synth", {"dataset": d, "profile": "<inline>"},
+            expected("synth", {"dataset": d, "profile": str(profile)},
                      {"length_buckets": [6, 9], "corruption": "disjoint_token",
                       "model_name": "m9"}, ["m9.json"], {"profile": 5})),
         "weights": (
@@ -446,7 +444,7 @@ def manifest_cases(corpus, preds, weights, out):
             expected("compare", {"dataset": d, **two}, score_as_empty, ["c.csv", "c.json"])),
         "compare-out-dir": (
             ["compare", "--dataset", d, *pred_flags(p), "--out-dir", str(out / "cmp")],
-            out / "cmp" / "m1_vs_m2.csv.manifest.json",
+            out / "cmp" / "compare.manifest.json",
             expected("compare", {"dataset": d, **p}, score_as_empty,
                      [f"cmp/{pair}.{kind}" for pair in pairs for kind in ("csv", "json")])),
     }
@@ -460,17 +458,19 @@ MANIFEST_CASES = ["classify-stats", "classify-stats-no-output", "split", "synth"
 class TestManifests:
     @pytest.mark.parametrize("case", MANIFEST_CASES)
     def test_manifest_of_every_command(self, run_inputs, case):
+        """The manifest lists every file the command wrote, and the command wrote
+        no other file besides the manifest."""
         cases = manifest_cases(*run_inputs)
         assert sorted(cases) == sorted(MANIFEST_CASES)
         argv, path, want = cases[case]
         out = run_inputs[-1]
         assert main(argv) == 0
-        written = sorted(p.relative_to(out) for p in out.rglob("*.manifest.json"))
+        written = sorted(str(p) for p in out.rglob("*") if p.is_file())
         if path is None:
             assert written == []
             return
-        assert written == [path.relative_to(out)]
         manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert written == sorted([*manifest["outputs"], str(path)])
         assert list(manifest) == MANIFEST_KEYS
         assert manifest.pop("duration_seconds") >= 0
         # json.dumps keeps key order, so this also pins the order of nested keys
@@ -584,7 +584,9 @@ class TestErrorCodes:
 
     def test_missing_output_directory_names_the_output(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "no_dir" / "m.json"
-        rc = main(["synth", "--dataset", str(corpus_file), "--name", "m", "--out", str(out)])
+        profile = write_profile(tmp_path, "m", {"what": 0.5}, 1)
+        rc = main(["synth", "--dataset", str(corpus_file), "--profile", str(profile),
+                   "--name", "m", "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
         assert f"'{out}'" in err and ".tmp" not in err
@@ -609,7 +611,9 @@ class TestErrorCodes:
     def test_output_that_is_a_directory_names_it(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "out_dir"
         out.mkdir()
-        rc = main(["synth", "--dataset", str(corpus_file), "--name", "m", "--out", str(out)])
+        profile = write_profile(tmp_path, "m", {"what": 0.5}, 1)
+        rc = main(["synth", "--dataset", str(corpus_file), "--profile", str(profile),
+                   "--name", "m", "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
         assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
@@ -706,6 +710,19 @@ class TestErrorCodes:
                 main(command + ["--preds", "a=a.json", "--threads", "2"])
             assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--prob-all", "0"], ["--corruption", "random_span"],
+                                       ["--seed", "9"]], ids=["no-profile", "prob-all",
+                                                             "corruption", "seed"])
+    def test_inline_profile_flags_are_gone(self, tmp_path, corpus_file, flags):
+        """A profile is given by --profile alone: these flags were silently ignored
+        next to it."""
+        profile = [] if not flags else ["--profile", str(write_profile(tmp_path, "m", {}, 1))]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "--dataset", str(corpus_file), *profile, *flags, "--name", "m",
+                  "--out", str(tmp_path / "m.json")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_compare_single_pair_outputs_rejected_before_scoring(
         self, tmp_path, corpus_file, monkeypatch, capsys
     ):
@@ -719,35 +736,52 @@ class TestErrorCodes:
         assert rc == 4
         assert "--out-dir" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flags", [
-        ("ensemble", ("--out", "--trace")),
-        ("evaluate", ("--json", "--csv")),
-        ("classify-stats", ("--csv", "--json")),
-        ("compare", ("--csv", "--json")),
+    @pytest.mark.parametrize("case", [
+        "ensemble", "ensemble-trace-manifest", "evaluate", "classify-stats",
+        "classify-stats-json-manifest", "compare", "compare-pairs", "compare-csv-pair",
+        "compare-json-manifest",
     ])
-    def test_two_outputs_naming_one_file_exit_four(self, run_inputs, capsys, command, flags):
+    def test_two_files_naming_one_file_exit_four(self, run_inputs, monkeypatch, capsys, case):
+        """No two files of one command, its manifest included, may name one file:
+        the later write would replace the earlier. Checked before any input is read."""
         corpus, preds, weights, out = run_inputs
-        two = pred_flags(dict(list(preds.items())[:2]))
-        argv = {
-            "ensemble": ["--dataset", str(corpus), *pred_flags(preds), "--weights", str(weights)],
-            "evaluate": ["--dataset", str(corpus), *two],
-            "classify-stats": ["--dataset", str(corpus)],
-            "compare": ["--dataset", str(corpus), *two],
-        }[command]
-        first, second = flags
-        rc = main([command, *argv, first, str(out / "same"), second, str(out / "." / "same")])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert first in err and second in err and len(err.splitlines()) == 1
-        assert list(out.iterdir()) == []
 
-    def test_compare_pair_files_that_collide_exit_four(self, run_inputs, capsys):
-        corpus, preds, _, out = run_inputs
-        models = [f"--preds={name}={preds['m1']}" for name in ("a_vs", "b", "a", "vs_b")]
-        rc = main(["compare", "--dataset", str(corpus), *models, "--out-dir", str(out / "cmp")])
-        assert rc == 4
+        def no_read(*_):
+            raise AssertionError("read the dataset before checking the output files")
+
+        monkeypatch.setattr("qavote.cli.load_dataset", no_read)
+        d, same, also_same = str(corpus), str(out / "same"), str(out / "." / "same")
+        two = pred_flags(dict(list(preds.items())[:2]))
+        ensemble = ["ensemble", "--dataset", d, *pred_flags(preds), "--weights", str(weights)]
+        a_b = [f"--preds={name}={preds['m1']}" for name in ("a", "b")]
+        compare_a_b = ["compare", "--dataset", d, *a_b, "--out-dir", str(out / "d")]
+        argv, names = {
+            "ensemble": ([*ensemble, "--out", same, "--trace", also_same], ["--out", "--trace"]),
+            "ensemble-trace-manifest": (
+                [*ensemble, "--out", str(out / "e.json"),
+                 "--trace", str(out / "e.json.manifest.json")], ["--trace", "the manifest"]),
+            "evaluate": (["evaluate", "--dataset", d, *two, "--json", same, "--csv", also_same],
+                         ["--json", "--csv"]),
+            "classify-stats": (["classify-stats", "--dataset", d, "--csv", same,
+                                "--json", also_same], ["--csv", "--json"]),
+            "classify-stats-json-manifest": (
+                ["classify-stats", "--dataset", d, "--csv", str(out / "h.csv"),
+                 "--json", str(out / "h.csv.manifest.json")], ["--json", "the manifest"]),
+            "compare": (["compare", "--dataset", d, *two, "--csv", same, "--json", also_same],
+                        ["--csv", "--json"]),
+            "compare-pairs": (
+                ["compare", "--dataset", d,
+                 *(f"--preds={name}={preds['m1']}" for name in ("a_vs", "b", "a", "vs_b")),
+                 "--out-dir", str(out / "cmp")], ["('a_vs', 'b')", "('a', 'vs_b')", "a_vs_vs_b"]),
+            "compare-csv-pair": ([*compare_a_b, "--csv", str(out / "d" / "a_vs_b.csv")],
+                                 ["('a', 'b')", "--csv"]),
+            "compare-json-manifest": (
+                [*compare_a_b, "--json", str(out / "d" / "compare.manifest.json")],
+                ["--json", "the manifest"]),
+        }[case]
+        assert main(argv) == 4
         err = capsys.readouterr().err
-        assert "('a_vs', 'b')" in err and "('a', 'vs_b')" in err and "a_vs_vs_b" in err
+        assert all(name in err for name in names) and len(err.splitlines()) == 1, err
         assert list(out.iterdir()) == []
 
     def test_unexpected_error_prints_traceback(self, corpus_file, monkeypatch, capsys):
