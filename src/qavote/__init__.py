@@ -32,11 +32,9 @@ from .metrics import (
     EvalReport,
     MissingPolicy,
     QuestionScore,
-    em,
     evaluate,
     normalize_answer,
     score_pair,
-    token_f1,
 )
 from .weighting import (
     MetricBasis,

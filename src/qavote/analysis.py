@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus import write_json
@@ -34,20 +34,6 @@ class SimilarityReport:
     equal_em_true_count: int
     equal_em_true_rate: float
 
-    def to_json_dict(self) -> dict:
-        def triple(t: SimTriple) -> dict:
-            return {"equal_f1": t.equal_f1, "equal_em": t.equal_em, "total": t.total}
-
-        return {
-            "model_a": self.model_a,
-            "model_b": self.model_b,
-            "per_class": {label: triple(t) for label, t in self.per_class.items()},
-            "overall": triple(self.overall),
-            "mean_of_equal_f1s": self.mean_of_equal_f1s,
-            "equal_em_true_count": self.equal_em_true_count,
-            "equal_em_true_rate": self.equal_em_true_rate,
-        }
-
 
 def pairwise_similarity(
     report_a: EvalReport,
@@ -67,12 +53,11 @@ def pairwise_similarity(
     equal_f1_n = 0
     equal_em_true = 0
     scores_b = report_b.per_question
-    for qid, label in report_a.labels.items():
+    for qid, score_a in report_a.per_question.items():
         score_b = scores_b.get(qid)
         if score_b is None:
             continue
-        score_a = report_a.per_question[qid]
-        bucket = counts.setdefault(label, [0, 0, 0])
+        bucket = counts.setdefault(score_a.label, [0, 0, 0])
         bucket[2] += 1
         if score_a.f1 == score_b.f1:
             bucket[0] += 1
@@ -166,4 +151,4 @@ def eval_breakdown_csv(reports: Sequence[EvalReport]) -> str:
 
 
 def save_similarity_json(report: SimilarityReport, path) -> None:
-    write_json(report.to_json_dict(), path, indent=1)
+    write_json(asdict(report), path, indent=1)

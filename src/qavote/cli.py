@@ -3,19 +3,20 @@
 Each command names the files it writes once, from its flags alone, and writes a run
 manifest beside them so any run can be reproduced: ``<out-dir>/<command>.manifest.json``
 under ``--out-dir`` (split, compare), else ``<first output>.manifest.json``. Before
-any input is read, ``main`` checks that no two of these files name one file. The
-manifest's keys, in order: ``command``, ``inputs`` (flag or model name -> path),
-``config``, ``seeds``, ``outputs``, ``duration_seconds`` and ``tool_version``.
+any input is read, ``main`` checks that no output flag is given as ``''`` and that
+no two of these files name one file. The manifest's keys, in order: ``command``,
+``inputs`` (flag or model name -> path), ``config``, ``seeds``, ``outputs``,
+``duration_seconds`` and ``tool_version``.
 Each file is written to a temporary file and then renamed over its path, so a
 write that fails leaves the previous file as it was; the manifest is written last.
 
 Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
 exist, is a directory, or is a file where a directory is needed, 4 any
-``ValueError`` (a malformed input file or an invalid value, such as two files of
-one command naming one file; every layer's error class subclasses it), 1 anything
-else (with its traceback on stderr).
-The classifier is set by ``--rules`` or ``--length-buckets`` alone; no
-environment variable changes it.
+``ValueError`` (a malformed input file or an invalid value, such as an empty path
+or two files of one command naming one file; every layer's error class subclasses
+it), 1 anything else (with its traceback on stderr).
+The classifier is set by ``--rules`` or ``--length-buckets`` alone, never both
+(exit 2); no environment variable changes it.
 
 ``main`` runs with the cyclic garbage collector paused and turns it back on
 (if it was on) when it returns. A command loads a whole corpus and builds
@@ -213,11 +214,11 @@ def cmd_split(args) -> Run:
     print(
         f"split {len(dataset)} questions -> train {len(split.train)}, "
         f"pre_eval {len(split.pre_eval)} (fraction {args.fraction}, seed {args.seed}, "
-        f"{split.granularity} granularity)"
+        f"{split.granularity.value} granularity)"
     )
     return Run(
         inputs={"dataset": str(args.dataset)},
-        config={"fraction": args.fraction, "granularity": str(split.granularity)},
+        config={"fraction": args.fraction, "granularity": split.granularity.value},
         seeds={"split": args.seed},
     )
 
@@ -346,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     preds = argparse.ArgumentParser(add_help=False)
     preds.add_argument("--preds", action="append", required=True, metavar="NAME=PATH")
     classifier = argparse.ArgumentParser(add_help=False)
-    classifier.add_argument("--rules", help="rule file (default: built-in)")
-    classifier.add_argument(
+    one_classifier = classifier.add_mutually_exclusive_group()
+    one_classifier.add_argument("--rules", help="rule file (default: built-in)")
+    one_classifier.add_argument(
         "--length-buckets",
         help="comma-separated word-count edges; classify by question length instead of rules",
     )
@@ -437,9 +439,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         start = time.monotonic()
         try:
-            outputs = [(label, path) for label, path in args.plan(args) if path]
+            out_dir = getattr(args, "out_dir", None)
+            planned = args.plan(args)
+            for label, path in [("--out-dir", out_dir), *planned]:
+                if path == "":  # given but empty; an unset optional output is None
+                    raise ValueError(f"{label} '': no path given")
+            outputs = [(label, path) for label, path in planned if path is not None]
             if outputs:
-                out_dir = getattr(args, "out_dir", None)
                 base = Path(out_dir) / args.command if out_dir is not None else outputs[0][1]
                 manifest_path = f"{base}.manifest.json"
                 _check_distinct([*outputs, ("the manifest", manifest_path)])

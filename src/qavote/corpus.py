@@ -236,9 +236,6 @@ class Granularity(str, enum.Enum):
     QUESTION = "question"
     PARAGRAPH = "paragraph"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class SplitResult:

@@ -9,13 +9,12 @@ code point the first time any text contains it and remembers the answer.
 
 Both metrics take the maximum over all gold answers. They share one token
 path: a scoring call normalizes the prediction and each gold once, and one
-comparison of the token lists yields both EM and F1 (``score_pair``; ``em``
-and ``token_f1`` are its two halves). One deliberate edge: a prediction and
-gold that both normalize to nothing score em=True, f1=1.0, keeping the
-``em implies f1 == 1`` invariant.
+comparison of the token lists yields both EM and F1 (``score_pair``). One
+deliberate edge: a prediction and gold that both normalize to nothing score
+em=True, f1=1.0, keeping the ``em implies f1 == 1`` invariant.
 
-``evaluate`` is the only place a question is scored. Its ``EvalReport``
-keeps each question's class label next to its score, so per-class
+``evaluate`` is the only place a question is scored. Each question of its
+``EvalReport`` is one ``QuestionScore(label, f1, em)``, so per-class
 statistics over several models (weights, pair comparisons) aggregate
 reports and never score or classify again.
 """
@@ -25,8 +24,8 @@ import enum
 import string
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import Dataset, PredictionSet, atomic_write, write_json
 
@@ -78,20 +77,10 @@ def _score_tokens(
 
 
 def score_pair(prediction: str, golds: Sequence[str]) -> tuple[float, bool]:
-    """(token_f1, em) for one prediction against its golds."""
+    """(f1, em) for one prediction: token F1 and exact match, each the best over the golds."""
     if not golds:
         raise ValueError("golds must be non-empty")
     return _score_tokens(normalize_answer(prediction), [normalize_answer(g) for g in golds])
-
-
-def em(prediction: str, golds: Sequence[str]) -> bool:
-    """True iff the normalized prediction equals some normalized gold."""
-    return score_pair(prediction, golds)[1]
-
-
-def token_f1(prediction: str, golds: Sequence[str]) -> float:
-    """Max over golds of the token-multiset F1 between prediction and gold."""
-    return score_pair(prediction, golds)[0]
 
 
 class MissingPolicy(str, enum.Enum):
@@ -100,21 +89,13 @@ class MissingPolicy(str, enum.Enum):
     SCORE_AS_EMPTY = "score_as_empty"  # treat as an empty-string prediction
     EXCLUDE = "exclude"  # drop from the report entirely
 
-    def __str__(self) -> str:
-        return self.value
 
+class QuestionScore(NamedTuple):
+    """One scored question: its class label, token F1 and exact match."""
 
-@dataclass(frozen=True)
-class QuestionScore:
-    id: str
+    label: str
     f1: float
     em: bool
-
-    def __post_init__(self):
-        if not 0.0 <= self.f1 <= 1.0:
-            raise ValueError(f"f1 out of range for {self.id!r}: {self.f1}")
-        if self.em and self.f1 != 1.0:
-            raise ValueError(f"em=True with f1={self.f1} for {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -126,32 +107,21 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-question scores with per-class and overall aggregates.
-
-    ``labels`` maps each scored question id to its class label, in dataset
-    order. It is what the aggregates were built from and is not serialized.
-    """
+    """Per-question scores, in dataset order, with per-class and overall aggregates."""
 
     per_question: dict[str, QuestionScore]
     per_class: dict[str, ClassStats]
     overall: ClassStats
     model: str = ""
     missing_policy: MissingPolicy = MissingPolicy.SCORE_AS_EMPTY
-    labels: dict[str, str] = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
+        """The report as JSON: the label of each question is not written."""
         return {
             "model": self.model,
             "missing_policy": self.missing_policy.value,
-            "overall": {
-                "mean_f1": self.overall.mean_f1,
-                "em_rate": self.overall.em_rate,
-                "count": self.overall.count,
-            },
-            "per_class": {
-                label: {"mean_f1": s.mean_f1, "em_rate": s.em_rate, "count": s.count}
-                for label, s in self.per_class.items()
-            },
+            "overall": asdict(self.overall),
+            "per_class": {label: asdict(s) for label, s in self.per_class.items()},
             "per_question": {
                 qid: {"f1": score.f1, "em": score.em}
                 for qid, score in sorted(self.per_question.items())
@@ -161,19 +131,24 @@ class EvalReport:
 
 def report_from_scores(
     scores: Mapping[str, QuestionScore],
-    labels_by_id: Mapping[str, str],
     model: str = "",
     missing_policy: MissingPolicy = MissingPolicy.SCORE_AS_EMPTY,
 ) -> EvalReport:
     """Aggregate per-question scores into an EvalReport.
 
-    Aggregation order is fixed (sorted question ids), so reports are
-    identical however the scores were produced. The report keeps the labels
-    of the scored questions in ``labels_by_id`` order.
+    Every f1 must lie in [0, 1] and an exact match must have f1 1.0; a score
+    that breaks either raises ValueError naming its question id. Aggregation
+    order is fixed (sorted question ids), so reports are identical however
+    the scores were produced; ``per_question`` keeps the order of ``scores``.
     """
+    by_id = sorted(scores.items())
     per_class_scores: dict[str, list[QuestionScore]] = {}
-    for qid in sorted(scores):
-        per_class_scores.setdefault(labels_by_id[qid], []).append(scores[qid])
+    for qid, score in by_id:
+        if not 0.0 <= score.f1 <= 1.0:
+            raise ValueError(f"f1 out of range for {qid!r}: {score.f1}")
+        if score.em and score.f1 != 1.0:
+            raise ValueError(f"em=True with f1={score.f1} for {qid!r}")
+        per_class_scores.setdefault(score.label, []).append(score)
 
     def stats(bucket: list[QuestionScore]) -> ClassStats:
         n = len(bucket)
@@ -189,10 +164,9 @@ def report_from_scores(
     return EvalReport(
         per_question=dict(scores),
         per_class=per_class,
-        overall=stats([scores[qid] for qid in sorted(scores)]),
+        overall=stats([score for _, score in by_id]),
         model=model,
         missing_policy=missing_policy,
-        labels={qid: label for qid, label in labels_by_id.items() if qid in scores},
     )
 
 
@@ -212,19 +186,15 @@ def evaluate(
     missing_policy = MissingPolicy(missing_policy)
     answers = predictions.answers
     scores: dict[str, QuestionScore] = {}
-    labels: dict[str, str] = {}
     for item in dataset.items:
         prediction = answers.get(item.id)
         if prediction is None:
             if missing_policy is MissingPolicy.EXCLUDE:
                 continue
             prediction = ""
-        f1, em_flag = score_pair(prediction, item.gold_answers)
-        scores[item.id] = QuestionScore(id=item.id, f1=f1, em=em_flag)
-        labels[item.id] = classifier(item.question)
-    return report_from_scores(
-        scores, labels, model=predictions.model_name, missing_policy=missing_policy
-    )
+        f1, em = score_pair(prediction, item.gold_answers)
+        scores[item.id] = QuestionScore(classifier(item.question), f1, em)
+    return report_from_scores(scores, model=predictions.model_name, missing_policy=missing_policy)
 
 
 def save_report_json(reports: Mapping[str, EvalReport], path) -> None:

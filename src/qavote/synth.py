@@ -23,9 +23,6 @@ class Corruption(str, enum.Enum):
     TRUNCATE_GOLD = "truncate_gold"  # gold minus its last normalized token
     RANDOM_SPAN = "random_span"  # uniform random context span
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class AccuracyProfile:

@@ -45,9 +45,6 @@ class QuestionClass(str, enum.Enum):
     WHOM = "whom"
     WHY = "why"
 
-    def __str__(self) -> str:  # so f-strings print "what", not "QuestionClass.WHAT"
-        return self.value
-
 
 #: Canonical label order used by reports and exports.
 CLASS_LABELS: tuple[str, ...] = tuple(c.value for c in QuestionClass)

@@ -37,25 +37,16 @@ class Combine(str, enum.Enum):
     SUM = "sum"
     MAX = "max"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class Equality(str, enum.Enum):
     RAW = "raw"
     NORMALIZED = "normalized"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class Reason(str, enum.Enum):
     MERGED_DUPLICATES = "merged_duplicates"
     HIGHEST_WEIGHT_NO_DUPLICATES = "highest_weight_no_duplicates"
     UNDEFINED_FALLBACK = "undefined_fallback"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class VoteError(ValueError):

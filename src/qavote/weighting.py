@@ -23,9 +23,6 @@ class MetricBasis(str, enum.Enum):
     MEAN_F1 = "mean_f1"
     EM_RATE = "em_rate"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class WeightError(ValueError):
     """Raised for inconsistent report sets or an inconsistent weight table."""

@@ -26,7 +26,7 @@ from vote_oracle import (
 
 from qavote.analysis import pairwise_similarity
 from qavote.corpus import PredictionSet, dataset_to_squad_dict, load_dataset, split_pre_eval
-from qavote.metrics import QuestionScore, em, evaluate, report_from_scores, token_f1
+from qavote.metrics import QuestionScore, evaluate, report_from_scores, score_pair
 from qavote.synth import AccuracyProfile, generate_predictions
 from qavote.taxonomy import CLASS_LABELS, class_distribution, default_rules
 from qavote.voting import Combine, VoteConfig, run_ensemble
@@ -100,8 +100,7 @@ class TestCriterion3MetricOracle:
         rows = json.loads(path.read_text(encoding="utf-8"))
         assert len(rows) >= 100
         for row in rows:
-            assert token_f1(row["prediction"], row["golds"]) == row["f1"], row
-            assert em(row["prediction"], row["golds"]) == row["em"], row
+            assert score_pair(row["prediction"], row["golds"]) == (row["f1"], row["em"]), row
         _pass(3, f"{len(rows)} scored pairs match the pre-computed oracle table exactly")
 
 
@@ -133,13 +132,12 @@ class TestCriterion5GlobalDegeneracy:
             labels = ["what", "who", "when", "undefined"]
             reports = {}
             for m in [f"m{i}" for i in range(1, rng.randint(2, 4) + 1)]:
-                scores, label_of = {}, {}
+                scores = {}
                 for qid in ids:
                     em_flag = rng.random() < 0.4
                     f1 = 1.0 if em_flag else rng.choice([0.0, 0.25, 0.5, 0.75])
-                    scores[qid] = QuestionScore(qid, f1, em_flag)
-                    label_of[qid] = rng.choice(labels)
-                reports[m] = report_from_scores(scores, label_of)
+                    scores[qid] = QuestionScore(rng.choice(labels), f1, em_flag)
+                reports[m] = report_from_scores(scores)
             table = compute_global_weights(reports)
             no_class_rows = replace(table, class_weights={})  # every label falls back
             for _ in range(5):

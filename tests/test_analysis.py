@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+from dataclasses import asdict
 
 from helpers import gold_map, make_dataset
 
@@ -176,7 +177,7 @@ class TestExports:
 
     def test_json_mirror(self, rules, small_dataset):
         report = self.similarity_report(rules, small_dataset)
-        blob = json.loads(json.dumps(report.to_json_dict()))
+        blob = json.loads(json.dumps(asdict(report)))
         assert blob["model_a"] == "a" and blob["model_b"] == "b"
         assert blob["overall"]["total"] == len(small_dataset)
         assert len(blob["per_class"]) == 14

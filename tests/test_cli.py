@@ -352,6 +352,38 @@ class TestEvaluateSchema:
         want = {"m1": [str(len(golds)), "100.00", "100.00"], "m2": [str(len(half)), "0.00", "0.00"]}
         assert lines[-1].split(",") == ["SUM"] + [cell for n in names for cell in want[n]]
 
+    def test_nested_json_key_order(self, tmp_path, corpus_file):
+        """The key order of the evaluate report and of the compare pair JSON, at every
+        level: reordering a record's fields must not change an artifact unnoticed."""
+        golds = gold_map(load_dataset(corpus_file))
+        flags = []
+        for name, answers in {"a": golds, "b": {qid: "granite" for qid in golds}}.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(answers), encoding="utf-8")
+            flags.append(f"--preds={name}={path}")
+        report_path, pair_path = tmp_path / "e.json", tmp_path / "pair.json"
+        assert main(["evaluate", "--dataset", str(corpus_file), *flags,
+                     "--json", str(report_path)]) == 0
+        assert main(["compare", "--dataset", str(corpus_file), *flags,
+                     "--json", str(pair_path)]) == 0
+
+        stats_keys = ["mean_f1", "em_rate", "count"]
+        for report in json.loads(report_path.read_text(encoding="utf-8")).values():
+            assert list(report) == [
+                "model", "missing_policy", "overall", "per_class", "per_question"]
+            assert list(report["overall"]) == stats_keys
+            assert report["per_class"]
+            assert all(list(stats) == stats_keys for stats in report["per_class"].values())
+            assert list(report["per_question"]) == sorted(golds) != list(golds)
+            assert all(list(score) == ["f1", "em"] for score in report["per_question"].values())
+
+        pair = json.loads(pair_path.read_text(encoding="utf-8"))
+        assert list(pair) == ["model_a", "model_b", "per_class", "overall", "mean_of_equal_f1s",
+                              "equal_em_true_count", "equal_em_true_rate"]
+        triples = [pair["overall"], *pair["per_class"].values()]
+        assert len(triples) > 1
+        assert all(list(t) == ["equal_f1", "equal_em", "total"] for t in triples)
+
 
 @pytest.fixture()
 def run_inputs(tmp_path, corpus_file):
@@ -911,6 +943,70 @@ class TestErrorCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: --rules '': ") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rules show", "classify-stats", "evaluate", "weights",
+                                         "ensemble", "compare", "synth"])
+    def test_rules_and_length_buckets_together_exit_two(self, tmp_path, capsys, command):
+        """--length-buckets used to win silently: the --rules file went unread, even
+        when malformed, and the manifest showed only the buckets."""
+        bad_rules = tmp_path / "bad_rules.json"
+        bad_rules.write_text("{", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        d, p = ["--dataset", str(tmp_path / "c.json")], ["--preds", f"a={tmp_path / 'a.json'}"]
+        argv = {
+            "rules show": [],
+            "classify-stats": [*d, "--json", str(out / "h.json")],
+            "evaluate": [*d, *p, "--json", str(out / "e.json")],
+            "weights": ["--pre-eval", str(tmp_path / "c.json"), *p, "--out", str(out / "w.json")],
+            "ensemble": [*d, *p, "--weights", str(tmp_path / "w.json"),
+                         "--out", str(out / "e.json")],
+            "compare": [*d, *p, "--preds", f"b={tmp_path / 'a.json'}",
+                        "--json", str(out / "pair.json")],
+            "synth": [*d, "--profile", str(tmp_path / "p.json"), "--name", "m",
+                      "--out", str(out / "m.json")],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command.split(), *argv, "--rules", str(bad_rules), "--length-buckets", "6,9"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--rules" in err and "--length-buckets" in err, err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["compare-out-dir", "evaluate-json", "classify-stats-csv",
+                                      "ensemble-trace", "split-out-dir", "synth-out",
+                                      "weights-out"])
+    def test_empty_output_path_exits_four(self, run_inputs, tmp_path, monkeypatch, capsys,
+                                          case):
+        """An output flag given as '' used to mean "not given" (no file written), the
+        current directory (split) or a late error naming no flag (synth, weights)."""
+        corpus, preds, weights, out = run_inputs
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+
+        def no_read(*_):
+            raise AssertionError("read the dataset before checking the output paths")
+
+        monkeypatch.setattr("qavote.cli.load_dataset", no_read)
+        d, two = ["--dataset", str(corpus)], pred_flags(dict(list(preds.items())[:2]))
+        profile = write_profile(tmp_path, "m", {"what": 0.5}, 1)
+        argv, flag = {
+            "compare-out-dir": (["compare", *d, *two, "--out-dir", ""], "--out-dir"),
+            "evaluate-json": (["evaluate", *d, *two, "--json", ""], "--json"),
+            "classify-stats-csv": (["classify-stats", *d, "--csv", ""], "--csv"),
+            "ensemble-trace": (["ensemble", *d, *pred_flags(preds), "--weights", str(weights),
+                                "--out", str(out / "e.json"), "--trace", ""], "--trace"),
+            "split-out-dir": (["split", *d, "--fraction", "0.5", "--seed", "1",
+                               "--out-dir", ""], "--out-dir"),
+            "synth-out": (["synth", *d, "--profile", str(profile), "--name", "m", "--out", ""],
+                          "--out"),
+            "weights-out": (["weights", "--pre-eval", str(corpus), *two, "--out", ""], "--out"),
+        }[case]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} '': ") and len(err.splitlines()) == 1, err
+        assert list(out.iterdir()) == [] and list(cwd.iterdir()) == []
 
     def test_compare_needs_two_models(self, tmp_path, corpus_file, capsys):
         preds = tmp_path / "p.json"

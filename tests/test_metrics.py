@@ -17,12 +17,10 @@ from qavote.metrics import (
     EvalReport,
     MissingPolicy,
     QuestionScore,
-    em,
     evaluate,
     normalize_answer,
     report_from_scores,
     score_pair,
-    token_f1,
 )
 
 ORACLE_PATH = Path(__file__).parent / "data" / "metric_oracle.json"
@@ -136,9 +134,9 @@ class TestScores:
         rows = load_oracle()
         assert len(rows) >= 100
         for row in rows:
-            f1 = token_f1(row["prediction"], row["golds"])
+            f1, em = score_pair(row["prediction"], row["golds"])
             assert f1 == row["f1"], (row, f1)
-            assert em(row["prediction"], row["golds"]) == row["em"], row
+            assert em == row["em"], row
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -151,23 +149,20 @@ class TestScores:
             prediction = golds[-1].upper()
         expected = reference_score_pair(prediction, golds)
         assert score_pair(prediction, golds) == expected
-        assert (token_f1(prediction, golds), em(prediction, golds)) == expected
 
     def test_em_examples(self):
-        assert em("Denver Broncos", ["Denver Broncos"])
-        assert em("the Denver Broncos", ["Denver Broncos"])
-        assert not em("Broncos", ["Denver Broncos"])
+        assert score_pair("Denver Broncos", ["Denver Broncos"])[1]
+        assert score_pair("the Denver Broncos", ["Denver Broncos"])[1]
+        assert not score_pair("Broncos", ["Denver Broncos"])[1]
 
     def test_f1_examples(self):
-        assert token_f1("cat sat", ["cat"]) == pytest.approx(2 / 3)
-        assert token_f1("exact words", ["exact words"]) == 1.0
-        assert token_f1("dog", ["cat"]) == 0.0
+        assert score_pair("cat sat", ["cat"])[0] == pytest.approx(2 / 3)
+        assert score_pair("exact words", ["exact words"])[0] == 1.0
+        assert score_pair("dog", ["cat"])[0] == 0.0
 
     def test_empty_golds_rejected(self):
         with pytest.raises(ValueError):
-            em("x", [])
-        with pytest.raises(ValueError):
-            token_f1("x", [])
+            score_pair("x", [])
 
     @settings(max_examples=150, deadline=None)
     @given(prediction=answer_text, golds=st.lists(answer_text, min_size=1, max_size=4))
@@ -192,12 +187,12 @@ class TestScores:
 
 class TestQuestionScore:
     def test_em_true_requires_f1_one(self):
-        with pytest.raises(ValueError):
-            QuestionScore(id="q", f1=0.5, em=True)
+        with pytest.raises(ValueError, match="em=True with f1=0.5 for 'q'"):
+            report_from_scores({"q": QuestionScore("who", f1=0.5, em=True)})
 
     def test_f1_range_enforced(self):
-        with pytest.raises(ValueError):
-            QuestionScore(id="q", f1=1.5, em=False)
+        with pytest.raises(ValueError, match="f1 out of range for 'q': 1.5"):
+            report_from_scores({"q": QuestionScore("who", f1=1.5, em=False)})
 
 
 class TestEvaluate:
@@ -276,11 +271,10 @@ class TestReportExports:
 
     def test_report_from_scores_fixed_order(self):
         scores = {
-            "b": QuestionScore("b", 1.0, True),
-            "a": QuestionScore("a", 0.0, False),
+            "b": QuestionScore("who", 1.0, True),
+            "a": QuestionScore("who", 0.0, False),
         }
-        labels = {"a": "who", "b": "who"}
-        r1 = report_from_scores(scores, labels)
-        r2 = report_from_scores(dict(reversed(list(scores.items()))), labels)
+        r1 = report_from_scores(scores)
+        r2 = report_from_scores(dict(reversed(list(scores.items()))))
         assert r1.per_class == r2.per_class
         assert r1.overall == r2.overall

@@ -188,13 +188,11 @@ class TestModeDegeneracy:
             reports = {}
             for m in [f"m{i}" for i in range(1, rng.randint(2, 4) + 1)]:
                 rows = {}
-                label_of = {}
                 for qid in ids:
                     em_flag = rng.random() < 0.4
                     f1 = 1.0 if em_flag else rng.choice([0.0, 0.25, 0.5])
-                    rows[qid] = QuestionScore(qid, f1, em_flag)
-                    label_of[qid] = rng.choice(labels)
-                reports[m] = report_from_scores(rows, label_of)
+                    rows[qid] = QuestionScore(rng.choice(labels), f1, em_flag)
+                reports[m] = report_from_scores(rows)
             table = compute_global_weights(reports)
             no_class_rows = replace(table, class_weights={})  # every label falls back
             for _ in range(10):

@@ -21,9 +21,8 @@ from qavote.weighting import (
 
 def make_report(rows, model=""):
     """rows: list of (qid, f1, em, class_label)."""
-    scores = {qid: QuestionScore(qid, f1, em_flag) for qid, f1, em_flag, _ in rows}
-    labels = {qid: label for qid, _, _, label in rows}
-    return report_from_scores(scores, labels, model=model)
+    scores = {qid: QuestionScore(label, f1, em_flag) for qid, f1, em_flag, label in rows}
+    return report_from_scores(scores, model=model)
 
 
 def random_report(rng, ids, labels):
