@@ -1,12 +1,12 @@
 """Command-line surface: ingest -> classify -> split -> weights -> ensemble -> evaluate -> compare.
 
-Each command names the files it writes once, from its flags alone, and writes a run
-manifest beside them so any run can be reproduced: ``<out-dir>/<command>.manifest.json``
-under ``--out-dir`` (split, compare), else ``<first output>.manifest.json``. Before
-any input is read, ``main`` checks that no output flag is given as ``''`` and that
-no two of these files name one file. The manifest's keys, in order: ``command``,
-``inputs`` (flag or model name -> path), ``config``, ``seeds``, ``outputs``,
-``duration_seconds`` and ``tool_version``.
+Each command names the files it reads (``reads``, then each ``--preds`` model) and
+writes (``plan``) once, from its flags alone, and writes a run manifest so any run can
+be reproduced: ``<out-dir>/<command>.manifest.json`` under ``--out-dir`` (split,
+compare), else ``<first output>.manifest.json``. Before any input is read, ``main``
+checks that no file flag is ``''``, no two outputs name one file and every input
+exists. The manifest's keys, in order: ``command``, ``inputs`` (flag or model name ->
+path), ``config``, ``seeds``, ``outputs``, ``duration_seconds`` and ``tool_version``.
 Each file is written to a temporary file and then renamed over its path, so a
 write that fails leaves the previous file as it was; the manifest is written last.
 
@@ -42,6 +42,7 @@ from .analysis import pairwise_similarity, save_similarity_json, similarity_csv,
 from .corpus import (
     Granularity,
     atomic_write,
+    check_fraction,
     load_dataset,
     load_predictions,
     save_dataset,
@@ -77,9 +78,8 @@ EXIT_OTHER = 1
 
 @dataclass
 class Run:
-    """What a command read, its config and seeds, for ``main`` to write to its manifest."""
+    """A command's config and seeds, for ``main`` to write to its manifest."""
 
-    inputs: dict
     config: dict
     seeds: dict = field(default_factory=dict)
 
@@ -91,52 +91,47 @@ def _classifier_from_args(args):
             return LengthClassifier(edges), {"length_buckets": edges}
         except ValueError as exc:
             raise ValueError(f"--length-buckets {args.length_buckets!r}: {exc}") from None
-    if args.rules is not None:
-        if not args.rules:
-            raise ValueError("--rules '': no rule file given")
+    if args.rules is not None:  # never '': main rejects an empty path
         return load_rules(args.rules), {"rules": str(args.rules)}
     return default_rules(), {"rules": "<default>"}
 
 
-def _model_inputs(args, *flags: str) -> tuple[dict[str, Path], dict[str, str]]:
-    """The --preds NAME=PATH pairs as paths by name, in command-line order, and the
-    manifest inputs: the file of each of ``flags``, then every model file. A name is
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _parse_preds(pairs, reads) -> dict[str, Path]:
+    """The --preds NAME=PATH pairs as paths by name, in command-line order. A name is
     part of the ``compare --out-dir`` file names, so it may hold no path separator;
-    a model named like one of ``flags`` is rejected, as it would replace that input
-    in the manifest."""
-    pred_paths: dict[str, Path] = {}
-    for pair in args.preds:
+    a model named like one of the command's ``reads`` is rejected, as it would replace
+    that input in the manifest."""
+    preds: dict[str, Path] = {}
+    for pair in pairs:
         name, sep, path = pair.partition("=")
         if not sep or not name or not path:
             raise ValueError(f"--preds expects NAME=PATH, got {pair!r}")
         if any(s and s in name for s in ("/", os.sep, os.altsep)):
             raise ValueError(f"--preds model name {name!r} holds a path separator")
-        if name in pred_paths:
+        if name in preds:
             raise ValueError(f"duplicate model name in --preds: {name!r}")
-        pred_paths[name] = Path(path)
-    for flag in flags:
-        if flag in pred_paths:
-            raise ValueError(
-                f"--preds model name {flag!r} is taken by the --{flag.replace('_', '-')} input"
-            )
-    files = {**{flag: getattr(args, flag) for flag in flags}, **pred_paths}
-    return pred_paths, {name: str(path) for name, path in files.items()}
+        if name in reads:
+            raise ValueError(f"--preds model name {name!r} is taken by the {_flag(name)} input")
+        preds[name] = Path(path)
+    return preds
 
 
-def _score_models(args, dataset_flag: str, **config):
+def _score_models(args, dataset_path, **config):
     """What evaluate, weights and compare share: the classifier, ``{name: report}``
-    of every --preds model on the dataset, and a Run holding their manifest inputs
-    and config (``config`` goes between the classifier's and the policy's keys)."""
+    of every --preds model on the dataset, and a Run holding their config
+    (``config`` goes between the classifier's and the policy's keys)."""
     classifier, classifier_cfg = _classifier_from_args(args)
-    dataset = load_dataset(getattr(args, dataset_flag))
+    dataset = load_dataset(dataset_path)
     policy = MissingPolicy(args.missing_policy.replace("-", "_"))
-    pred_paths, inputs = _model_inputs(args, dataset_flag)
     reports = {
         name: evaluate(load_predictions(path, name), dataset, classifier, policy)
-        for name, path in pred_paths.items()
+        for name, path in args.preds.items()
     }
-    run = Run(inputs, {**classifier_cfg, **config, "missing_policy": policy.value})
-    return classifier, reports, run
+    return classifier, reports, Run({**classifier_cfg, **config, "missing_policy": policy.value})
 
 
 def _split_paths(args) -> list[Path]:
@@ -151,12 +146,11 @@ def _pair_files(args, name_a: str, name_b: str) -> tuple[str, str]:
 
 
 def _compare_plan(args) -> list:
-    names = list(_model_inputs(args, "dataset")[0])
-    if len(names) < 2:
+    if len(args.preds) < 2:
         raise ValueError("compare needs at least two --preds")
-    if (args.csv or args.json_out) and len(names) > 2:
+    if (args.csv or args.json_out) and len(args.preds) > 2:
         raise ValueError("--csv/--json fit one pair; use --out-dir for more models")
-    pairs = list(combinations(names, 2)) if args.out_dir else []
+    pairs = list(combinations(args.preds, 2)) if args.out_dir else []
     return [*((pair, path) for pair in pairs for path in _pair_files(args, *pair)),
             ("--csv", args.csv), ("--json", args.json_out)]
 
@@ -200,10 +194,11 @@ def cmd_classify_stats(args) -> Run:
                 fh.write(f"{label},{count},{share:.1f}\n")
     if args.json_out:
         write_json({"counts": hist.counts, "total": hist.total}, args.json_out, indent=1)
-    return Run({"dataset": str(args.dataset)}, classifier_cfg)
+    return Run(classifier_cfg)
 
 
 def cmd_split(args) -> Run:
+    check_fraction(args.fraction)
     dataset = load_dataset(args.dataset)
     split = split_pre_eval(dataset, args.fraction, args.seed, args.granularity)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
@@ -216,15 +211,12 @@ def cmd_split(args) -> Run:
         f"pre_eval {len(split.pre_eval)} (fraction {args.fraction}, seed {args.seed}, "
         f"{split.granularity.value} granularity)"
     )
-    return Run(
-        inputs={"dataset": str(args.dataset)},
-        config={"fraction": args.fraction, "granularity": split.granularity.value},
-        seeds={"split": args.seed},
-    )
+    return Run({"fraction": args.fraction, "granularity": split.granularity.value},
+               {"split": args.seed})
 
 
 def cmd_evaluate(args) -> Run:
-    _, reports, run = _score_models(args, "dataset")
+    _, reports, run = _score_models(args, args.dataset)
     for name, report in reports.items():
         print(
             f"{name}: F1={100 * report.overall.mean_f1:.2f}% "
@@ -243,7 +235,7 @@ _BASIS_BY_FLAG = {"f1": MetricBasis.MEAN_F1, "em": MetricBasis.EM_RATE}
 def cmd_weights(args) -> Run:
     basis = _BASIS_BY_FLAG[args.basis]
     classifier, reports, run = _score_models(
-        args, "pre_eval", basis=basis.value, no_classes=bool(args.no_classes)
+        args, args.pre_eval, basis=basis.value, no_classes=bool(args.no_classes)
     )
     compute = compute_global_weights if args.no_classes else compute_class_weights
     table = compute(reports, basis, classifier.labels)
@@ -261,8 +253,7 @@ def cmd_ensemble(args) -> Run:
     unweighted = [label for label in classifier.labels if label not in table.class_weights]
     if table.class_weights and unweighted:  # a table without class rows votes globally
         raise ValueError(f"--weights {args.weights} has no row for the labels {unweighted}")
-    pred_paths, inputs = _model_inputs(args, "dataset", "weights")
-    predictions = {name: load_predictions(path, name) for name, path in pred_paths.items()}
+    predictions = {name: load_predictions(path, name) for name, path in args.preds.items()}
     special_case = not args.no_undefined_special_case
     if args.mode == "global":  # the class-aware vote on the class-ignoring table
         table, special_case = table.ignoring_classes(), False
@@ -276,16 +267,13 @@ def cmd_ensemble(args) -> Run:
     if args.trace:
         save_traces(traces, args.trace)
     print(f"ensemble answers for {len(ensemble)} questions -> {args.out}")
-    return Run(
-        inputs,
-        {
-            **classifier_cfg,
-            "mode": args.mode.replace("-", "_"),
-            "combine": config.combine.value,
-            "undefined_special_case": config.undefined_special_case,
-            "duplicate_equality": config.duplicate_equality.value,
-        },
-    )
+    return Run({
+        **classifier_cfg,
+        "mode": args.mode.replace("-", "_"),
+        "combine": config.combine.value,
+        "undefined_special_case": config.undefined_special_case,
+        "duplicate_equality": config.duplicate_equality.value,
+    })
 
 
 def _write_similarity(report, csv_path, json_path) -> None:
@@ -297,7 +285,7 @@ def _write_similarity(report, csv_path, json_path) -> None:
 
 
 def cmd_compare(args) -> Run:
-    classifier, reports, run = _score_models(args, "dataset")
+    classifier, reports, run = _score_models(args, args.dataset)
     if args.out_dir:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     for name_a, name_b in combinations(reports, 2):
@@ -325,12 +313,8 @@ def cmd_synth(args) -> Run:
     if preds.meta.get("sentinel_fallback_ids"):
         note = f" ({len(preds.meta['sentinel_fallback_ids'])} sentinel fallbacks)"
     print(f"generated {len(preds)} synthetic answers as {args.name!r} -> {args.out}{note}")
-    return Run(
-        inputs={"dataset": str(args.dataset), "profile": str(args.profile)},
-        config={**classifier_cfg, "corruption": profile.corruption.value,
-                "model_name": args.name},
-        seeds={"profile": profile.seed},
-    )
+    return Run({**classifier_cfg, "corruption": profile.corruption.value,
+                "model_name": args.name}, {"profile": profile.seed})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
 
-    def command(name, func, help, *parents, under=sub, plan=lambda args: []):
-        """``plan(args)``: ``(flag or model pair, path)`` of each file written, in order."""
+    def command(name, func, help, *parents, under=sub, reads=(), plan=lambda args: []):
+        """``reads``: the dests of the input file flags, in manifest order; ``plan(args)``:
+        ``(flag or model pair, path)`` of each file written, in order."""
         p = under.add_parser(name, parents=list(parents), help=help)
-        p.set_defaults(func=func, plan=plan)
+        p.set_defaults(func=func, reads=reads, plan=plan)
         return p
 
     p_rules = sub.add_parser("rules", help="inspect classification rules")
@@ -374,11 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = command("classify-stats", cmd_classify_stats,
                       "question-class histogram of a dataset", dataset, classifier,
-                      plan=lambda a: [("--csv", a.csv), ("--json", a.json_out)])
+                      reads=("dataset",), plan=lambda a: [("--csv", a.csv), ("--json", a.json_out)])
     p_stats.add_argument("--csv", help="write the histogram as CSV")
     p_stats.add_argument("--json", dest="json_out", help="write the histogram as JSON")
 
     p_split = command("split", cmd_split, "deterministic train / pre-evaluation split", dataset,
+                      reads=("dataset",),
                       plan=lambda a: [("--out-dir", path) for path in _split_paths(a)])
     p_split.add_argument("--fraction", type=float, required=True)
     p_split.add_argument("--seed", type=int, required=True)
@@ -390,13 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--out-dir", required=True)
 
     p_eval = command("evaluate", cmd_evaluate, "score prediction files against a dataset",
-                     dataset, preds, classifier, policy,
+                     dataset, preds, classifier, policy, reads=("dataset",),
                      plan=lambda a: [("--json", a.json_out), ("--csv", a.csv)])
     p_eval.add_argument("--json", dest="json_out", help="write the full report(s) as JSON")
     p_eval.add_argument("--csv", help="write the per-class breakdown as CSV")
 
     p_weights = command("weights", cmd_weights, "voting weights from a pre-evaluation dataset",
-                        preds, classifier, policy, out, plan=lambda a: [("--out", a.out)])
+                        preds, classifier, policy, out, reads=("pre_eval",),
+                        plan=lambda a: [("--out", a.out)])
     p_weights.add_argument("--pre-eval", required=True)
     p_weights.add_argument("--basis", choices=["f1", "em"], default="f1")
     p_weights.add_argument(
@@ -404,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ens = command("ensemble", cmd_ensemble, "weighted-voting ensemble over prediction files",
-                    dataset, preds, classifier, out,
+                    dataset, preds, classifier, out, reads=("dataset", "weights"),
                     plan=lambda a: [("--out", a.out), ("--trace", a.trace)])
     p_ens.add_argument("--weights", required=True)
     p_ens.add_argument("--mode", choices=["class-aware", "global"], default="class-aware")
@@ -418,13 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--trace", help="write one JSON vote trace per question")
 
     p_cmp = command("compare", cmd_compare, "pairwise prediction-similarity statistics",
-                    dataset, preds, classifier, policy, plan=_compare_plan)
+                    dataset, preds, classifier, policy, reads=("dataset",),
+                    plan=_compare_plan)
     p_cmp.add_argument("--csv", help="write the per-class table (single pair only)")
     p_cmp.add_argument("--json", dest="json_out", help="write the report JSON (single pair only)")
     p_cmp.add_argument("--out-dir", help="write per-pair CSV+JSON files here")
 
     p_synth = command("synth", cmd_synth, "generate synthetic prediction files",
-                      dataset, classifier, out, plan=lambda a: [("--out", a.out)])
+                      dataset, classifier, out, reads=("dataset", "profile"),
+                      plan=lambda a: [("--out", a.out)])
     p_synth.add_argument("--profile", required=True, help="accuracy profile JSON")
     p_synth.add_argument("--name", required=True, help="model name for the output")
 
@@ -439,9 +428,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         start = time.monotonic()
         try:
+            args.preds = _parse_preds(getattr(args, "preds", ()), args.reads)
+            inputs = {**{dest: getattr(args, dest) for dest in args.reads}, **args.preds}
             out_dir = getattr(args, "out_dir", None)
             planned = args.plan(args)
-            for label, path in [("--out-dir", out_dir), *planned]:
+            for label, path in [*((_flag(dest), inputs[dest]) for dest in args.reads),
+                                ("--rules", getattr(args, "rules", None)),
+                                ("--out-dir", out_dir), *planned]:
                 if path == "":  # given but empty; an unset optional output is None
                     raise ValueError(f"{label} '': no path given")
             outputs = [(label, path) for label, path in planned if path is not None]
@@ -449,11 +442,13 @@ def main(argv=None) -> int:
                 base = Path(out_dir) / args.command if out_dir is not None else outputs[0][1]
                 manifest_path = f"{base}.manifest.json"
                 _check_distinct([*outputs, ("the manifest", manifest_path)])
+            for path in inputs.values():
+                os.stat(path)  # a missing input exits 3 before any input is read
             run = args.func(args)
             if outputs:
                 manifest = {
                     "command": args.command,
-                    "inputs": run.inputs,
+                    "inputs": {name: str(path) for name, path in inputs.items()},
                     "config": run.config,
                     "seeds": run.seeds,
                     "outputs": [str(path) for _, path in outputs],

@@ -416,6 +416,12 @@ def _unit_sort_key(seed: int, unit_id: str) -> tuple[str, str]:
     return (digest, unit_id)
 
 
+def check_fraction(fraction: float) -> None:
+    """A split fraction outside [0, 1], NaN included, is a ValueError."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be within [0, 1], got {fraction}")
+
+
 def split_pre_eval(
     dataset: Dataset,
     fraction: float,
@@ -429,8 +435,7 @@ def split_pre_eval(
     or exceeds ``fraction * len(dataset)``. Paragraph granularity never
     separates questions sharing a paragraph.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be within [0, 1], got {fraction}")
+    check_fraction(fraction)
     granularity = Granularity(granularity)
 
     if granularity is Granularity.QUESTION:

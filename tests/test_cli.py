@@ -1125,6 +1125,76 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
 
+def _flag_of(command: str, kind: str) -> str:
+    """The flag through which ``command`` reads the input file of ``kind``."""
+    return "--pre-eval" if (command, kind) == ("weights", "dataset") else f"--{kind}"
+
+
+def _commands(parser, name=""):
+    """(name, parser) of every command under ``parser``, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub_name, sub in action.choices.items():
+                full = f"{name} {sub_name}".strip()
+                if sub.get_default("func") is not None:
+                    yield full, sub
+                yield from _commands(sub, full)
+
+
+class TestReadPlan:
+    """``main`` checks every input a command names before it reads any of them."""
+
+    @pytest.fixture()
+    def no_read(self, monkeypatch):
+        def fail(path):
+            raise AssertionError(f"read {path} before checking every input")
+
+        monkeypatch.setattr("qavote.corpus.read_json", fail)
+
+    @pytest.mark.parametrize("command, kind", INPUT_FLAGS, ids=INPUT_FLAG_IDS)
+    def test_empty_input_path_exits_four(self, tmp_path, input_files, no_read, command, kind):
+        """An input flag given as '' used to exit 3 with an error naming no flag."""
+        files, _ = input_files
+        code, err = _run_quietly(_command(command, {**files, kind: ""}, tmp_path))
+        assert code == 4, err
+        assert err.startswith(f"error: {_flag_of(command, kind)} ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, kind", [case for case in INPUT_FLAGS if case[1] != "rules"],
+                             ids=[i for i in INPUT_FLAG_IDS if not i.endswith("-rules")])
+    def test_missing_input_exits_three(self, tmp_path, input_files, no_read, command, kind):
+        """A missing input used to exit 3 only after the inputs before it were read."""
+        files, _ = input_files
+        missing = tmp_path / "missing.json"
+        code, err = _run_quietly(_command(command, {**files, kind: missing}, tmp_path))
+        assert code == 3, err
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fraction", ["nan", "1.5", "-0.1"])
+    def test_fraction_out_of_range_exits_four(self, tmp_path, input_files, no_read, fraction):
+        """The fraction is checked before the corpus is read and decoded."""
+        files, _ = input_files
+        argv = ["split", "--dataset", str(files["dataset"]), "--fraction", fraction,
+                "--seed", "1", "--out-dir", str(tmp_path / "split")]
+        code, err = _run_quietly(argv)
+        assert code == 4
+        assert err == f"error: fraction must be within [0, 1], got {float(fraction)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_command_declares_its_reads(self):
+        """A command reads only its own flags, and declares every input flag it has:
+        an undeclared input would go unchecked and missing from the manifest."""
+        input_dests = {"dataset", "pre_eval", "weights", "profile"}
+        commands = dict(_commands(qavote.cli.build_parser()))
+        assert sorted(commands) == sorted(c for c in OPTION_TABLES if c not in ("", "rules"))
+        for name, parser in commands.items():
+            dests = {action.dest for action in parser._actions}
+            reads = parser.get_default("reads")
+            assert set(reads) <= dests, name
+            assert input_dests & dests <= set(reads), name
+
+
 class TestLoneSurrogate:
     def test_ensemble_with_trace_names_the_prediction_file(self, tmp_path, input_files):
         """A lone surrogate cannot be written as UTF-8: the read that let it

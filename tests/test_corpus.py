@@ -319,7 +319,7 @@ class TestSplit:
         assert set(split.pre_eval.ids) == set(small_dataset.ids)
 
     def test_fraction_out_of_range(self, small_dataset):
-        for bad in (-0.1, 1.5):
+        for bad in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 split_pre_eval(small_dataset, bad, seed=1)
 

@@ -31,6 +31,7 @@ from qavote.voting import (
     run_ensemble,
     save_traces,
 )
+from qavote.taxonomy import UNDEFINED
 from qavote.weighting import compute_global_weights
 
 
@@ -380,6 +381,37 @@ class TestRunEnsembleAgainstOracle:
             want = oracle_vote(cands, label, table.models, table.best_overall, config)
             assert (trace.winner.model, trace.winner.answer) == want
             assert ensemble.answers[item.id] == want[1]
+
+
+class TestMaxCombineSelectsTheRowTop:
+    """Under ``--combine max`` a group weighs as its heaviest member, so the group
+    holding the label row's top model wins whenever that top weight is unique."""
+
+    @given(case=_ensembles(), global_mode=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_vote_answers_as_the_top_weighted_model(self, case, global_mode):
+        """The answer is the top model's (one that normalizes equal to it under
+        normalized equality) unless the undefined special case applies; under
+        ``--mode global`` that model is ``best_overall``."""
+        dataset, predictions, table, classifier, config = case
+        config = replace(config, combine=Combine.MAX)
+        if global_mode:  # what ``ensemble --mode global`` votes
+            table = table.ignoring_classes()
+            config = replace(config, undefined_special_case=False)
+        ensemble, _ = run_ensemble(dataset, predictions, table, classifier, config)
+        raw = config.duplicate_equality is Equality.RAW
+        key = str if raw else normalize_answer
+        for item in dataset.items:
+            label = classifier(item.question)
+            row = table.row(label)
+            top = max(row)
+            if row.count(top) > 1 or (config.undefined_special_case and label == UNDEFINED):
+                continue
+            model = table.models[row.index(top)]
+            if global_mode:
+                assert model == table.best_overall
+            answer = predictions[model].answers.get(item.id, "")
+            assert key(ensemble.answers[item.id]) == key(answer)
 
 
 class TestOneVotingPath:
