@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .corpus import (
     Dataset,
     Granularity,
-    ParagraphGroup,
+    Paragraph,
     PredictionSet,
     QaItem,
     SchemaError,

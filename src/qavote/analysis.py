@@ -97,7 +97,7 @@ def similarity_csv(report: SimilarityReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["class", "equal_f1", "equal_em", "total"])
-    for label, t in report.per_class.items():
+    for label, t in [*report.per_class.items(), ("SUM", report.overall)]:
         writer.writerow(
             [
                 label,
@@ -106,15 +106,6 @@ def similarity_csv(report: SimilarityReport) -> str:
                 t.total,
             ]
         )
-    o = report.overall
-    writer.writerow(
-        [
-            "SUM",
-            f"{o.equal_f1} ({_pct(o.equal_f1, o.total)})",
-            f"{o.equal_em} ({_pct(o.equal_em, o.total)})",
-            o.total,
-        ]
-    )
     return buf.getvalue()
 
 

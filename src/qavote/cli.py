@@ -6,9 +6,10 @@ be reproduced: ``<out-dir>/<command>.manifest.json`` under ``--out-dir`` (split,
 compare), else ``<first output>.manifest.json``. Before any input is read, ``main``
 checks that no file flag is ``''``, no two outputs name one file and every input
 exists. The manifest's keys, in order: ``command``, ``inputs`` (flag or model name ->
-path), ``config``, ``seeds``, ``outputs``, ``duration_seconds`` and ``tool_version``.
-Each file is written to a temporary file and then renamed over its path, so a
-write that fails leaves the previous file as it was; the manifest is written last.
+path, spelled as given), ``config``, ``seeds``, ``outputs``, ``duration_seconds`` and
+``tool_version``. Each file is written to a temporary file and then renamed over its
+path, so a write that fails leaves the previous file as it was; the manifest is written
+last.
 
 Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
 exist, is a directory, or is a file where a directory is needed, 4 any
@@ -100,12 +101,13 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _parse_preds(pairs, reads) -> dict[str, Path]:
-    """The --preds NAME=PATH pairs as paths by name, in command-line order. A name is
-    part of the ``compare --out-dir`` file names, so it may hold no path separator;
-    a model named like one of the command's ``reads`` is rejected, as it would replace
+def _parse_preds(pairs, reads) -> dict[str, str]:
+    """The --preds NAME=PATH pairs as paths by name, in command-line order, each
+    path spelled as given, like every input flag's. A name is part of the
+    ``compare --out-dir`` file names, so it may hold no path separator; a model
+    named like one of the command's ``reads`` is rejected, as it would replace
     that input in the manifest."""
-    preds: dict[str, Path] = {}
+    preds: dict[str, str] = {}
     for pair in pairs:
         name, sep, path = pair.partition("=")
         if not sep or not name or not path:
@@ -116,7 +118,7 @@ def _parse_preds(pairs, reads) -> dict[str, Path]:
             raise ValueError(f"duplicate model name in --preds: {name!r}")
         if name in reads:
             raise ValueError(f"--preds model name {name!r} is taken by the {_flag(name)} input")
-        preds[name] = Path(path)
+        preds[name] = path
     return preds
 
 
@@ -448,7 +450,7 @@ def main(argv=None) -> int:
             if outputs:
                 manifest = {
                     "command": args.command,
-                    "inputs": {name: str(path) for name, path in inputs.items()},
+                    "inputs": inputs,
                     "config": run.config,
                     "seeds": run.seeds,
                     "outputs": [str(path) for _, path in outputs],

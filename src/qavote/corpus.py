@@ -31,6 +31,8 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -151,23 +153,20 @@ class QaItem(NamedTuple):
     answer_starts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ParagraphGroup:
-    """All questions sharing one context paragraph."""
+class Paragraph(NamedTuple):
+    """One context paragraph: its key, its article's title, and its questions."""
 
     key: str
     title: str
     context: str
-    item_ids: tuple[str, ...]
+    items: tuple[QaItem, ...]
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered, immutable collection of QaItems grouped by paragraph."""
+    """An ordered, immutable collection of paragraphs, each holding its questions."""
 
-    items: tuple[QaItem, ...]
-    provenance: str
-    groups: tuple[ParagraphGroup, ...]
+    paragraphs: tuple[Paragraph, ...]
 
     def __post_init__(self):
         for item in self.items:
@@ -178,17 +177,17 @@ class Dataset:
                     f"question {item.id!r}: {len(item.answer_starts)} answer_starts "
                     f"for {len(item.gold_answers)} gold_answers"
                 )
-        ids = [item.id for item in self.items]
-        unique = set(ids)
-        if len(unique) != len(ids):
+        ids = self.ids
+        if len(set(ids)) != len(ids):
             seen, dupes = set(), set()
             for i in ids:
                 (dupes if i in seen else seen).add(i)
             raise SchemaError(f"duplicate question ids: {sorted(dupes)[:5]}")
-        # With unique ids, equal sizes and equal sets make the groups a permutation.
-        grouped = [qid for group in self.groups for qid in group.item_ids]
-        if len(grouped) != len(ids) or set(grouped) != unique:
-            raise SchemaError("paragraph groups do not partition the item ids")
+
+    @cached_property
+    def items(self) -> tuple[QaItem, ...]:
+        """Every paragraph's questions, in order."""
+        return tuple(chain.from_iterable(paragraph.items for paragraph in self.paragraphs))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -197,21 +196,16 @@ class Dataset:
     def ids(self) -> tuple[str, ...]:
         return tuple(item.id for item in self.items)
 
-    def by_id(self) -> dict[str, QaItem]:
-        return {item.id: item for item in self.items}
-
-    def subset(self, keep_ids: Iterable[str], provenance: str) -> "Dataset":
-        """New Dataset with only ``keep_ids``, preserving item and group order."""
+    def subset(self, keep_ids: Iterable[str]) -> "Dataset":
+        """New Dataset with only ``keep_ids``, preserving question and paragraph
+        order; a paragraph left without questions is dropped."""
         keep = set(keep_ids)
-        items = tuple(item for item in self.items if item.id in keep)
-        groups = []
-        for group in self.groups:
-            kept = tuple(qid for qid in group.item_ids if qid in keep)
+        paragraphs = []
+        for paragraph in self.paragraphs:
+            kept = tuple(item for item in paragraph.items if item.id in keep)
             if kept:
-                groups.append(
-                    ParagraphGroup(key=group.key, title=group.title, context=group.context, item_ids=kept)
-                )
-        return Dataset(items=items, provenance=provenance, groups=tuple(groups))
+                paragraphs.append(paragraph._replace(items=kept))
+        return Dataset(tuple(paragraphs))
 
 
 @dataclass(frozen=True)
@@ -291,7 +285,7 @@ def _require_float(mapping, key, path) -> float:
         raise SchemaError(f"field {path}.{key} is too large for a float") from None
 
 
-def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
+def dataset_from_squad_dict(data: dict) -> Dataset:
     """Build a Dataset from already-parsed SQuAD-format JSON.
 
     Every field must have its SQuAD type; nothing is coerced. A violation
@@ -304,8 +298,7 @@ def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
     error and every accepted input is the same as a ``_require`` per field.
     """
     articles = _require(data, "data", "$", list)
-    items: list[QaItem] = []
-    groups: list[ParagraphGroup] = []
+    decoded: list[Paragraph] = []
     for a_idx, article in enumerate(articles):
         if not (type(article) is dict
                 and type(paragraphs := article.get("paragraphs")) is list
@@ -320,7 +313,7 @@ def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
                 p_path = f"$.data[{a_idx}].paragraphs[{p_idx}]"
                 context = _require(paragraph, "context", p_path, str)
                 qas = _require(paragraph, "qas", p_path, list)
-            group_ids = []
+            items = []
             for q_idx, qa in enumerate(qas):
                 if not (type(qa) is dict
                         and type(qid := qa.get("id")) is str
@@ -345,36 +338,23 @@ def dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
                     golds.append(text)
                     starts.append(start)
                 items.append(QaItem(qid, question, context, tuple(golds), tuple(starts)))
-                group_ids.append(qid)
-            groups.append(
-                ParagraphGroup(
-                    key=f"p{a_idx:05d}_{p_idx:05d}",
-                    title=title,
-                    context=context,
-                    item_ids=tuple(group_ids),
-                )
-            )
-    return Dataset(items=tuple(items), provenance=provenance, groups=tuple(groups))
+            decoded.append(
+                Paragraph(f"p{a_idx:05d}_{p_idx:05d}", title, context, tuple(items)))
+    return Dataset(tuple(decoded))
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Load a SQuAD v1.1 JSON file. Duplicate question ids are a hard error."""
-    return load_json(path, lambda data: dataset_from_squad_dict(data, str(Path(path))))
+    return load_json(path, dataset_from_squad_dict)
 
 
 def dataset_to_squad_dict(dataset: Dataset, version: str = "1.1") -> dict:
-    """Inverse of dataset_from_squad_dict; articles keep first-seen title order."""
-    by_id = dataset.by_id()
-    articles: list[dict] = []
-    article_index: dict[str, int] = {}
-    for group in dataset.groups:
-        if group.title not in article_index:
-            article_index[group.title] = len(articles)
-            articles.append({"title": group.title, "paragraphs": []})
-        qas = []
-        for qid in group.item_ids:
-            item = by_id[qid]
-            qas.append(
+    """SQuAD JSON of ``dataset``, which ``dataset_from_squad_dict`` reads back with
+    the same questions in the same order: each run of consecutive paragraphs
+    with one title is one article."""
+    return {"version": version, "data": [
+        {"title": title, "paragraphs": [
+            {"context": paragraph.context, "qas": [
                 {
                     "id": item.id,
                     "question": item.question,
@@ -383,11 +363,12 @@ def dataset_to_squad_dict(dataset: Dataset, version: str = "1.1") -> dict:
                         for text, start in zip(item.gold_answers, item.answer_starts)
                     ],
                 }
-            )
-        articles[article_index[group.title]]["paragraphs"].append(
-            {"context": group.context, "qas": qas}
-        )
-    return {"version": version, "data": articles}
+                for item in paragraph.items
+            ]}
+            for paragraph in paragraphs
+        ]}
+        for title, paragraphs in groupby(dataset.paragraphs, key=lambda p: p.title)
+    ]}
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -441,7 +422,8 @@ def split_pre_eval(
     if granularity is Granularity.QUESTION:
         units = [(item.id, (item.id,)) for item in dataset.items]
     else:
-        units = [(group.key, group.item_ids) for group in dataset.groups]
+        units = [(paragraph.key, tuple(item.id for item in paragraph.items))
+                 for paragraph in dataset.paragraphs]
 
     target = fraction * len(dataset)
     ordered = sorted(units, key=lambda unit: _unit_sort_key(seed, unit[0]))
@@ -453,9 +435,8 @@ def split_pre_eval(
         pre_eval_ids.update(qids)
         count += len(qids)
 
-    pre_eval = dataset.subset(pre_eval_ids, provenance=f"{dataset.provenance}[pre_eval]")
-    train_ids = [qid for qid in dataset.ids if qid not in pre_eval_ids]
-    train = dataset.subset(train_ids, provenance=f"{dataset.provenance}[train]")
+    pre_eval = dataset.subset(pre_eval_ids)
+    train = dataset.subset(qid for qid in dataset.ids if qid not in pre_eval_ids)
     return SplitResult(
         train=train, pre_eval=pre_eval, fraction=fraction, seed=seed, granularity=granularity
     )

@@ -115,8 +115,8 @@ def make_squad_dict(
     return {"version": "1.1", "data": articles}
 
 
-def make_dataset(class_counts: dict[str, int], provenance: str = "synthetic", **kwargs) -> Dataset:
-    return dataset_from_squad_dict(make_squad_dict(class_counts, **kwargs), provenance=provenance)
+def make_dataset(class_counts: dict[str, int], **kwargs) -> Dataset:
+    return dataset_from_squad_dict(make_squad_dict(class_counts, **kwargs))
 
 
 def uniform_counts(per_class: int, labels=None) -> dict[str, int]:

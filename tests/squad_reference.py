@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qavote.corpus import Dataset, ParagraphGroup, SchemaError
+from qavote.corpus import Dataset, Paragraph, SchemaError
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,10 @@ def ref_require(mapping, key, path, kind):
     return value
 
 
-def ref_dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
+def ref_dataset_from_squad_dict(data: dict) -> Dataset:
     """A Dataset of RefQaItems; compare its items with ``ref_items``."""
     articles = ref_require(data, "data", "$", list)
-    items: list[RefQaItem] = []
-    groups: list[ParagraphGroup] = []
+    decoded: list[Paragraph] = []
     for a_idx, article in enumerate(articles):
         a_path = f"$.data[{a_idx}]"
         paragraphs = ref_require(article, "paragraphs", a_path, list)
@@ -59,7 +58,7 @@ def ref_dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
             p_path = f"{a_path}.paragraphs[{p_idx}]"
             context = ref_require(paragraph, "context", p_path, str)
             qas = ref_require(paragraph, "qas", p_path, list)
-            group_ids = []
+            items = []
             for q_idx, qa in enumerate(qas):
                 q_path = f"{p_path}.qas[{q_idx}]"
                 qid = ref_require(qa, "id", q_path, str)
@@ -81,16 +80,15 @@ def ref_dataset_from_squad_dict(data: dict, provenance: str) -> Dataset:
                         answer_starts=tuple(starts),
                     )
                 )
-                group_ids.append(qid)
-            groups.append(
-                ParagraphGroup(
+            decoded.append(
+                Paragraph(
                     key=f"p{a_idx:05d}_{p_idx:05d}",
                     title=title,
                     context=context,
-                    item_ids=tuple(group_ids),
+                    items=tuple(items),
                 )
             )
-    return Dataset(items=tuple(items), provenance=provenance, groups=tuple(groups))
+    return Dataset(tuple(decoded))
 
 
 def ref_items(dataset: Dataset) -> list[tuple]:

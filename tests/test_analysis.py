@@ -198,7 +198,7 @@ def random_pair_instance(rng):
         qas.append({"id": f"q{i}", "question": question,
                     "answers": [{"text": g, "answer_start": 0} for g in golds]})
     data = {"data": [{"title": "t", "paragraphs": [{"context": "c", "qas": qas}]}]}
-    dataset = dataset_from_squad_dict(data, provenance="random")
+    dataset = dataset_from_squad_dict(data)
 
     def answers():
         out = {}

@@ -508,6 +508,16 @@ class TestManifests:
         # json.dumps keeps key order, so this also pins the order of nested keys
         assert json.dumps(manifest) == json.dumps(want)
 
+    def test_paths_are_recorded_as_given(self, tmp_path, corpus_file, monkeypatch):
+        """A --preds path is spelled in ``inputs`` as given, like a flag input's."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text("{}", encoding="utf-8")
+        assert main(["evaluate", "--dataset", f"./{corpus_file.name}", "--preds", "a=./p.json",
+                     "--json", "./e.json"]) == 0
+        manifest = json.loads((tmp_path / "e.json.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {"dataset": f"./{corpus_file.name}", "a": "./p.json"}
+        assert manifest["outputs"] == ["./e.json"]
+
 
 class TestGlobalMode:
     def test_global_mode_equals_class_aware_vote_on_no_classes_table(

@@ -21,7 +21,7 @@ from qavote.cli import main
 from qavote.corpus import (
     Dataset,
     Granularity,
-    ParagraphGroup,
+    Paragraph,
     QaItem,
     SchemaError,
     dataset_from_squad_dict,
@@ -52,11 +52,7 @@ class TestLoadDataset:
         path = write_json(tmp_path, "squad.json", data)
         dataset = load_dataset(path)
         assert len(dataset) == 42
-        assert dataset.provenance == str(path)
-        # every item sits in exactly one paragraph group
-        grouped = [qid for group in dataset.groups for qid in group.item_ids]
-        assert sorted(grouped) == sorted(dataset.ids)
-        sizes = [len(g.item_ids) for g in dataset.groups]
+        sizes = [len(paragraph.items) for paragraph in dataset.paragraphs]
         assert sum(sizes) == 42 and max(sizes) <= 4
 
     def test_empty_data_array(self, tmp_path):
@@ -122,14 +118,14 @@ class TestLoadDataset:
             f"[{key}]" if isinstance(key, int) else f".{key}" for key in path
         )
         with pytest.raises(SchemaError) as excinfo:
-            dataset_from_squad_dict(data, provenance="x")
+            dataset_from_squad_dict(data)
         assert json_path in str(excinfo.value)
 
     def test_duplicate_gold_texts_are_kept(self):
         data = make_squad_dict({"who": 1})
         answers = data["data"][0]["paragraphs"][0]["qas"][0]["answers"]
         answers.append(dict(answers[0]))
-        dataset = dataset_from_squad_dict(data, provenance="x")
+        dataset = dataset_from_squad_dict(data)
         assert len(dataset.items[0].gold_answers) == 2
 
     def test_save_load_round_trip(self, tmp_path):
@@ -138,8 +134,20 @@ class TestLoadDataset:
         save_dataset(dataset, path)
         reloaded = load_dataset(path)
         assert reloaded.items == dataset.items
-        assert [g.item_ids for g in reloaded.groups] == [g.item_ids for g in dataset.groups]
+        assert reloaded.paragraphs == dataset.paragraphs
         assert dataset_to_squad_dict(reloaded) == dataset_to_squad_dict(dataset)
+
+    def test_round_trip_keeps_question_order_when_a_title_repeats(self, tmp_path):
+        """Articles are not merged by title: the file written is the file read."""
+        data = {"version": "1.1", "data": [
+            {"title": title, "paragraphs": [{"context": "c", "qas": [
+                {"id": qid, "question": "Who?", "answers": [{"text": "c", "answer_start": 0}]}
+            ]}]}
+            for title, qid in [("t", "q1"), ("u", "q2"), ("t", "q3")]
+        ]}
+        save_dataset(load_dataset(write_json(tmp_path, "in.json", data)), tmp_path / "out.json")
+        assert load_dataset(tmp_path / "out.json").ids == ("q1", "q2", "q3")
+        assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8")) == data
 
 
 class _Str(str):
@@ -226,12 +234,15 @@ def _squad_documents(draw):
 
 
 def _outcome(decode, data):
-    """The decoded dataset's items, groups and provenance, or the error's type and message."""
+    """The decoded dataset's items and each paragraph's key, title, context and
+    question ids, or the error's type and message."""
     try:
-        dataset = decode(data, "corpus.json")
+        dataset = decode(data)
     except Exception as exc:
         return type(exc), str(exc)
-    return ref_items(dataset), dataset.groups, dataset.provenance
+    paragraphs = [(p.key, p.title, p.context, tuple(item.id for item in p.items))
+                  for p in dataset.paragraphs]
+    return ref_items(dataset), paragraphs
 
 
 class TestDecoderMatchesReference:
@@ -247,21 +258,12 @@ class TestDecoderMatchesReference:
     @pytest.mark.parametrize("golds, starts", [((), ()), (("a", "b"), (0,)), (("a",), (0, 1))],
                              ids=["no-golds", "fewer-starts", "more-starts"])
     def test_item_checks_through_dataset(self, golds, starts):
-        group = (ParagraphGroup("p0", "t", "a b", ("q0",)),)
         with pytest.raises(SchemaError) as expected:
-            Dataset(items=(RefQaItem("q0", "Who?", "a b", golds, starts),), provenance="x",
-                    groups=group)
+            Dataset((Paragraph("p0", "t", "a b",
+                               (RefQaItem("q0", "Who?", "a b", golds, starts),)),))
         with pytest.raises(SchemaError) as actual:
-            Dataset(items=(QaItem("q0", "Who?", "a b", golds, starts),), provenance="x",
-                    groups=group)
+            Dataset((Paragraph("p0", "t", "a b", (QaItem("q0", "Who?", "a b", golds, starts),)),))
         assert str(actual.value) == str(expected.value)
-
-    @pytest.mark.parametrize("item_ids", [("q0",), ("q0", "q1", "q1"), ("q0", "q2")],
-                             ids=["missing", "repeated", "unknown"])
-    def test_groups_must_partition_the_ids(self, item_ids):
-        items = tuple(QaItem(qid, "Who?", "a", ("a",), (0,)) for qid in ("q0", "q1"))
-        with pytest.raises(SchemaError, match="do not partition"):
-            Dataset(items=items, provenance="x", groups=(ParagraphGroup("p0", "t", "a", item_ids),))
 
 
 class TestLoadPredictions:
@@ -358,8 +360,8 @@ class TestSplit:
     def test_paragraph_granularity_keeps_groups_whole(self, small_dataset):
         split = split_pre_eval(small_dataset, 0.3, seed=7, granularity="paragraph")
         pre_ids = set(split.pre_eval.ids)
-        for group in small_dataset.groups:
-            ids = set(group.item_ids)
+        for paragraph in small_dataset.paragraphs:
+            ids = {item.id for item in paragraph.items}
             assert ids <= pre_ids or ids.isdisjoint(pre_ids)
 
     def test_item_order_is_preserved(self, small_dataset):
@@ -535,6 +537,15 @@ class TestAtomicWrites:
             os.umask(previous)
         mode = os.stat(tmp_path / "preds.json").st_mode & 0o777
         assert mode == os.stat(tmp_path / "reference").st_mode & 0o777 == 0o666 & ~umask
+
+
+class TestOneDatasetShape:
+    def test_datasets_are_built_only_by_the_decoder_and_subset(self):
+        def is_dataset(func):
+            return isinstance(func, ast.Name) and func.id == "Dataset"
+
+        assert package_calls(is_dataset) == {("corpus", "dataset_from_squad_dict"),
+                                             ("corpus", "subset")}
 
 
 class TestOneReaderOneWriter:

@@ -222,7 +222,7 @@ class TestEvaluate:
         """A model file covers the whole corpus; scoring one split slice of it
         reads only that slice's ids."""
         answers = gold_map(small_dataset)
-        slice_ = small_dataset.subset(list(answers)[:10], "slice")
+        slice_ = small_dataset.subset(list(answers)[:10])
         report = evaluate(PredictionSet("m", {**answers, "ghost-id": "x"}), slice_, rules)
         assert list(report.per_question) == list(slice_.ids)
         assert report.overall.count == 10 and report.overall.em_rate == 1.0

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import make_dataset, uniform_counts
 
-from qavote.corpus import Dataset, ParagraphGroup, QaItem, SchemaError, split_pre_eval
+from qavote.corpus import Dataset, Paragraph, QaItem, SchemaError, split_pre_eval
 from qavote.metrics import evaluate, normalize_answer, score_pair
 from qavote.synth import (
     AccuracyProfile,
@@ -99,11 +99,7 @@ class TestGeneration:
             gold_answers=("alpha beta",),
             answer_starts=(0,),
         )
-        dataset = Dataset(
-            items=(item,),
-            provenance="tiny",
-            groups=(ParagraphGroup("p0", "t", "alpha beta", ("q0",)),),
-        )
+        dataset = Dataset((Paragraph("p0", "t", "alpha beta", (item,)),))
         profile = AccuracyProfile(per_class=all_classes(0.0), seed=7)
         preds = generate_predictions(dataset, profile, "m", rules)
         assert preds.meta["sentinel_fallback_ids"] == ["q0"]
@@ -111,7 +107,7 @@ class TestGeneration:
         assert f1 == 0.0 and not em_flag
 
     def test_empty_dataset_rejected(self, rules):
-        empty = Dataset(items=(), provenance="empty", groups=())
+        empty = Dataset(())
         profile = AccuracyProfile(per_class=all_classes(1.0), seed=1)
         with pytest.raises(ValueError, match="empty"):
             generate_predictions(empty, profile, "m", rules)

@@ -170,7 +170,7 @@ class TestDistribution:
         assert all(hist.counts[label] == 4 for label in CLASS_LABELS)
 
     def test_empty_dataset(self, rules):
-        empty = Dataset(items=(), provenance="empty", groups=())
+        empty = Dataset(())
         hist = class_distribution(empty, rules)
         assert hist.total == 0
         assert all(count == 0 for count in hist.counts.values())

@@ -20,7 +20,7 @@ from vote_oracle import (
     table_for,
 )
 
-from qavote.corpus import Dataset, PredictionSet
+from qavote.corpus import Dataset, Paragraph, PredictionSet
 from qavote.metrics import QuestionScore, normalize_answer, report_from_scores
 from qavote.voting import (
     Combine,
@@ -446,14 +446,14 @@ class TestPerQuestionIndependence:
         whole_answers, whole_lines = ensemble(dataset, "whole.jsonl")
         shard_answers, shard_lines = [], b""
         for n, shard in enumerate(shards):
-            answers, lines = ensemble(dataset.subset(shard, f"shard{n}"), f"shard{n}.jsonl")
+            answers, lines = ensemble(dataset.subset(shard), f"shard{n}.jsonl")
             shard_answers += answers
             shard_lines += lines
         assert shard_answers == whole_answers
         assert shard_lines == whole_lines
 
         order = data.draw(st.permutations(dataset.items))
-        permuted = Dataset(items=tuple(order), provenance="permuted", groups=dataset.groups)
+        permuted = Dataset(tuple(Paragraph(item.id, "", item.context, (item,)) for item in order))
         answers, traces = run_ensemble(permuted, predictions, table, classifier, config)
         assert dict(answers.answers) == dict(whole_answers)
         winners = {t.question_id: (t.winner, t.reason) for t in traces}

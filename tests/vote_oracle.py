@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qavote.corpus import Dataset, ParagraphGroup, PredictionSet, QaItem
+from qavote.corpus import Dataset, Paragraph, PredictionSet, QaItem
 from qavote.metrics import normalize_answer
 from qavote.voting import Combine, Equality, VoteConfig, VoteTrace, run_ensemble
 from qavote.weighting import MetricBasis, WeightTable
@@ -33,11 +33,9 @@ def table_for(class_weights_by_model, global_weights, label="what", models=None)
     )
 
 
-_ONE_QUESTION = Dataset(
-    items=(QaItem("q", "Which answer wins?", "context", ("gold",), (0,)),),
-    provenance="one question",
-    groups=(ParagraphGroup("p", "", "context", ("q",)),),
-)
+_ONE_QUESTION = Dataset((
+    Paragraph("p", "", "context", (QaItem("q", "Which answer wins?", "context", ("gold",), (0,)),)),
+))
 
 
 def ensemble_vote(answers, label, table, config=VoteConfig()) -> VoteTrace:
