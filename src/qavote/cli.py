@@ -4,17 +4,20 @@ Each command names the files it reads (``reads``, then each ``--preds`` model) a
 writes (``plan``) once, from its flags alone, and writes a run manifest so any run can
 be reproduced: ``<out-dir>/<command>.manifest.json`` under ``--out-dir`` (split,
 compare), else ``<first output>.manifest.json``. Before any input is read, ``main``
-checks that no file flag is ``''``, no two outputs name one file and every input
-exists. The manifest's keys, in order: ``command``, ``inputs`` (flag or model name ->
-path, spelled as given), ``config``, ``seeds``, ``outputs``, ``duration_seconds`` and
-``tool_version``. Each file is written to a temporary file and then renamed over its
-path, so a write that fails leaves the previous file as it was; the manifest is written
-last.
+checks that no file flag is ``''``, no output names an input or another output and
+every input exists. It then builds the classifier (``args.classifier``) and the
+missing policy (``args.missing_policy``) of every command with those flags; a command
+returns ``(config, seeds)`` of its own settings, or None. The manifest's keys, in
+order: ``command``, ``inputs`` (flag or model name -> path, spelled as given),
+``config`` (the classifier's keys, the command's, then ``missing_policy``), ``seeds``,
+``outputs``, ``duration_seconds`` and ``tool_version``. Each file is written to a
+temporary file and then renamed over its path, so a write that fails leaves the
+previous file as it was; the manifest is written last.
 
 Exit codes: 0 success, 2 usage, 3 a path (input or output) that does not
 exist, is a directory, or is a file where a directory is needed, 4 any
 ``ValueError`` (a malformed input file or an invalid value, such as an empty path
-or two files of one command naming one file; every layer's error class subclasses
+or an output naming an input or another output; every layer's error class subclasses
 it), 1 anything else (with its traceback on stderr).
 The classifier is set by ``--rules`` or ``--length-buckets`` alone, never both
 (exit 2); no environment variable changes it.
@@ -34,7 +37,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -77,18 +79,10 @@ EXIT_SCHEMA = 4
 EXIT_OTHER = 1
 
 
-@dataclass
-class Run:
-    """A command's config and seeds, for ``main`` to write to its manifest."""
-
-    config: dict
-    seeds: dict = field(default_factory=dict)
-
-
 def _classifier_from_args(args):
     if args.length_buckets is not None:
         try:
-            edges = [int(x) for x in args.length_buckets.split(",") if x.strip()]
+            edges = [int(x) for x in args.length_buckets.split(",")]
             return LengthClassifier(edges), {"length_buckets": edges}
         except ValueError as exc:
             raise ValueError(f"--length-buckets {args.length_buckets!r}: {exc}") from None
@@ -122,18 +116,14 @@ def _parse_preds(pairs, reads) -> dict[str, str]:
     return preds
 
 
-def _score_models(args, dataset_path, **config):
-    """What evaluate, weights and compare share: the classifier, ``{name: report}``
-    of every --preds model on the dataset, and a Run holding their config
-    (``config`` goes between the classifier's and the policy's keys)."""
-    classifier, classifier_cfg = _classifier_from_args(args)
+def _score_models(args, dataset_path) -> dict:
+    """What evaluate, weights and compare share: ``{name: report}`` of every
+    --preds model on the dataset."""
     dataset = load_dataset(dataset_path)
-    policy = MissingPolicy(args.missing_policy.replace("-", "_"))
-    reports = {
-        name: evaluate(load_predictions(path, name), dataset, classifier, policy)
+    return {
+        name: evaluate(load_predictions(path, name), dataset, args.classifier, args.missing_policy)
         for name, path in args.preds.items()
     }
-    return classifier, reports, Run({**classifier_cfg, **config, "missing_policy": policy.value})
 
 
 def _split_paths(args) -> list[Path]:
@@ -157,32 +147,34 @@ def _compare_plan(args) -> list:
             ("--csv", args.csv), ("--json", args.json_out)]
 
 
-def _check_distinct(files) -> None:
-    """No two ``(label, path)`` files may name one file: the later would replace the earlier."""
+def _check_distinct(inputs, outputs) -> None:
+    """No ``(label, path)`` output may name an input or an earlier output: it would
+    replace that file. Two inputs may name one file."""
     first = {}
-    for i, (label, path) in enumerate(files):
-        j = first.setdefault(os.path.realpath(path), i)
-        if j != i:
-            raise ValueError(f"{files[j][0]} and {label} name the same file {str(path)!r}")
+    for label, path in inputs:
+        first.setdefault(os.path.realpath(path), label)
+    for label, path in outputs:
+        key = os.path.realpath(path)
+        if key in first:
+            raise ValueError(f"{first[key]} and {label} name the same file {str(path)!r}")
+        first[key] = label
 
 
 def cmd_rules_show(args) -> None:
-    classifier, _ = _classifier_from_args(args)
-    if not isinstance(classifier, ClassRuleSet):
+    if not isinstance(args.classifier, ClassRuleSet):
         print("error: 'rules show' needs a rule-based classifier", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     if args.json:
-        print(json.dumps(classifier.to_json(), indent=1))
+        print(json.dumps(args.classifier.to_json(), indent=1))
     else:
         print(f"{'priority':>8}  {'class':<14} pattern")
-        for rule in classifier.rules:
+        for rule in args.classifier.rules:
             print(f"{rule.priority:>8}  {rule.question_class.value:<14} {rule.pattern}")
 
 
-def cmd_classify_stats(args) -> Run:
-    classifier, classifier_cfg = _classifier_from_args(args)
+def cmd_classify_stats(args) -> None:
     dataset = load_dataset(args.dataset)
-    hist = class_distribution(dataset, classifier)
+    hist = class_distribution(dataset, args.classifier)
     rows = [(label, count, 100 * hist.share(label)) for label, count in hist.counts.items()]
     rows.append(("SUM", hist.total, 100.0 if hist.total else 0.0))
     print(f"{'class':<16} {'count':>8} {'share':>7}")
@@ -196,10 +188,9 @@ def cmd_classify_stats(args) -> Run:
                 fh.write(f"{label},{count},{share:.1f}\n")
     if args.json_out:
         write_json({"counts": hist.counts, "total": hist.total}, args.json_out, indent=1)
-    return Run(classifier_cfg)
 
 
-def cmd_split(args) -> Run:
+def cmd_split(args) -> tuple[dict, dict]:
     check_fraction(args.fraction)
     dataset = load_dataset(args.dataset)
     split = split_pre_eval(dataset, args.fraction, args.seed, args.granularity)
@@ -213,12 +204,11 @@ def cmd_split(args) -> Run:
         f"pre_eval {len(split.pre_eval)} (fraction {args.fraction}, seed {args.seed}, "
         f"{split.granularity.value} granularity)"
     )
-    return Run({"fraction": args.fraction, "granularity": split.granularity.value},
-               {"split": args.seed})
+    return {"fraction": args.fraction, "granularity": split.granularity.value}, {"split": args.seed}
 
 
-def cmd_evaluate(args) -> Run:
-    _, reports, run = _score_models(args, args.dataset)
+def cmd_evaluate(args) -> None:
+    reports = _score_models(args, args.dataset)
     for name, report in reports.items():
         print(
             f"{name}: F1={100 * report.overall.mean_f1:.2f}% "
@@ -228,31 +218,27 @@ def cmd_evaluate(args) -> Run:
         save_report_json(reports, args.json_out)
     if args.csv:
         save_report_csv(eval_breakdown_csv(list(reports.values())), args.csv)
-    return run
 
 
 _BASIS_BY_FLAG = {"f1": MetricBasis.MEAN_F1, "em": MetricBasis.EM_RATE}
 
 
-def cmd_weights(args) -> Run:
+def cmd_weights(args) -> tuple[dict, dict]:
     basis = _BASIS_BY_FLAG[args.basis]
-    classifier, reports, run = _score_models(
-        args, args.pre_eval, basis=basis.value, no_classes=bool(args.no_classes)
-    )
+    reports = _score_models(args, args.pre_eval)
     compute = compute_global_weights if args.no_classes else compute_class_weights
-    table = compute(reports, basis, classifier.labels)
+    table = compute(reports, basis, args.classifier.labels)
     save_weights(table, args.out)
     for model in table.models:
         marker = " (best overall)" if model == table.best_overall else ""
         print(f"{model}: global weight {table.global_weights[model]:.4f}{marker}")
-    return run
+    return {"basis": basis.value, "no_classes": bool(args.no_classes)}, {}
 
 
-def cmd_ensemble(args) -> Run:
-    classifier, classifier_cfg = _classifier_from_args(args)
+def cmd_ensemble(args) -> tuple[dict, dict]:
     dataset = load_dataset(args.dataset)
     table = load_weights(args.weights)
-    unweighted = [label for label in classifier.labels if label not in table.class_weights]
+    unweighted = [label for label in args.classifier.labels if label not in table.class_weights]
     if table.class_weights and unweighted:  # a table without class rows votes globally
         raise ValueError(f"--weights {args.weights} has no row for the labels {unweighted}")
     predictions = {name: load_predictions(path, name) for name, path in args.preds.items()}
@@ -264,18 +250,17 @@ def cmd_ensemble(args) -> Run:
         undefined_special_case=special_case,
         duplicate_equality=Equality(args.equality),
     )
-    ensemble, traces = run_ensemble(dataset, predictions, table, classifier, config)
+    ensemble, traces = run_ensemble(dataset, predictions, table, args.classifier, config)
     save_predictions(ensemble, args.out)
     if args.trace:
         save_traces(traces, args.trace)
     print(f"ensemble answers for {len(ensemble)} questions -> {args.out}")
-    return Run({
-        **classifier_cfg,
+    return {
         "mode": args.mode.replace("-", "_"),
         "combine": config.combine.value,
         "undefined_special_case": config.undefined_special_case,
         "duplicate_equality": config.duplicate_equality.value,
-    })
+    }, {}
 
 
 def _write_similarity(report, csv_path, json_path) -> None:
@@ -286,12 +271,12 @@ def _write_similarity(report, csv_path, json_path) -> None:
         save_similarity_json(report, json_path)
 
 
-def cmd_compare(args) -> Run:
-    classifier, reports, run = _score_models(args, args.dataset)
+def cmd_compare(args) -> None:
+    reports = _score_models(args, args.dataset)
     if args.out_dir:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     for name_a, name_b in combinations(reports, 2):
-        report = pairwise_similarity(reports[name_a], reports[name_b], classifier.labels)
+        report = pairwise_similarity(reports[name_a], reports[name_b], args.classifier.labels)
         o = report.overall
         print(
             f"{name_a} vs {name_b}: equal F1 {o.equal_f1}/{o.total}, "
@@ -302,21 +287,19 @@ def cmd_compare(args) -> Run:
         if args.out_dir:
             _write_similarity(report, *_pair_files(args, name_a, name_b))
         _write_similarity(report, args.csv, args.json_out)
-    return run
 
 
-def cmd_synth(args) -> Run:
-    classifier, classifier_cfg = _classifier_from_args(args)
+def cmd_synth(args) -> tuple[dict, dict]:
     dataset = load_dataset(args.dataset)
     profile = load_profile(args.profile)
-    preds = generate_predictions(dataset, profile, args.name, classifier)
+    preds = generate_predictions(dataset, profile, args.name, args.classifier)
     save_predictions(preds, args.out)
     note = ""
     if preds.meta.get("sentinel_fallback_ids"):
         note = f" ({len(preds.meta['sentinel_fallback_ids'])} sentinel fallbacks)"
     print(f"generated {len(preds)} synthetic answers as {args.name!r} -> {args.out}{note}")
-    return Run({**classifier_cfg, "corruption": profile.corruption.value,
-                "model_name": args.name}, {"profile": profile.seed})
+    return ({"corruption": profile.corruption.value, "model_name": args.name},
+            {"profile": profile.seed})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,27 +415,35 @@ def main(argv=None) -> int:
         try:
             args.preds = _parse_preds(getattr(args, "preds", ()), args.reads)
             inputs = {**{dest: getattr(args, dest) for dest in args.reads}, **args.preds}
+            read = [*((_flag(dest), inputs[dest]) for dest in args.reads),
+                    *((f"--preds {name}", path) for name, path in args.preds.items()),
+                    ("--rules", getattr(args, "rules", None))]
             out_dir = getattr(args, "out_dir", None)
             planned = args.plan(args)
-            for label, path in [*((_flag(dest), inputs[dest]) for dest in args.reads),
-                                ("--rules", getattr(args, "rules", None)),
-                                ("--out-dir", out_dir), *planned]:
-                if path == "":  # given but empty; an unset optional output is None
+            for label, path in [*read, ("--out-dir", out_dir), *planned]:
+                if path == "":  # given but empty; an unset optional flag is None
                     raise ValueError(f"{label} '': no path given")
             outputs = [(label, path) for label, path in planned if path is not None]
             if outputs:
                 base = Path(out_dir) / args.command if out_dir is not None else outputs[0][1]
                 manifest_path = f"{base}.manifest.json"
-                _check_distinct([*outputs, ("the manifest", manifest_path)])
+                _check_distinct([(label, path) for label, path in read if path is not None],
+                                [*outputs, ("the manifest", manifest_path)])
             for path in inputs.values():
                 os.stat(path)  # a missing input exits 3 before any input is read
-            run = args.func(args)
+            config, policy = {}, {}  # the shared flags' settings, around the command's own
+            if hasattr(args, "rules"):
+                args.classifier, config = _classifier_from_args(args)
+            if hasattr(args, "missing_policy"):
+                args.missing_policy = MissingPolicy(args.missing_policy.replace("-", "_"))
+                policy = {"missing_policy": args.missing_policy.value}
+            own, seeds = args.func(args) or ({}, {})
             if outputs:
                 manifest = {
                     "command": args.command,
                     "inputs": inputs,
-                    "config": run.config,
-                    "seeds": run.seeds,
+                    "config": {**config, **own, **policy},
+                    "seeds": seeds,
                     "outputs": [str(path) for _, path in outputs],
                     "duration_seconds": time.monotonic() - start,
                     "tool_version": __version__,

@@ -288,8 +288,9 @@ def _require_float(mapping, key, path) -> float:
 def dataset_from_squad_dict(data: dict) -> Dataset:
     """Build a Dataset from already-parsed SQuAD-format JSON.
 
-    Every field must have its SQuAD type; nothing is coerced. A violation
-    raises SchemaError naming the field's JSON path.
+    Every field must have its SQuAD type; nothing is coerced. A violation, or
+    a question id seen earlier in the document, raises SchemaError naming the
+    field's JSON path.
 
     One pass over the document: each object's fields are tested with exact
     ``type(x) is ...`` checks. Only an object that fails them is read again
@@ -299,6 +300,7 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
     """
     articles = _require(data, "data", "$", list)
     decoded: list[Paragraph] = []
+    seen_ids: set[str] = set()
     for a_idx, article in enumerate(articles):
         if not (type(article) is dict
                 and type(paragraphs := article.get("paragraphs")) is list
@@ -326,6 +328,10 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
                     answers = _require(qa, "answers", q_path, list)
                     if not answers:
                         raise SchemaError(f"empty answers list at {q_path}.answers")
+                if qid in seen_ids:
+                    raise SchemaError(f"duplicate question id {qid!r} at "
+                                      f"$.data[{a_idx}].paragraphs[{p_idx}].qas[{q_idx}].id")
+                seen_ids.add(qid)
                 golds, starts = [], []
                 for ans_idx, answer in enumerate(answers):
                     if not (type(answer) is dict

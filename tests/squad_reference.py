@@ -50,6 +50,7 @@ def ref_dataset_from_squad_dict(data: dict) -> Dataset:
     """A Dataset of RefQaItems; compare its items with ``ref_items``."""
     articles = ref_require(data, "data", "$", list)
     decoded: list[Paragraph] = []
+    seen_ids = set()
     for a_idx, article in enumerate(articles):
         a_path = f"$.data[{a_idx}]"
         paragraphs = ref_require(article, "paragraphs", a_path, list)
@@ -66,6 +67,9 @@ def ref_dataset_from_squad_dict(data: dict) -> Dataset:
                 answers = ref_require(qa, "answers", q_path, list)
                 if not answers:
                     raise SchemaError(f"empty answers list at {q_path}.answers")
+                if qid in seen_ids:
+                    raise SchemaError(f"duplicate question id {qid!r} at {q_path}.id")
+                seen_ids.add(qid)
                 golds, starts = [], []
                 for ans_idx, answer in enumerate(answers):
                     ans_path = f"{q_path}.answers[{ans_idx}]"

@@ -6,6 +6,7 @@ import contextlib
 import gc
 import io
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gold_map, make_squad_dict, uniform_counts
+from helpers import gold_map, make_squad_dict, package_calls, uniform_counts
 
 from qavote import __version__
 import qavote.cli
@@ -550,7 +551,8 @@ class TestGlobalMode:
                          "--out", str(out), "--trace", str(trace)]) == 0
             return out.read_bytes(), trace.read_bytes()
 
-        class_weights, flat_weights = weights("class.json"), weights("flat.json", "--no-classes")
+        class_weights = weights("class_weights.json")
+        flat_weights = weights("flat_weights.json", "--no-classes")
         global_mode = ensemble("global", class_weights, "--mode", "global")
         flat_vote = ensemble("flat", flat_weights, "--no-undefined-special-case")
         assert global_mode == flat_vote
@@ -565,6 +567,18 @@ class TestGlobalMode:
             "undefined_special_case": False,
             "duplicate_equality": "normalized",
         }
+
+
+class TestSharedFlagsOnce:
+    def test_only_main_builds_the_classifier_and_the_missing_policy(self):
+        """``main`` resolves --rules/--length-buckets and --missing-policy for every
+        command; a command body reads ``args.classifier`` and ``args.missing_policy``."""
+        def is_shared_setup(func):
+            return isinstance(func, ast.Name) and func.id in ("_classifier_from_args",
+                                                               "MissingPolicy")
+
+        calls = package_calls(is_shared_setup)
+        assert {call for call in calls if call[0] == "cli"} == {("cli", "main")}
 
 
 class TestClassifyOnce:
@@ -937,7 +951,8 @@ class TestErrorCodes:
                      "--preds", f"b={golds}", "--length-buckets", "6,9", "--weights",
                      str(weights), "--out", str(tmp_path / "e.json")]) == 0
 
-    @pytest.mark.parametrize("edges", ["", ",", "6,x"], ids=["empty", "comma", "not-int"])
+    @pytest.mark.parametrize("edges", ["", ",", "6,x", "6,,9", "6,"],
+                             ids=["empty", "comma", "not-int", "empty-field", "trailing-comma"])
     def test_length_buckets_that_are_no_edge_list_exit_four(self, corpus_file, capsys, edges):
         assert main(["classify-stats", "--dataset", str(corpus_file),
                      "--length-buckets", edges]) == 4
@@ -1191,6 +1206,46 @@ class TestReadPlan:
         assert code == 4
         assert err == f"error: fraction must be within [0, 1], got {float(fraction)}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["classify-stats", "classify-stats-rules", "split",
+                                      "evaluate", "weights", "ensemble", "compare", "synth",
+                                      "manifest"])
+    def test_output_naming_an_input_exits_four(self, tmp_path, input_files, no_read, case):
+        """An output that names an input used to replace it: ``evaluate --json`` over
+        its own ``--preds`` file exited 0 with the report in place of the predictions."""
+        files, _ = input_files
+        names = {"dataset": "train.json", "preds": "e.json.manifest.json", "weights": "w.json",
+                 "profile": "f.json", "rules": "r.json"}
+        for kind, name in names.items():
+            shutil.copyfile(files[kind], tmp_path / name)
+        d, p, w, f, r = (str(tmp_path / names[kind]) for kind in names)
+        models = ["--preds", f"a={p}", "--preds", f"b={p}"]
+        argv, labels, victim = {
+            "classify-stats": (["classify-stats", "--dataset", d, "--json", d],
+                               ("--dataset", "--json"), d),
+            "classify-stats-rules": (["classify-stats", "--dataset", d, "--rules", r,
+                                      "--csv", r], ("--rules", "--csv"), r),
+            "split": (["split", "--dataset", d, "--fraction", "0.5", "--seed", "1",
+                       "--out-dir", str(tmp_path)], ("--dataset", "--out-dir"), d),
+            "evaluate": (["evaluate", "--dataset", d, *models, "--json", p],
+                         ("--preds a", "--json"), p),
+            "weights": (["weights", "--pre-eval", d, *models, "--out", d],
+                        ("--pre-eval", "--out"), d),
+            "ensemble": (["ensemble", "--dataset", d, *models, "--weights", w,
+                          "--out", str(tmp_path / "e.json"), "--trace", w],
+                         ("--weights", "--trace"), w),
+            "compare": (["compare", "--dataset", d, *models, "--csv", d],
+                        ("--dataset", "--csv"), d),
+            "synth": (["synth", "--dataset", d, "--profile", f, "--name", "m", "--out", f],
+                      ("--profile", "--out"), f),
+            "manifest": (["evaluate", "--dataset", d, *models, "--json", str(tmp_path / "e.json")],
+                         ("--preds a", "the manifest"), p),
+        }[case]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        code, err = _run_quietly(argv)
+        assert code == 4, err
+        assert err == f"error: {labels[0]} and {labels[1]} name the same file {victim!r}\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_every_command_declares_its_reads(self):
         """A command reads only its own flags, and declares every input flag it has:

@@ -81,7 +81,8 @@ class TestLoadDataset:
         qas = data["data"][0]["paragraphs"][0]["qas"]
         qas[1]["id"] = qas[0]["id"]
         path = write_json(tmp_path, "squad.json", data)
-        with pytest.raises(SchemaError, match="duplicate"):
+        with pytest.raises(SchemaError, match=rf"duplicate question id '{qas[0]['id']}' at "
+                                              r"\$\.data\[0\]\.paragraphs\[0\]\.qas\[1\]\.id$"):
             load_dataset(path)
 
     def test_empty_answers_rejected(self, tmp_path):
