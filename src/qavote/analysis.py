@@ -8,24 +8,20 @@ equality, no epsilon, and nothing here scores or classifies a question.
 """
 from __future__ import annotations
 
-import csv
 import io
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import write_json
 from .metrics import ClassStats, EvalReport
 
 
-@dataclass(frozen=True)
-class SimTriple:
+class SimTriple(NamedTuple):
     equal_f1: int
     equal_em: int
     total: int
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(NamedTuple):
     model_a: str
     model_b: str
     per_class: dict[str, SimTriple]
@@ -94,6 +90,8 @@ def _pct(part: int, whole: int) -> str:
 
 def similarity_csv(report: SimilarityReport) -> str:
     """Per-class agreement table: count cells carry their percentage."""
+    import csv  # only a CSV export pays for this import
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["class", "equal_f1", "equal_em", "total"])
@@ -118,6 +116,8 @@ def eval_breakdown_csv(reports: Sequence[EvalReport]) -> str:
     Metric cells are percentages at 2 decimals; the JSON report keeps full
     precision.
     """
+    import csv  # only a CSV export pays for this import
+
     if not reports:
         raise ValueError("need at least one report")
     labels: list[str] = []
@@ -142,4 +142,7 @@ def eval_breakdown_csv(reports: Sequence[EvalReport]) -> str:
 
 
 def save_similarity_json(report: SimilarityReport, path) -> None:
-    write_json(asdict(report), path, indent=1)
+    """Write the report as one JSON object; each ``SimTriple`` is an object too."""
+    per_class = {label: triple._asdict() for label, triple in report.per_class.items()}
+    blob = {**report._asdict(), "per_class": per_class, "overall": report.overall._asdict()}
+    write_json(blob, path, indent=1)

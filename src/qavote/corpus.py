@@ -24,14 +24,11 @@ indented output (reports, manifests), which has no C encoder.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -162,14 +159,56 @@ class Paragraph(NamedTuple):
     items: tuple[QaItem, ...]
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An ordered, immutable collection of paragraphs, each holding its questions."""
+class _Frozen:
+    """Base of a record that a tuple cannot be (it defines ``__len__``): its slots
+    are set once, through ``object.__setattr__``, and then cannot be assigned;
+    two records are equal when their ``_compared`` fields are (so unhashable),
+    and a copy or an unpickled record is built from its ``_init_args`` fields by
+    the constructor, which checks them again."""
 
-    paragraphs: tuple[Paragraph, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for item in self.items:
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._compared)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._init_args)
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.__reduce__()[1]!r}"
+
+
+class _Checked:
+    """Base of a ``NamedTuple`` subclass that checks, and may coerce, its fields:
+    every construction, ``_replace`` included, keeps the values ``_checked()``
+    returns, or raises. Place it before the ``NamedTuple`` base."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._checked())
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Dataset(_Frozen):
+    """An ordered, immutable collection of paragraphs, each holding its questions;
+    building one checks every item and that question ids are unique."""
+
+    __slots__ = ("paragraphs", "items")
+    _compared = _init_args = ("paragraphs",)
+
+    def __init__(self, paragraphs: tuple[Paragraph, ...]):
+        for item in self._fill(paragraphs).items:
             if not item.gold_answers:
                 raise SchemaError(f"question {item.id!r}: gold_answers is empty")
             if len(item.answer_starts) != len(item.gold_answers):
@@ -179,15 +218,14 @@ class Dataset:
                 )
         ids = self.ids
         if len(set(ids)) != len(ids):
-            seen, dupes = set(), set()
-            for i in ids:
-                (dupes if i in seen else seen).add(i)
-            raise SchemaError(f"duplicate question ids: {sorted(dupes)[:5]}")
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+            raise SchemaError(f"duplicate question ids: {dupes[:5]}")
 
-    @cached_property
-    def items(self) -> tuple[QaItem, ...]:
-        """Every paragraph's questions, in order."""
-        return tuple(chain.from_iterable(paragraph.items for paragraph in self.paragraphs))
+    def _fill(self, paragraphs) -> "Dataset":
+        """Set the paragraphs and ``items``, every paragraph's questions in order."""
+        object.__setattr__(self, "paragraphs", paragraphs)
+        object.__setattr__(self, "items", tuple(chain.from_iterable(p.items for p in paragraphs)))
+        return self
 
     def __len__(self) -> int:
         return len(self.items)
@@ -198,29 +236,35 @@ class Dataset:
 
     def subset(self, keep_ids: Iterable[str]) -> "Dataset":
         """New Dataset with only ``keep_ids``, preserving question and paragraph
-        order; a paragraph left without questions is dropped."""
+        order; a paragraph left without questions is dropped. Not checked again:
+        a subset of a checked dataset passes every check."""
         keep = set(keep_ids)
         paragraphs = []
         for paragraph in self.paragraphs:
             kept = tuple(item for item in paragraph.items if item.id in keep)
             if kept:
                 paragraphs.append(paragraph._replace(items=kept))
-        return Dataset(tuple(paragraphs))
+        return object.__new__(Dataset)._fill(tuple(paragraphs))
 
 
-@dataclass(frozen=True)
-class PredictionSet:
+class PredictionSet(_Frozen):
     """A named model's answers, keyed by question id.
 
     May cover only a subset of a dataset's questions; the gap is handled by
     the evaluation missing-prediction policy, not here. ``meta`` carries
-    generator-side annotations (e.g. synthetic fallback ids) and is not part
-    of the on-disk format.
+    generator-side annotations (e.g. synthetic fallback ids); it is not part
+    of the on-disk format, nor of equality.
     """
 
-    model_name: str
-    answers: Mapping[str, str]
-    meta: Mapping[str, object] = field(default_factory=dict, compare=False)
+    __slots__ = ("model_name", "answers", "meta")
+    _compared = ("model_name", "answers")
+    _init_args = ("model_name", "answers", "meta")
+
+    def __init__(self, model_name: str, answers: Mapping[str, str],
+                 meta: Mapping[str, object] | None = None):
+        object.__setattr__(self, "model_name", model_name)
+        object.__setattr__(self, "answers", answers)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
     def __len__(self) -> int:
         return len(self.answers)
@@ -231,8 +275,7 @@ class Granularity(str, enum.Enum):
     PARAGRAPH = "paragraph"
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     train: Dataset
     pre_eval: Dataset
     fraction: float
@@ -398,11 +441,6 @@ def save_predictions(predictions: PredictionSet, path: str | Path) -> None:
     write_json(dict(predictions.answers), path)
 
 
-def _unit_sort_key(seed: int, unit_id: str) -> tuple[str, str]:
-    digest = hashlib.sha256(f"{seed}:{unit_id}".encode("utf-8")).hexdigest()
-    return (digest, unit_id)
-
-
 def check_fraction(fraction: float) -> None:
     """A split fraction outside [0, 1], NaN included, is a ValueError."""
     if not 0.0 <= fraction <= 1.0:
@@ -422,6 +460,8 @@ def split_pre_eval(
     or exceeds ``fraction * len(dataset)``. Paragraph granularity never
     separates questions sharing a paragraph.
     """
+    from hashlib import sha256  # only a split pays for this import
+
     check_fraction(fraction)
     granularity = Granularity(granularity)
 
@@ -432,7 +472,8 @@ def split_pre_eval(
                  for paragraph in dataset.paragraphs]
 
     target = fraction * len(dataset)
-    ordered = sorted(units, key=lambda unit: _unit_sort_key(seed, unit[0]))
+    ordered = sorted(
+        units, key=lambda unit: (sha256(f"{seed}:{unit[0]}".encode("utf-8")).hexdigest(), unit[0]))
     pre_eval_ids: set[str] = set()
     count = 0
     for _, qids in ordered:

@@ -21,10 +21,7 @@ reports and never score or classify again.
 from __future__ import annotations
 
 import enum
-import string
-import unicodedata
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import Dataset, PredictionSet, atomic_write, write_json
@@ -41,6 +38,8 @@ class _PunctuationTable(dict):
     """
 
     def __missing__(self, code_point: int) -> int | None:
+        import string, unicodedata  # here: a command that normalizes no text never pays
+
         ch = chr(code_point)
         drop = ch in string.punctuation or unicodedata.category(ch).startswith("P")
         value = self[code_point] = None if drop else code_point
@@ -59,9 +58,9 @@ def normalize_answer(text: str) -> list[str]:
 def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     if not pred_tokens and not gold_tokens:
         return 1.0
-    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
-    if overlap == 0:
+    if set(pred_tokens).isdisjoint(gold_tokens):  # no shared token: no Counters to build
         return 0.0
+    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
     precision = overlap / len(pred_tokens)
     recall = overlap / len(gold_tokens)
     return (2 * precision * recall) / (precision + recall)
@@ -98,15 +97,13 @@ class QuestionScore(NamedTuple):
     em: bool
 
 
-@dataclass(frozen=True)
-class ClassStats:
+class ClassStats(NamedTuple):
     mean_f1: float
     em_rate: float
     count: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-question scores, in dataset order, with per-class and overall aggregates."""
 
     per_question: dict[str, QuestionScore]
@@ -120,8 +117,8 @@ class EvalReport:
         return {
             "model": self.model,
             "missing_policy": self.missing_policy.value,
-            "overall": asdict(self.overall),
-            "per_class": {label: asdict(s) for label, s in self.per_class.items()},
+            "overall": self.overall._asdict(),
+            "per_class": {label: s._asdict() for label, s in self.per_class.items()},
             "per_question": {
                 qid: {"f1": score.f1, "em": score.em}
                 for qid, score in sorted(self.per_question.items())

@@ -9,12 +9,10 @@ dataset reproduces exactly the per-question outcomes of the full set.
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
-from .corpus import Dataset, PredictionSet, _require, _require_float, load_json
+from .corpus import Dataset, PredictionSet, _Checked, _require, _require_float, load_json
 from .metrics import normalize_answer
 
 
@@ -24,22 +22,27 @@ class Corruption(str, enum.Enum):
     RANDOM_SPAN = "random_span"  # uniform random context span
 
 
-@dataclass(frozen=True)
-class AccuracyProfile:
-    """Per-class gold-emission probabilities plus the wrong-answer shape.
-
-    Classes absent from ``per_class`` get probability 0.0.
-    """
-
+class _AccuracyProfileFields(NamedTuple):
     per_class: Mapping[str, float]
     corruption: Corruption = Corruption.DISJOINT_TOKEN
     seed: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "corruption", Corruption(self.corruption))
+
+class AccuracyProfile(_Checked, _AccuracyProfileFields):
+    """Per-class gold-emission probabilities plus the wrong-answer shape.
+
+    Classes absent from ``per_class`` get probability 0.0. A probability
+    outside [0, 1] is a ValueError; ``corruption`` may be given as its value.
+    """
+
+    __slots__ = ()
+
+    def _checked(self) -> tuple:
+        corruption = Corruption(self.corruption)
         for label, p in self.per_class.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability for class {label!r} out of [0, 1]: {p}")
+        return self.per_class, corruption, self.seed
 
     def probability(self, label: str) -> float:
         return self.per_class.get(label, 0.0)
@@ -61,15 +64,6 @@ def load_profile(path: str | Path) -> AccuracyProfile:
     return load_json(path, AccuracyProfile.from_json_dict)
 
 
-def _hash_int(seed: int, qid: str, purpose: str) -> int:
-    digest = hashlib.sha256(f"{seed}|{purpose}|{qid}".encode("utf-8")).digest()
-    return int.from_bytes(digest, "big")
-
-
-def _uniform(seed: int, qid: str, purpose: str) -> float:
-    return _hash_int(seed, qid, purpose) / 2**256
-
-
 def _sentinel(gold_tokens: set[str]) -> str:
     token = "xqzv"
     while token in gold_tokens:
@@ -77,7 +71,7 @@ def _sentinel(gold_tokens: set[str]) -> str:
     return f"{token} {token}"
 
 
-def _disjoint_span(item, seed: int) -> tuple[str, bool]:
+def _disjoint_span(item, hash_int: Callable[[str, str], int]) -> tuple[str, bool]:
     """(answer, used_sentinel): a 2ish-token context span disjoint from gold."""
     gold_tokens = set()
     for gold in item.gold_answers:
@@ -86,7 +80,7 @@ def _disjoint_span(item, seed: int) -> tuple[str, bool]:
     n = len(context_tokens)
     width = 2 if n >= 2 else 1
     if n:
-        offset = _hash_int(seed, item.id, "span") % n
+        offset = hash_int(item.id, "span") % n
         for shift in range(n):
             start = (offset + shift) % n
             window = context_tokens[start : start + width]
@@ -96,18 +90,13 @@ def _disjoint_span(item, seed: int) -> tuple[str, bool]:
     return _sentinel(gold_tokens), True
 
 
-def _truncated_gold(item) -> str:
-    tokens = normalize_answer(item.gold_answers[0])
-    return " ".join(tokens[:-1])
-
-
-def _random_span(item, seed: int) -> str:
+def _random_span(item, hash_int: Callable[[str, str], int]) -> str:
     tokens = item.context.split()
     if not tokens:
         return ""
-    start = _hash_int(seed, item.id, "start") % len(tokens)
+    start = hash_int(item.id, "start") % len(tokens)
     max_len = min(5, len(tokens) - start)
-    length = 1 + _hash_int(seed, item.id, "len") % max_len
+    length = 1 + hash_int(item.id, "len") % max_len
     return " ".join(tokens[start : start + length])
 
 
@@ -125,23 +114,31 @@ def generate_predictions(
     offers no qualifying span) fall back to a sentinel and are listed in the
     result's ``meta["sentinel_fallback_ids"]``.
     """
+    from hashlib import sha256  # only synthesis pays for this import
+
     if not len(dataset):
         raise ValueError("dataset is empty")
+
+    def hash_int(qid: str, purpose: str) -> int:
+        """A uniform 256-bit draw, a pure function of (profile seed, purpose, qid)."""
+        digest = sha256(f"{profile.seed}|{purpose}|{qid}".encode("utf-8")).digest()
+        return int.from_bytes(digest, "big")
+
     answers: dict[str, str] = {}
     sentinel_ids: list[str] = []
     for item in dataset.items:
         label = classifier(item.question)
-        if _uniform(profile.seed, item.id, "emit") < profile.probability(label):
+        if hash_int(item.id, "emit") / 2**256 < profile.probability(label):
             answers[item.id] = item.gold_answers[0]
             continue
         if profile.corruption is Corruption.DISJOINT_TOKEN:
-            answer, used_sentinel = _disjoint_span(item, profile.seed)
+            answer, used_sentinel = _disjoint_span(item, hash_int)
             if used_sentinel:
                 sentinel_ids.append(item.id)
             answers[item.id] = answer
         elif profile.corruption is Corruption.TRUNCATE_GOLD:
-            answers[item.id] = _truncated_gold(item)
+            answers[item.id] = " ".join(normalize_answer(item.gold_answers[0])[:-1])
         else:
-            answers[item.id] = _random_span(item, profile.seed)
+            answers[item.id] = _random_span(item, hash_int)
     meta = {"sentinel_fallback_ids": sentinel_ids} if sentinel_ids else {}
     return PredictionSet(model_name=model_name, answers=answers, meta=meta)

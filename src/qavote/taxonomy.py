@@ -17,9 +17,8 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import SchemaError, _require, load_json
 
@@ -52,8 +51,7 @@ CLASS_LABELS: tuple[str, ...] = tuple(c.value for c in QuestionClass)
 UNDEFINED = QuestionClass.UNDEFINED.value
 
 
-@dataclass(frozen=True)
-class ClassRule:
+class ClassRule(NamedTuple):
     pattern: str
     question_class: QuestionClass
     priority: int
@@ -121,8 +119,7 @@ class ClassRuleSet:
             self._labels_by_question[question] = label
         return label
 
-    def __call__(self, question: str) -> str:
-        return self.classify(question)
+    __call__ = classify
 
     def to_json(self) -> list[dict]:
         return [
@@ -187,8 +184,7 @@ class LengthClassifier:
         return f"len_{bisect_right(self.edges, question_length(question))}"
 
 
-@dataclass(frozen=True)
-class ClassHistogram:
+class ClassHistogram(NamedTuple):
     """Per-class question counts; counts always sum to total."""
 
     counts: dict[str, int]

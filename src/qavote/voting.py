@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Dataset, PredictionSet, atomic_write
+from .corpus import Dataset, PredictionSet, _Checked, atomic_write
 from .metrics import normalize_answer
 from .taxonomy import UNDEFINED
 from .weighting import WeightTable
@@ -53,17 +52,21 @@ class VoteError(ValueError):
     """Raised when the prediction models are not the weight table's models."""
 
 
-@dataclass(frozen=True)
-class VoteConfig:
-    """Voting variant switches; the defaults are the headline configuration."""
-
+class _VoteConfigFields(NamedTuple):
     combine: Combine = Combine.SUM
     undefined_special_case: bool = True
     duplicate_equality: Equality = Equality.NORMALIZED
 
-    def __post_init__(self):
-        object.__setattr__(self, "combine", Combine(self.combine))
-        object.__setattr__(self, "duplicate_equality", Equality(self.duplicate_equality))
+
+class VoteConfig(_Checked, _VoteConfigFields):
+    """Voting variant switches; the defaults are the headline configuration.
+    ``combine`` and ``duplicate_equality`` may be given as their string values."""
+
+    __slots__ = ()
+
+    def _checked(self) -> tuple:
+        combine, special_case, equality = self
+        return Combine(combine), special_case, Equality(equality)
 
 
 class Candidate(NamedTuple):
@@ -96,8 +99,7 @@ class VoteTrace(NamedTuple):
 
     @property
     def winner(self) -> Candidate:
-        i = self.winner_index
-        return Candidate(self.models[i], self.answers[i], self.weights[i])
+        return self.candidates[self.winner_index]
 
 
 class _NormalizedKeys(dict):

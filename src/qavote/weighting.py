@@ -10,16 +10,17 @@ ties to earlier model order) answers undefined-class questions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import _require, _require_float, load_json, write_json
-from .metrics import ClassStats, EvalReport
+from .corpus import _Checked, _require, _require_float, load_json, write_json
+from .metrics import EvalReport
 from .taxonomy import CLASS_LABELS
 
 
 class MetricBasis(str, enum.Enum):
+    """Which ``ClassStats`` field a weight is: each value names that field."""
+
     MEAN_F1 = "mean_f1"
     EM_RATE = "em_rate"
 
@@ -28,17 +29,20 @@ class WeightError(ValueError):
     """Raised for inconsistent report sets or an inconsistent weight table."""
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Per-(class, model) and global voting weights, all within [0, 1]."""
-
+class _WeightTableFields(NamedTuple):
     models: tuple[str, ...]
     metric_basis: MetricBasis
     class_weights: dict[str, dict[str, float]]  # class label -> model -> weight
     global_weights: dict[str, float]
     best_overall: str
 
-    def __post_init__(self):
+
+class WeightTable(_Checked, _WeightTableFields):
+    """Per-(class, model) and global voting weights within [0, 1], checked when built."""
+
+    __slots__ = ()
+
+    def _checked(self) -> "WeightTable":
         if not self.models:
             raise WeightError("weight table needs at least one model")
         if len(set(self.models)) != len(self.models):
@@ -59,6 +63,7 @@ class WeightTable:
                 _check_weight(weight, f"weight of {model!r} in class {label!r}")
         if self.best_overall != _argmax_model(self.models, self.global_weights):
             raise WeightError("best_overall does not match the global-weight argmax")
+        return self
 
     def row(self, label: str) -> tuple[float, ...]:
         """The label's weights in model order; an unknown label gets the global weights."""
@@ -66,9 +71,9 @@ class WeightTable:
         return tuple(weights[model] for model in self.models)
 
     def ignoring_classes(self) -> "WeightTable":
-        """This table with every class row replaced by the global weights."""
-        return replace(
-            self, class_weights={label: dict(self.global_weights) for label in self.class_weights}
+        """This table with every class row replaced by the global weights, checked."""
+        return self._replace(
+            class_weights={label: dict(self.global_weights) for label in self.class_weights}
         )
 
     def to_json_dict(self) -> dict:
@@ -107,15 +112,7 @@ def _check_weight(weight: float, what: str) -> None:
 
 
 def _argmax_model(models: Sequence[str], weights: Mapping[str, float]) -> str:
-    best = models[0]
-    for model in models[1:]:
-        if weights[model] > weights[best]:
-            best = model
-    return best
-
-
-def _basis_value(stats: ClassStats, basis: MetricBasis) -> float:
-    return stats.mean_f1 if basis is MetricBasis.MEAN_F1 else stats.em_rate
+    return max(models, key=weights.__getitem__)  # max keeps the first of equal weights
 
 
 def _check_reports(reports: Mapping[str, EvalReport]) -> None:
@@ -128,6 +125,9 @@ def _check_reports(reports: Mapping[str, EvalReport]) -> None:
             raise WeightError(
                 f"pre-evaluation id sets differ between {first_model!r} and {model!r}"
             )
+    if not id_sets[first_model]:  # every weight would be 0.0, every vote by model order
+        raise WeightError("the pre-evaluation set has no scored question: it is empty, "
+                          "or under 'exclude' no model answers any of its questions")
 
 
 def compute_class_weights(
@@ -146,7 +146,7 @@ def compute_class_weights(
     basis = MetricBasis(basis)
     models = tuple(reports)
     global_weights = {
-        model: _basis_value(report.overall, basis) for model, report in reports.items()
+        model: getattr(report.overall, basis.value) for model, report in reports.items()
     }
     all_labels = list(labels)
     for report in reports.values():
@@ -161,7 +161,7 @@ def compute_class_weights(
             if stats is None or stats.count == 0:
                 row[model] = global_weights[model]
             else:
-                row[model] = _basis_value(stats, basis)
+                row[model] = getattr(stats, basis.value)
         class_weights[label] = row
     return WeightTable(
         models=models,

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import random
-from dataclasses import asdict
 
 from helpers import gold_map, make_dataset
 
@@ -14,6 +13,7 @@ from qavote.analysis import (
     SimTriple,
     eval_breakdown_csv,
     pairwise_similarity,
+    save_similarity_json,
     similarity_csv,
 )
 from qavote.corpus import PredictionSet, dataset_from_squad_dict
@@ -175,12 +175,15 @@ class TestExports:
         assert [rows[-1][1], rows[-1][4]] == [str(len(golds)), str(len(half))]
         assert len(half) < len(golds)
 
-    def test_json_mirror(self, rules, small_dataset):
+    def test_json_mirror(self, rules, small_dataset, tmp_path):
         report = self.similarity_report(rules, small_dataset)
-        blob = json.loads(json.dumps(asdict(report)))
+        save_similarity_json(report, tmp_path / "pair.json")
+        blob = json.loads((tmp_path / "pair.json").read_text(encoding="utf-8"))
         assert blob["model_a"] == "a" and blob["model_b"] == "b"
         assert blob["overall"]["total"] == len(small_dataset)
         assert len(blob["per_class"]) == 14
+        # each SimTriple is an object of its fields, not a JSON array
+        assert all(list(t) == list(SimTriple._fields) for t in blob["per_class"].values())
 
 
 PHRASES = ["What", "Who", "When did", "How many", "Why", "Name", "On what date", "Where"]

@@ -6,7 +6,10 @@ import contextlib
 import gc
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -632,6 +635,28 @@ class TestClassifyOnce:
 
 
 class TestErrorCodes:
+    @pytest.mark.parametrize("policy", ["score-as-empty", "exclude"])
+    def test_weights_on_no_scored_question_exit_four(self, tmp_path, corpus_file, capsys,
+                                                     policy):
+        """An empty pre-evaluation set, or one no model answers under exclude, would
+        give every weight 0.0 and leave every vote to model order."""
+        pre_eval = corpus_file
+        if policy == "score-as-empty":
+            pre_eval = tmp_path / "empty.json"
+            pre_eval.write_text('{"version": "1.1", "data": []}', encoding="utf-8")
+        preds = tmp_path / "p.json"
+        preds.write_text('{"no-such-question": "x"}', encoding="utf-8")
+        out = tmp_path / "w.json"
+        rc = main(["weights", "--pre-eval", str(pre_eval), "--preds", f"a={preds}",
+                   "--preds", f"b={preds}", "--missing-policy", policy, "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: the pre-evaluation set has no scored question")
+        assert len(err.splitlines()) == 1
+        # no weights, no manifest, no temporary file
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {corpus_file.name, pre_eval.name, "p.json"})
+
     def test_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         rc = main(["classify-stats", "--dataset", str(missing)])
@@ -1451,3 +1476,26 @@ class TestTracedNames:
         ):
             assert main(argv) == 0, argv
         assert [name for name in self.traced() if not calls[name]] == []
+
+
+class TestStartupBudget:
+    """Every command starts a fresh interpreter: an import that one command needs
+    is made where it is used, not paid by every start. ``dataclasses`` (with
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``hashlib``, ``csv`` and
+    ``string`` cost about 20 ms of each start together."""
+
+    DEFERRED = ("dataclasses", "inspect", "hashlib", "csv", "string")
+
+    def test_rules_show_loads_no_deferred_module(self):
+        modules = "sys.stderr.write(' '.join(sorted(sys.modules)))"
+        run = "import sys, qavote.cli; assert qavote.cli.main(['rules', 'show', '--json']) == 0; "
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def loaded(code: str) -> set[str]:
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=60, check=True)
+            return set(proc.stderr.split())
+
+        added = loaded(run + modules) - loaded("import sys; " + modules)
+        assert "qavote.cli" in added
+        assert sorted(added.intersection(self.DEFERRED)) == []

@@ -542,11 +542,12 @@ class TestAtomicWrites:
 
 class TestOneDatasetShape:
     def test_datasets_are_built_only_by_the_decoder_and_subset(self):
-        def is_dataset(func):
-            return isinstance(func, ast.Name) and func.id == "Dataset"
+        def is_dataset(func):  # the constructor, or ``_fill``, which sets a Dataset's fields
+            return (isinstance(func, ast.Name) and func.id == "Dataset"
+                    or isinstance(func, ast.Attribute) and func.attr == "_fill")
 
         assert package_calls(is_dataset) == {("corpus", "dataset_from_squad_dict"),
-                                             ("corpus", "subset")}
+                                             ("corpus", "subset"), ("corpus", "__init__")}
 
 
 class TestOneReaderOneWriter:
@@ -604,3 +605,47 @@ class TestOneReaderOneWriter:
                 "open", "read_text", "read_bytes", "write_text", "write_bytes")
 
         assert self.calls(is_path_io) == set()
+
+
+@st.composite
+def _datasets_and_keeps(draw):
+    """A checked Dataset (some paragraphs without questions) and ids to keep,
+    some of them not in the dataset."""
+    sizes = draw(st.lists(st.integers(0, 4), max_size=6))
+    serial = iter(range(sum(sizes)))
+    paragraphs = tuple(
+        Paragraph(f"p{p}", f"t{p % 2}", f"context {p}", tuple(
+            QaItem(f"q{n}", f"question {n}?", f"context {p}", ("gold",), (0,))
+            for n in (next(serial) for _ in range(size))))
+        for p, size in enumerate(sizes)
+    )
+    dataset = Dataset(paragraphs)
+    keep = draw(st.sets(st.sampled_from([*dataset.ids, "absent"])))
+    return dataset, keep
+
+
+class TestSubset:
+    @given(case=_datasets_and_keeps())
+    @settings(max_examples=200, deadline=None)
+    def test_subset_equals_a_checked_dataset_of_its_paragraphs(self, case):
+        """``subset`` skips the checks; what it builds passes them all and holds
+        exactly the kept questions, in order, in their own non-empty paragraphs."""
+        dataset, keep = case
+        subset = dataset.subset(keep)
+        assert subset == Dataset(subset.paragraphs)
+        assert subset.items == tuple(item for item in dataset.items if item.id in keep)
+        assert len(subset) == len(subset.items) == len(keep - {"absent"})
+        source = {paragraph.key: paragraph for paragraph in dataset.paragraphs}
+        for paragraph in subset.paragraphs:
+            assert paragraph.items
+            assert paragraph._replace(items=()) == source[paragraph.key]._replace(items=())
+        keys = [paragraph.key for paragraph in dataset.paragraphs]
+        assert [p.key for p in subset.paragraphs] == sorted(
+            (p.key for p in subset.paragraphs), key=keys.index)
+
+    def test_a_dataset_built_by_a_caller_is_still_checked(self):
+        item = QaItem("q", "question?", "context", ("gold",), (0,))
+        with pytest.raises(SchemaError, match="duplicate question ids: \\['q'\\]"):
+            Dataset((Paragraph("p0", "", "context", (item, item)),))
+        with pytest.raises(SchemaError, match="gold_answers is empty"):
+            Dataset((Paragraph("p0", "", "context", (item._replace(gold_answers=()),)),))

@@ -3,7 +3,6 @@ from __future__ import annotations
 import ast
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -195,7 +194,7 @@ class TestModeDegeneracy:
                     rows[qid] = QuestionScore(rng.choice(labels), f1, em_flag)
                 reports[m] = report_from_scores(rows)
             table = compute_global_weights(reports)
-            no_class_rows = replace(table, class_weights={})  # every label falls back
+            no_class_rows = table._replace(class_weights={})  # every label falls back
             for _ in range(10):
                 answers = {m: rng.choice(["x", "y", "z", ""]) for m in reports}
                 qclass = rng.choice(labels)
@@ -305,7 +304,7 @@ def _ensembles(draw, weights=_WEIGHTS):
     }
     global_weights = {m: draw(weights) for m in models}
     table = table_for(weight_rows["what"], global_weights, models=models)
-    table = replace(table, class_weights=weight_rows)
+    table = table._replace(class_weights=weight_rows)
     ids = _QUESTIONS.ids
     predictions = {
         m: PredictionSet(m, {qid: draw(_ANSWERS) for qid in ids
@@ -394,10 +393,10 @@ class TestMaxCombineSelectsTheRowTop:
         normalized equality) unless the undefined special case applies; under
         ``--mode global`` that model is ``best_overall``."""
         dataset, predictions, table, classifier, config = case
-        config = replace(config, combine=Combine.MAX)
+        config = config._replace(combine=Combine.MAX)
         if global_mode:  # what ``ensemble --mode global`` votes
             table = table.ignoring_classes()
-            config = replace(config, undefined_special_case=False)
+            config = config._replace(undefined_special_case=False)
         ensemble, _ = run_ensemble(dataset, predictions, table, classifier, config)
         raw = config.duplicate_equality is Equality.RAW
         key = str if raw else normalize_answer
@@ -412,6 +411,52 @@ class TestMaxCombineSelectsTheRowTop:
                 assert model == table.best_overall
             answer = predictions[model].answers.get(item.id, "")
             assert key(ensemble.answers[item.id]) == key(answer)
+
+
+def _vote_record(dataset, predictions, table, classifier, config):
+    """(answers, [(class, winner index, reason) per question]) of one run."""
+    ensemble, traces = run_ensemble(dataset, predictions, table, classifier, config)
+    return ensemble.answers, [(t.question_class, t.winner_index, t.reason) for t in traces]
+
+
+class TestMetamorphicRelations:
+    """Relations between two runs, which need no expected output."""
+
+    @given(case=_ensembles(), j=st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_scaling_every_weight_by_a_power_of_two_changes_no_vote(self, case, j):
+        """Scaling by 2^-j is exact in floats, and so are the sums of scaled
+        weights: no winner and no reason may change, under sum or max."""
+        dataset, predictions, table, classifier, config = case
+        scale = 2.0 ** -j
+        scaled = table._replace(
+            class_weights={label: {m: w * scale for m, w in row.items()}
+                           for label, row in table.class_weights.items()},
+            global_weights={m: w * scale for m, w in table.global_weights.items()},
+        )
+        for combine in Combine:
+            config = config._replace(combine=combine)
+            assert (_vote_record(dataset, predictions, scaled, classifier, config)
+                    == _vote_record(dataset, predictions, table, classifier, config))
+
+    @given(case=_ensembles(), names=st.permutations(["what", "who", "no_such_label", "when",
+                                                     "renamed"]))
+    @settings(max_examples=150, deadline=None)
+    def test_renaming_labels_consistently_changes_no_answer(self, case, names):
+        """Renaming every label but ``undefined``, in the classifier and in the
+        table alike, renames the traces' classes and changes nothing else."""
+        dataset, predictions, table, classifier, config = case
+        rename = dict(zip(("what", "who", "no_such_label"), names))
+        renamed = table._replace(class_weights={rename[label]: row for label, row
+                                                in table.class_weights.items()})
+
+        def renamed_classifier(question):
+            label = classifier(question)
+            return rename.get(label, label)
+
+        answers, votes = _vote_record(dataset, predictions, table, classifier, config)
+        assert _vote_record(dataset, predictions, renamed, renamed_classifier, config) == (
+            answers, [(rename.get(label, label), *vote) for label, *vote in votes])
 
 
 class TestOneVotingPath:

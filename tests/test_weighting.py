@@ -85,6 +85,14 @@ class TestClassWeights:
         with pytest.raises(WeightError):
             compute_class_weights({})
 
+    def test_reports_without_a_scored_question_rejected(self):
+        """An empty pre-evaluation set would make every weight 0.0 and leave every
+        vote to model order."""
+        with pytest.raises(WeightError, match="no scored question"):
+            compute_class_weights({"a": make_report([]), "b": make_report([])})
+        with pytest.raises(WeightError, match="no scored question"):
+            compute_global_weights({"a": make_report([])})
+
     def test_permutation_stability(self):
         rng = random.Random(7)
         ids = [f"q{i}" for i in range(40)]
