@@ -32,6 +32,7 @@ from .metrics import (
     EvalReport,
     MissingPolicy,
     QuestionScore,
+    ScoreMemo,
     evaluate,
     normalize_answer,
     score_pair,

@@ -54,7 +54,7 @@ from .corpus import (
     split_pre_eval,
     write_json,
 )
-from .metrics import MissingPolicy, evaluate, save_report_csv, save_report_json
+from .metrics import MissingPolicy, ScoreMemo, evaluate, save_report_csv, save_report_json
 from .synth import generate_predictions, load_profile
 from .taxonomy import (
     ClassRuleSet,
@@ -118,10 +118,13 @@ def _parse_preds(pairs, reads) -> dict[str, str]:
 
 def _score_models(args, dataset_path) -> dict:
     """What evaluate, weights and compare share: ``{name: report}`` of every
-    --preds model on the dataset."""
+    --preds model on the dataset. Two or more models share one score memo;
+    one model alone is scored without it (``metrics.ScoreMemo``)."""
     dataset = load_dataset(dataset_path)
+    memo = ScoreMemo() if len(args.preds) >= 2 else None
     return {
-        name: evaluate(load_predictions(path, name), dataset, args.classifier, args.missing_policy)
+        name: evaluate(load_predictions(path, name), dataset, args.classifier, args.missing_policy,
+                       memo=memo)
         for name, path in args.preds.items()
     }
 

@@ -17,9 +17,11 @@ path (``_require``), and a failed write leaves the previous file in place.
 
 A dataset is decoded in one pass (``dataset_from_squad_dict``): exact type
 checks per object, and a JSON path is built only for an object that fails
-them. ``write_json`` encodes compact output (datasets, predictions) with one
-``json.dumps`` call, the only call that runs CPython's C encoder, and streams
-indented output (reports, manifests), which has no C encoder.
+them. A paragraph without questions is dropped there, as ``Dataset.subset``
+drops a paragraph it empties. ``write_json`` encodes its value with one
+``json.dumps`` call: compact output (datasets, predictions) runs CPython's C
+encoder; indented output (manifests, weights) is small, and the one large
+indented file, ``report.json``, has its own writer (``metrics``).
 """
 from __future__ import annotations
 
@@ -129,10 +131,7 @@ def atomic_write(path: str | Path):
 def write_json(obj, path: str | Path, indent: int | None = None) -> None:
     """Write ``obj`` as JSON (non-ASCII characters kept) plus a newline, atomically."""
     with atomic_write(path) as fh:
-        if indent is None:  # json.dumps runs the C encoder; json.dump never does
-            fh.write(json.dumps(obj, ensure_ascii=False))
-        else:  # no C encoder for indented output: stream it
-            json.dump(obj, fh, ensure_ascii=False, indent=indent)
+        fh.write(json.dumps(obj, ensure_ascii=False, indent=indent))
         fh.write("\n")
 
 
@@ -140,7 +139,8 @@ class QaItem(NamedTuple):
     """One question: its paragraph context and the accepted gold answers.
 
     Immutable; build a changed copy with ``item._replace(...)``. A ``Dataset``
-    checks its items: at least one gold answer, one start per gold answer.
+    checks its items: a tuple of at least one gold answer, one start per gold
+    answer.
     """
 
     id: str
@@ -209,6 +209,8 @@ class Dataset(_Frozen):
 
     def __init__(self, paragraphs: tuple[Paragraph, ...]):
         for item in self._fill(paragraphs).items:
+            if not isinstance(item.gold_answers, tuple):  # scores are memoized per gold tuple
+                raise SchemaError(f"question {item.id!r}: gold_answers must be a tuple")
             if not item.gold_answers:
                 raise SchemaError(f"question {item.id!r}: gold_answers is empty")
             if len(item.answer_starts) != len(item.gold_answers):
@@ -236,14 +238,16 @@ class Dataset(_Frozen):
 
     def subset(self, keep_ids: Iterable[str]) -> "Dataset":
         """New Dataset with only ``keep_ids``, preserving question and paragraph
-        order; a paragraph left without questions is dropped. Not checked again:
+        order; a paragraph that keeps every question is reused as it is, and one
+        left without questions is dropped. Not checked again:
         a subset of a checked dataset passes every check."""
         keep = set(keep_ids)
         paragraphs = []
         for paragraph in self.paragraphs:
             kept = tuple(item for item in paragraph.items if item.id in keep)
             if kept:
-                paragraphs.append(paragraph._replace(items=kept))
+                paragraphs.append(paragraph if len(kept) == len(paragraph.items)
+                                  else paragraph._replace(items=kept))
         return object.__new__(Dataset)._fill(tuple(paragraphs))
 
 
@@ -333,13 +337,16 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
 
     Every field must have its SQuAD type; nothing is coerced. A violation, or
     a question id seen earlier in the document, raises SchemaError naming the
-    field's JSON path.
+    field's JSON path. A paragraph with no questions is dropped; the others
+    keep their ``p<article>_<paragraph>`` keys.
 
     One pass over the document: each object's fields are tested with exact
     ``type(x) is ...`` checks. Only an object that fails them is read again
     field by field through ``_require``, which builds the JSON path and either
     raises or accepts the value (a ``str`` or ``int`` subclass), so every
     error and every accepted input is the same as a ``_require`` per field.
+    These checks are every check ``Dataset`` makes (a gold answer each, one
+    start per gold, unique ids), so the result is built without repeating them.
     """
     articles = _require(data, "data", "$", list)
     decoded: list[Paragraph] = []
@@ -387,9 +394,10 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
                     golds.append(text)
                     starts.append(start)
                 items.append(QaItem(qid, question, context, tuple(golds), tuple(starts)))
-            decoded.append(
-                Paragraph(f"p{a_idx:05d}_{p_idx:05d}", title, context, tuple(items)))
-    return Dataset(tuple(decoded))
+            if items:
+                decoded.append(
+                    Paragraph(f"p{a_idx:05d}_{p_idx:05d}", title, context, tuple(items)))
+    return object.__new__(Dataset)._fill(tuple(decoded))
 
 
 def load_dataset(path: str | Path) -> Dataset:

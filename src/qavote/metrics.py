@@ -16,15 +16,25 @@ em=True, f1=1.0, keeping the ``em implies f1 == 1`` invariant.
 ``evaluate`` is the only place a question is scored. Each question of its
 ``EvalReport`` is one ``QuestionScore(label, f1, em)``, so per-class
 statistics over several models (weights, pair comparisons) aggregate
-reports and never score or classify again.
+reports and never score or classify again. A score depends on nothing but
+the answer and the question's gold tuple, so models scored together share a
+``ScoreMemo``: each gold tuple is normalized once and each (answer, gold
+tuple) pair scored once. One model alone scores without one, since keeping
+every score it will never look up again made it slower.
+
+``save_report_json`` writes the bytes of ``json.dump(..., indent=1)``, whose
+pure-Python indented encoder is slow on the per-question block: that block
+is built from one C-encoded string per column instead.
 """
 from __future__ import annotations
 
 import enum
+import json
 from collections import Counter
+from json.encoder import encode_basestring
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .corpus import Dataset, PredictionSet, atomic_write, write_json
+from .corpus import Dataset, PredictionSet, atomic_write
 
 _ARTICLES = frozenset({"a", "an", "the"})
 
@@ -82,6 +92,30 @@ def score_pair(prediction: str, golds: Sequence[str]) -> tuple[float, bool]:
     return _score_tokens(normalize_answer(prediction), [normalize_answer(g) for g in golds])
 
 
+class ScoreMemo:
+    """Scores kept across ``evaluate`` calls: each gold tuple's normalized
+    tokens and each (answer, gold tuple) pair's ``(f1, em)``. Pass one to the
+    ``evaluate`` call of every model scored together. Valid for any dataset:
+    a score depends on nothing but the answer and the golds."""
+
+    __slots__ = ("_gold_tokens", "_scores")
+
+    def __init__(self):
+        self._gold_tokens: dict[tuple[str, ...], list[list[str]]] = {}
+        self._scores: dict[tuple[str, tuple[str, ...]], tuple[float, bool]] = {}
+
+    def score(self, prediction: str, golds: tuple[str, ...]) -> tuple[float, bool]:
+        """``score_pair(prediction, golds)``, computed once per pair."""
+        key = (prediction, golds)
+        score = self._scores.get(key)
+        if score is None:
+            tokens = self._gold_tokens.get(golds)
+            if tokens is None:
+                tokens = self._gold_tokens[golds] = [normalize_answer(g) for g in golds]
+            score = self._scores[key] = _score_tokens(normalize_answer(prediction), tokens)
+        return score
+
+
 class MissingPolicy(str, enum.Enum):
     """How to score dataset questions absent from a prediction set."""
 
@@ -133,16 +167,19 @@ def report_from_scores(
 ) -> EvalReport:
     """Aggregate per-question scores into an EvalReport.
 
-    Every f1 must lie in [0, 1] and an exact match must have f1 1.0; a score
-    that breaks either raises ValueError naming its question id. Aggregation
-    order is fixed (sorted question ids), so reports are identical however
-    the scores were produced; ``per_question`` keeps the order of ``scores``.
+    Every f1 must lie in [0, 1], every em must be a ``bool`` and an exact
+    match must have f1 1.0; a score that breaks any raises ValueError naming
+    its question id. Aggregation order is fixed (sorted question ids), so
+    reports are identical however the scores were produced; ``per_question``
+    keeps the order of ``scores``.
     """
     by_id = sorted(scores.items())
     per_class_scores: dict[str, list[QuestionScore]] = {}
     for qid, score in by_id:
         if not 0.0 <= score.f1 <= 1.0:
             raise ValueError(f"f1 out of range for {qid!r}: {score.f1}")
+        if type(score.em) is not bool:
+            raise ValueError(f"em must be a bool for {qid!r}: {score.em!r}")
         if score.em and score.f1 != 1.0:
             raise ValueError(f"em=True with f1={score.f1} for {qid!r}")
         per_class_scores.setdefault(score.label, []).append(score)
@@ -172,15 +209,20 @@ def evaluate(
     dataset: Dataset,
     classifier: Callable[[str], str],
     missing_policy: MissingPolicy | str = MissingPolicy.SCORE_AS_EMPTY,
+    *,
+    memo: ScoreMemo | None = None,
 ) -> EvalReport:
     """Score a prediction set against a dataset, bucketed by question class.
 
     Questions absent from ``predictions`` are scored as empty-string
     predictions or excluded, per ``missing_policy``. Prediction ids outside
     ``dataset`` are ignored: a model file covers the whole corpus, and a
-    dataset may be one split slice of it.
+    dataset may be one split slice of it. With a ``memo``, scores are taken
+    from it and kept in it for the next call; without one, each question is
+    scored by ``score_pair``. The report is the same either way.
     """
     missing_policy = MissingPolicy(missing_policy)
+    score = score_pair if memo is None else memo.score
     answers = predictions.answers
     scores: dict[str, QuestionScore] = {}
     for item in dataset.items:
@@ -189,14 +231,46 @@ def evaluate(
             if missing_policy is MissingPolicy.EXCLUDE:
                 continue
             prediction = ""
-        f1, em = score_pair(prediction, item.gold_answers)
+        f1, em = score(prediction, item.gold_answers)
         scores[item.id] = QuestionScore(classifier(item.question), f1, em)
     return report_from_scores(scores, model=predictions.model_name, missing_policy=missing_policy)
 
 
+# A report's per-question key as ``json.dumps(..., indent=1)`` writes it at the
+# depth of a report's fields, where no other key has the value ``{}``.
+_PER_QUESTION_KEY = '\n  "per_question": '
+
+
+def _per_question_block(per_question: Mapping[str, QuestionScore]) -> str:
+    """The ``per_question`` value of ``to_json_dict`` as ``json.dumps(...,
+    indent=1)`` writes it at a report's depth. Every value comes from the C
+    encoder: the ids one by one, each column in one call split on ``", "``
+    (which no number or boolean holds); only the whitespace is written here."""
+    if not per_question:
+        return "{}"
+    rows = sorted(per_question.items())
+    for qid, score in rows:  # any other value would be written otherwise, or shift its column
+        if type(score.f1) not in (float, int) or type(score.em) is not bool:
+            raise ValueError(f"per_question f1 and em values must be numbers and bools: {qid!r}")
+    f1s = json.dumps([score.f1 for _, score in rows])[1:-1].split(", ")
+    ems = json.dumps([score.em for _, score in rows])[1:-1].split(", ")
+    entries = [f'   {encode_basestring(qid)}: {{\n    "f1": {f1},\n    "em": {em}\n   }}'
+               for (qid, _), f1, em in zip(rows, f1s, ems)]
+    return "{\n" + ",\n".join(entries) + "\n  }"
+
+
 def save_report_json(reports: Mapping[str, EvalReport], path) -> None:
-    """Write ``{model name: report}`` for any number of models."""
-    write_json({name: r.to_json_dict() for name, r in reports.items()}, path, indent=1)
+    """Write ``{model name: report}`` for any number of models: the bytes of
+    ``json.dump`` of each ``to_json_dict()`` with ``ensure_ascii=False,
+    indent=1``, plus a newline."""
+    text = json.dumps({name: r._replace(per_question={}).to_json_dict()
+                       for name, r in reports.items()}, ensure_ascii=False, indent=1)
+    head, *tails = text.split(_PER_QUESTION_KEY + "{}")
+    with atomic_write(path) as fh:
+        fh.write(head)
+        for report, tail in zip(reports.values(), tails):
+            fh.write(_PER_QUESTION_KEY + _per_question_block(report.per_question) + tail)
+        fh.write("\n")
 
 
 def save_report_csv(table: str, path) -> None:

@@ -198,8 +198,30 @@ def run_ensemble(
     return PredictionSet(model_name="ensemble", answers=out), traces
 
 
+# The fields whose value ``run_ensemble`` hands many votes as one object: the
+# table's models, a label's weight row and a decision's index groups.
+_SHARED_FIELDS = frozenset({"models", "weights", "index_groups"})
+
+
 def save_traces(traces: Iterable[VoteTrace], path: str | Path) -> None:
-    """Write each trace as one JSON object of its fields, one per line, in the given order."""
+    """Write each trace as one JSON object of its fields, one per line, in the
+    given order: each line is ``json.dumps(trace._asdict(), ensure_ascii=False)``.
+
+    Every value is encoded by ``json``'s encoder; a shared field's value is
+    encoded once per distinct object. That memo is keyed by ``id()`` and holds
+    the object, so no id can be reused while the file is written."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    encoded: dict[int, tuple[object, str]] = {}
+
+    def encode_shared(value) -> str:
+        entry = encoded.get(id(value))
+        if entry is None:
+            entry = encoded[id(value)] = value, encode(value)
+        return entry[1]
+
+    field_encoders = [encode_shared if name in _SHARED_FIELDS else encode
+                      for name in VoteTrace._fields]
+    line = "{" + ", ".join(f"{encode(name)}: %s" for name in VoteTrace._fields) + "}\n"
     with atomic_write(path) as fh:
         for trace in traces:
-            fh.write(json.dumps(trace._asdict(), ensure_ascii=False) + "\n")
+            fh.write(line % tuple([f(value) for f, value in zip(field_encoders, trace)]))

@@ -84,14 +84,15 @@ def ref_dataset_from_squad_dict(data: dict) -> Dataset:
                         answer_starts=tuple(starts),
                     )
                 )
-            decoded.append(
-                Paragraph(
-                    key=f"p{a_idx:05d}_{p_idx:05d}",
-                    title=title,
-                    context=context,
-                    items=tuple(items),
+            if items:  # a paragraph without questions is dropped
+                decoded.append(
+                    Paragraph(
+                        key=f"p{a_idx:05d}_{p_idx:05d}",
+                        title=title,
+                        context=context,
+                        items=tuple(items),
+                    )
                 )
-            )
     return Dataset(tuple(decoded))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import string
 import unicodedata
@@ -12,14 +13,17 @@ from hypothesis import strategies as st
 
 from helpers import gold_map, make_dataset
 
-from qavote.corpus import PredictionSet
+from qavote.corpus import Dataset, Paragraph, PredictionSet, QaItem
 from qavote.metrics import (
+    ClassStats,
     EvalReport,
     MissingPolicy,
     QuestionScore,
+    ScoreMemo,
     evaluate,
     normalize_answer,
     report_from_scores,
+    save_report_json,
     score_pair,
 )
 
@@ -194,6 +198,11 @@ class TestQuestionScore:
         with pytest.raises(ValueError, match="f1 out of range for 'q': 1.5"):
             report_from_scores({"q": QuestionScore("who", f1=1.5, em=False)})
 
+    @pytest.mark.parametrize("em", ["true", 1, 0, 1.0, None])
+    def test_em_must_be_a_bool(self, em):
+        with pytest.raises(ValueError, match=f"em must be a bool for 'q': {em!r}"):
+            report_from_scores({"q": QuestionScore("who", f1=1.0, em=em)})
+
 
 class TestEvaluate:
     def test_perfect_predictor(self, rules, small_dataset):
@@ -278,3 +287,134 @@ class TestReportExports:
         r2 = report_from_scores(dict(reversed(list(scores.items()))))
         assert r1.per_class == r2.per_class
         assert r1.overall == r2.overall
+
+
+# Strings the JSON encoder must escape or keep raw, and strings equal to the
+# report's own keys: ids, model names and class labels are drawn from these.
+_KEYS = st.one_of(
+    st.sampled_from(['q"1', "back\\slash", "tab\tline\nend", "\x00\x1f\x7f", "\u2028\u2029",
+                     "café", "日本語", "\U0001f600", "", "per_question", '"per_question": {}',
+                     "f1", "em"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+_F1S = st.one_of(st.sampled_from([0.0, 1.0, 1e-05, -0.0, 1, 0, 1 / 3, 0.1 + 0.2]),
+                 st.floats(0.0, 1.0))
+
+
+@st.composite
+def _reports(draw):
+    """{model name: EvalReport}: some aggregated from their scores, some with
+    drawn aggregates (``per_class`` and ``per_question`` may each be empty)."""
+    reports = {}
+    for name in draw(st.lists(_KEYS, max_size=4, unique=True)):
+        scores = {}
+        for qid in draw(st.lists(_KEYS, max_size=6, unique=True)):
+            em = draw(st.booleans())
+            scores[qid] = QuestionScore(draw(_KEYS), 1.0 if em else draw(_F1S), em)
+        policy = draw(st.sampled_from(MissingPolicy))
+        if draw(st.booleans()):
+            reports[name] = report_from_scores(scores, model=name, missing_policy=policy)
+        else:
+            stats = st.builds(ClassStats, _F1S, _F1S, st.integers(0, 3))
+            per_class = draw(st.dictionaries(_KEYS, stats, max_size=3))
+            reports[name] = EvalReport(scores, per_class, draw(stats), draw(_KEYS), policy)
+    return reports
+
+
+class TestSaveReportJson:
+    """``save_report_json`` builds the per-question block itself; the file must
+    be the bytes of the streaming ``json.dump`` of every ``to_json_dict()``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reports=_reports())
+    def test_same_bytes_as_streaming_dump(self, tmp_path_factory, reports):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        save_report_json(reports, path)
+        streamed = io.StringIO()
+        json.dump({name: r.to_json_dict() for name, r in reports.items()}, streamed,
+                  ensure_ascii=False, indent=1)
+        assert path.read_bytes() == (streamed.getvalue() + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("f1, em", [(0.0, "a, b"), ("0.5, 1", False), (0.0, [1, 2]),
+                                         (0.0, [1]), ({"a": 1}, False), (0.0, 1)])
+    def test_a_value_the_columns_cannot_hold_is_rejected(self, tmp_path, f1, em):
+        """A report built without ``report_from_scores`` may hold any value; one
+        that is not an int or float f1 or a bool em is refused unwritten, also
+        when its JSON holds no ", " (``json.dump`` would indent a list or dict)."""
+        report = EvalReport({"q": QuestionScore("who", f1, em)}, {}, ClassStats(0.0, 0.0, 1))
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="must be numbers and bools"):
+            save_report_json({"m": report}, path)
+        assert not path.exists()
+
+
+_GOLDS = st.sampled_from([("alpha",), ("beta gamma",), ("Alpha!", "beta"), ("the alpha", "gamma"),
+                          ("",)])
+_PREDICTIONS = st.sampled_from(["alpha", "beta", "beta gamma", "gamma alpha", "", "the", "..."])
+
+
+@st.composite
+def _scoring_cases(draw):
+    """(dataset, prediction sets, missing policy). Questions q0 and q1 have
+    other golds, and model m0 gives both the answer that matches q0 alone."""
+    golds = [("alpha",), ("beta gamma",)] + draw(st.lists(_GOLDS, max_size=8))
+    items = tuple(QaItem(f"q{i}", f"What is thing {i}?", "context", g, (0,) * len(g))
+                  for i, g in enumerate(golds))
+    dataset = Dataset((Paragraph("p0", "", "context", items),))
+    predictions = []
+    for m in range(draw(st.integers(1, 4))):
+        answers = {item.id: draw(_PREDICTIONS) for item in items
+                   if draw(st.integers(0, 4))}  # a fifth are missing
+        if m == 0:
+            answers.update(q0="alpha", q1="alpha")
+        predictions.append(PredictionSet(f"m{m}", answers))
+    return dataset, predictions, draw(st.sampled_from(MissingPolicy))
+
+
+class TestScoreMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_scoring_cases())
+    def test_shared_memo_equals_memo_free_scoring(self, rules, case):
+        """One memo for every model scores each model as a memo-free call
+        (``score_pair`` per question) does."""
+        dataset, predictions, policy = case
+        memo = ScoreMemo()
+        shared = [evaluate(p, dataset, rules, policy, memo=memo) for p in predictions]
+        assert shared == [evaluate(p, dataset, rules, policy) for p in predictions]
+        assert shared[0].per_question["q1"] == (rules("What is thing 1?"), 0.0, False)
+
+
+def _decorate(draw, answer: str) -> str:
+    """``answer`` with its ASCII letters' case changed, articles added between
+    its tokens, and punctuation added at the edges of its tokens."""
+    tokens = []
+    for token in answer.split():
+        if draw(st.booleans()):
+            tokens.append(draw(st.sampled_from(["a", "An", "THE", "the"])))
+        edges = st.text(alphabet=st.sampled_from('.,!?"()\u00bf\u2026\u300c'), max_size=2)
+        tokens.append(draw(edges) + "".join(
+            ch.upper() if draw(st.booleans()) else ch.lower() for ch in token) + draw(edges))
+    if draw(st.booleans()):
+        tokens.append(draw(st.sampled_from(["a", "an", "The"])))
+    return draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
+
+
+class TestScoringMetamorphicRelation:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_articles_edge_punctuation_and_case_change_no_score(self, rules, data):
+        """Adding articles, edge punctuation and case changes to a prediction
+        changes neither its EM nor its F1."""
+        words = st.sampled_from(["alpha", "beta", "gamma", "Delta", "an", "theta", "A"])
+        phrases = st.lists(words, min_size=0, max_size=4).map(" ".join)
+        items = tuple(QaItem(f"q{i}", "What is it?", "context", golds, (0,) * len(golds))
+                      for i, golds in enumerate(data.draw(st.lists(
+                          st.lists(phrases, min_size=1, max_size=3).map(tuple),
+                          min_size=1, max_size=6))))
+        dataset = Dataset((Paragraph("p0", "", "context", items),))
+        plain = {item.id: data.draw(phrases) for item in items}
+        decorated = {qid: _decorate(data.draw, answer) for qid, answer in plain.items()}
+        memo = ScoreMemo()
+        before = evaluate(PredictionSet("plain", plain), dataset, rules, memo=memo)
+        after = evaluate(PredictionSet("decorated", decorated), dataset, rules, memo=memo)
+        assert after.per_question == before.per_question

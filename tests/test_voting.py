@@ -362,6 +362,22 @@ class TestTraceLines:
             else:
                 assert record["reason"] == Reason.HIGHEST_WEIGHT_NO_DUPLICATES.value
 
+    @given(case=_ensembles())
+    @settings(max_examples=150, deadline=None)
+    def test_each_line_is_json_dumps_of_its_fields(self, tmp_path_factory, case):
+        """``save_traces`` encodes a value shared by many votes once; every line
+        must still be the ``json.dumps`` of its trace's fields."""
+        dataset, predictions, table, classifier, config = case
+        _, traces = run_ensemble(dataset, predictions, table, classifier, config)
+        expected = "".join(json.dumps(t._asdict(), ensure_ascii=False) + "\n" for t in traces)
+        path = tmp_path_factory.getbasetemp() / "trace.jsonl"
+        save_traces(traces, path)
+        assert path.read_text(encoding="utf-8") == expected
+        # Fresh copies, each freed once written: an id may come back for another value.
+        save_traces((t._replace(models=tuple(list(t.models)), weights=tuple(list(t.weights)),
+                                index_groups=tuple(list(t.index_groups))) for t in traces), path)
+        assert path.read_text(encoding="utf-8") == expected
+
 
 class TestRunEnsembleAgainstOracle:
     """Every winner of a whole run, with missing answers and several labels (one
