@@ -202,12 +202,16 @@ class _Checked:
 
 class Dataset(_Frozen):
     """An ordered, immutable collection of paragraphs, each holding its questions;
-    building one checks every item and that question ids are unique."""
+    building one checks every item, that every paragraph holds a question and
+    that question ids are unique."""
 
     __slots__ = ("paragraphs", "items")
     _compared = _init_args = ("paragraphs",)
 
     def __init__(self, paragraphs: tuple[Paragraph, ...]):
+        for paragraph in paragraphs:  # the decoder and ``subset`` drop such paragraphs
+            if not paragraph.items:
+                raise SchemaError(f"paragraph {paragraph.key!r} has no questions")
         for item in self._fill(paragraphs).items:
             if not isinstance(item.gold_answers, tuple):  # scores are memoized per gold tuple
                 raise SchemaError(f"question {item.id!r}: gold_answers must be a tuple")

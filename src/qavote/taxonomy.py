@@ -9,6 +9,13 @@ the generic ones ("what"). "which" questions are folded into ``what``.
 A rule set remembers the label of each question text it has classified, so
 the stages of one command match each question against the rules once.
 
+A rule matches when ``re.search(pattern, question, re.IGNORECASE)`` does.
+Each rule also keeps its required literal: the longest run of plain ASCII
+characters at the top level of its pattern, which every match contains. An
+ASCII question is searched only with the rules whose literal its lowercased
+text holds; a non-ASCII one is searched with every rule, because
+IGNORECASE folds ``ı``, ``İ``, ``ſ`` and the Kelvin sign to ASCII letters.
+
 A word-count-based alternative classifier is provided for experiments that
 bucket questions by length instead of by phrase.
 """
@@ -19,6 +26,11 @@ import re
 from bisect import bisect_right
 from pathlib import Path
 from typing import Iterable, NamedTuple
+
+try:
+    from re import _parser as _regex_parser  # Python 3.11+
+except ImportError:  # Python 3.10
+    import sre_parse as _regex_parser
 
 from .corpus import SchemaError, _require, load_json
 
@@ -60,6 +72,25 @@ class ClassRule(NamedTuple):
         return re.compile(self.pattern, re.IGNORECASE)
 
 
+def required_literal(pattern: str) -> str:
+    """The longest run of consecutive top-level ASCII literals in ``pattern``,
+    lowercased (the first of equal runs), or ``""`` if it has none.
+
+    Any other op ends a run (``\\b``, ``\\s+``, a repeat, a group, a branch, a
+    class), so every match of the pattern contains the run. For an ASCII text,
+    IGNORECASE matching on ASCII characters is equality after ``lower()``.
+    """
+    best = run = ""
+    for op, value in _regex_parser.parse(pattern, re.IGNORECASE):
+        if op is _regex_parser.LITERAL and value < 128:
+            run += chr(value)
+            if len(run) > len(best):
+                best = run
+        else:
+            run = ""
+    return best.lower()
+
+
 class RuleError(ValueError):
     """Raised for a bad pattern, a repeated priority or a rule mapped to undefined."""
 
@@ -70,6 +101,10 @@ class ClassRuleSet:
     Rules are checked in descending priority; the first match decides the
     class. Questions matching no rule are ``undefined``. Instances are
     callable: ``rules(question) -> str label``.
+
+    An ASCII question is searched only with the rules whose required literal
+    (see ``required_literal``) its lowercased text contains; a rule it lacks
+    cannot match it. A non-ASCII question is searched with every rule.
 
     Each instance remembers the label of every question it has classified,
     so a question is matched against the rules once however many stages
@@ -96,7 +131,8 @@ class ClassRuleSet:
             if rule.question_class is QuestionClass.UNDEFINED:
                 raise RuleError("no rule may map to 'undefined'; it is the fallback")
         self._rules = tuple(ordered)
-        self._compiled = tuple((pattern, rule.question_class) for rule, pattern in compiled)
+        self._compiled = tuple((required_literal(rule.pattern), pattern, rule.question_class.value)
+                               for rule, pattern in compiled)
         self._labels_by_question: dict[str, str] = {}
 
     @property
@@ -112,9 +148,10 @@ class ClassRuleSet:
         label = self._labels_by_question.get(question)
         if label is None:
             label = UNDEFINED
-            for pattern, question_class in self._compiled:
-                if pattern.search(question):
-                    label = question_class.value
+            folded = question.lower() if question.isascii() else None
+            for literal, pattern, rule_label in self._compiled:
+                if (folded is None or literal in folded) and pattern.search(question):
+                    label = rule_label
                     break
             self._labels_by_question[question] = label
         return label

@@ -409,6 +409,19 @@ class TestSplit:
         assert train_ids.isdisjoint(pre_ids)
         assert train_ids | pre_ids == set(dataset.ids)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2,
+                           unique=True).map(sorted),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    def test_a_larger_fraction_keeps_every_held_out_question(self, fractions, seed):
+        """At one seed, question units are ordered independently of the fraction, so
+        the pre-evaluation slice only grows with it."""
+        dataset = make_dataset(uniform_counts(2))
+        smaller, larger = (set(split_pre_eval(dataset, f, seed).pre_eval.ids) for f in fractions)
+        assert smaller <= larger
+
     def test_paragraph_granularity_keeps_groups_whole(self, small_dataset):
         split = split_pre_eval(small_dataset, 0.3, seed=7, granularity="paragraph")
         pre_ids = set(split.pre_eval.ids)
@@ -662,9 +675,8 @@ class TestOneReaderOneWriter:
 
 @st.composite
 def _datasets_and_keeps(draw):
-    """A checked Dataset (some paragraphs without questions) and ids to keep,
-    some of them not in the dataset."""
-    sizes = draw(st.lists(st.integers(0, 4), max_size=6))
+    """A checked Dataset and ids to keep, some of them not in the dataset."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=6))
     serial = iter(range(sum(sizes)))
     paragraphs = tuple(
         Paragraph(f"p{p}", f"t{p % 2}", f"context {p}", tuple(
@@ -704,3 +716,10 @@ class TestSubset:
             Dataset((Paragraph("p0", "", "context", (item._replace(gold_answers=()),)),))
         with pytest.raises(SchemaError, match="'q': gold_answers must be a tuple"):
             Dataset((Paragraph("p0", "", "context", (item._replace(gold_answers=["gold"]),)),))
+
+    def test_a_paragraph_without_questions_is_rejected(self):
+        """The decoder and ``subset`` drop such a paragraph, so a dataset holding one
+        would not be its own subset."""
+        item = QaItem("q", "question?", "context", ("gold",), (0,))
+        with pytest.raises(SchemaError, match="paragraph 'p0' has no questions"):
+            Dataset((Paragraph("p0", "t", "c", ()), Paragraph("p1", "t", "c", (item,))))

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qavote.corpus import Dataset, SchemaError
@@ -16,6 +17,7 @@ from qavote.taxonomy import (
     RuleError,
     class_distribution,
     load_rules,
+    required_literal,
 )
 
 
@@ -25,6 +27,7 @@ class TestClassify:
         [
             ("When did the Normans invade England?", "when"),
             ("Which team won the championship?", "what"),
+            ("Wh\u0131ch team won?", "what"),  # IGNORECASE folds the dotless i to i
             ("Was Tesla born in Europe?", "undefined"),
             ("How many students attend the university?", "how_much_many"),
             ("What time did the concert start?", "what_time"),
@@ -131,6 +134,84 @@ class TestRuleSet:
     def test_default_rules_priorities_unique(self, rules):
         priorities = [r.priority for r in rules.rules]
         assert len(set(priorities)) == len(priorities)
+
+
+_WORDS = ["what", "wha", "which", "time", "is", "sk"]
+_PIECES = st.one_of(
+    st.sampled_from(_WORDS),
+    st.tuples(st.sampled_from(_WORDS), st.sampled_from([" ", r"\s+", r"\s*"]),
+              st.sampled_from(_WORDS)).map("".join),
+    st.sampled_from([" ", r"\s+", r"\b", "^"]),
+    st.sampled_from(["[a-z]", "[ks]", "[^a]", r"\w"]),
+    st.tuples(st.sampled_from("tsikh"), st.sampled_from("?*")).map("".join),
+    st.tuples(st.sampled_from(_WORDS), st.sampled_from(_WORDS)).map("({0[0]}|{0[1]})".format),
+    st.tuples(st.sampled_from(["(?=", "(?!", "(?<=", "(?<!", "(?-i:"]),
+              st.sampled_from(_WORDS)).map("{0[0]}{0[1]})".format),
+)
+_PATTERNS = st.tuples(st.sampled_from(["", "(?x)"]),
+                      st.lists(_PIECES, min_size=1, max_size=4).map("".join)).map("".join)
+# IGNORECASE folds these to ASCII letters: dotless i, dotted capital I, long s, Kelvin sign
+_FOLDING = str.maketrans({"i": "\u0131", "I": "\u0130", "s": "\u017f", "k": "\u212a"})
+
+
+@st.composite
+def _patterns_and_questions(draw):
+    """Rule patterns, and a question holding a run of the words they use, in their
+    order, each as it is, in capitals or with a letter IGNORECASE folds, between
+    other words and non-ASCII text."""
+    patterns = draw(st.lists(_PATTERNS, min_size=1, max_size=4))
+    used = re.findall("|".join(sorted(_WORDS, key=len, reverse=True)), "\n".join(patterns))
+    start = draw(st.integers(0, len(used)))
+    run = used[start:start + draw(st.integers(0, 3))]
+    variants = [draw(st.sampled_from([word, word.upper(), word.translate(_FOLDING)]))
+                for word in run]
+    other = st.lists(st.sampled_from([*_WORDS, "\u0130s", "caf\u00e9", "stra\u00dfe", "?"]),
+                     max_size=2)
+    return patterns, " ".join([*draw(other), *variants, *draw(other)])
+
+
+def _brute_force_label(rules, question):
+    for rule in rules:  # listed in descending priority
+        if re.search(rule.pattern, question, re.IGNORECASE):
+            return rule.question_class.value
+    return "undefined"
+
+
+class TestPrefilter:
+    """A rule is searched only when its required literal can be in the question;
+    that skips rules, never changes a label."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=_patterns_and_questions())
+    @example(case=([r"\bwhich\b"], "Wh\u0131ch team won?"))
+    @example(case=(["what?"], "wha"))
+    @example(case=([r"what\s+time"], "what time"))
+    def test_labels_equal_searching_every_rule(self, case):
+        patterns, question = case
+        labels = [c for c in QuestionClass if c is not QuestionClass.UNDEFINED]
+        rules = [ClassRule(pattern, labels[i % len(labels)], -i)
+                 for i, pattern in enumerate(patterns)]
+        assert ClassRuleSet(rules)(question) == _brute_force_label(rules, question)
+
+    def test_required_literal_of_every_default_rule(self, rules):
+        """Pinned, in priority order: a parser whose output changed would otherwise
+        silently turn the prefilter off (every literal ``""``)."""
+        assert [required_literal(rule.pattern) for rule in rules.rules] == [
+            "what", "what", "what", "what", "how", "how", "what", "how", "much", "many",
+            "during", "during", "whom", "what", "which", "when", "why", "where", "who"]
+
+    @pytest.mark.parametrize("pattern,literal", [
+        ("what?", "wha"),
+        (r"wh\s+time", "time"),
+        ("(what)x", "x"),
+        ("what|which", "wh"),
+        ("(?x) wh at", "what"),
+        ("(?-i:What)ab", "ab"),
+        ("\u212aelvin", "elvin"),
+        (r"\b\s*", ""),
+    ])
+    def test_a_run_ends_at_any_other_op(self, pattern, literal):
+        assert required_literal(pattern) == literal
 
 
 class TestClassifyByLength:
