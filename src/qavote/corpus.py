@@ -160,13 +160,27 @@ class Paragraph(NamedTuple):
 
 
 class _Frozen:
-    """Base of a record that a tuple cannot be (it defines ``__len__``): its slots
-    are set once, through ``object.__setattr__``, and then cannot be assigned;
-    two records are equal when their ``_compared`` fields are (so unhashable),
-    and a copy or an unpickled record is built from its ``_init_args`` fields by
-    the constructor, which checks them again."""
+    """Base of a record that checks its fields. Its constructor takes the
+    ``_init_args`` fields in order, checks them and sets each once, through
+    ``_set``, in the slot of its name; no slot can be assigned afterwards. Two
+    records are equal when they are of one class and their ``_compared``
+    fields are equal, so a record never equals a tuple, and it is unhashable.
+    ``_replace``, ``copy`` and ``pickle`` build a record from its
+    ``_init_args`` fields by the constructor, which checks them again."""
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for field, value in zip(self._init_args, values, strict=True):
+            object.__setattr__(self, field, value)
+
+    def _replace(self, **changes):
+        """This record with ``changes`` (field name -> value), built by the
+        constructor; an unknown field name is a ValueError, as in a NamedTuple."""
+        unknown = changes.keys() - self._init_args
+        if unknown:
+            raise ValueError(f"got unexpected field names: {sorted(unknown)!r}")
+        return type(self)(*[changes.get(f, getattr(self, f)) for f in self._init_args])
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} is read-only")
@@ -183,21 +197,6 @@ class _Frozen:
 
     def __repr__(self):
         return f"{type(self).__name__}{self.__reduce__()[1]!r}"
-
-
-class _Checked:
-    """Base of a ``NamedTuple`` subclass that checks, and may coerce, its fields:
-    every construction, ``_replace`` included, keeps the values ``_checked()``
-    returns, or raises. Place it before the ``NamedTuple`` base."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._checked())
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class Dataset(_Frozen):
@@ -229,7 +228,7 @@ class Dataset(_Frozen):
 
     def _fill(self, paragraphs) -> "Dataset":
         """Set the paragraphs and ``items``, every paragraph's questions in order."""
-        object.__setattr__(self, "paragraphs", paragraphs)
+        self._set(paragraphs)
         object.__setattr__(self, "items", tuple(chain.from_iterable(p.items for p in paragraphs)))
         return self
 
@@ -270,9 +269,7 @@ class PredictionSet(_Frozen):
 
     def __init__(self, model_name: str, answers: Mapping[str, str],
                  meta: Mapping[str, object] | None = None):
-        object.__setattr__(self, "model_name", model_name)
-        object.__setattr__(self, "answers", answers)
-        object.__setattr__(self, "meta", {} if meta is None else meta)
+        self._set(model_name, answers, {} if meta is None else meta)
 
     def __len__(self) -> int:
         return len(self.answers)

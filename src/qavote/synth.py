@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
-from .corpus import Dataset, PredictionSet, _Checked, _require, _require_float, load_json
+from .corpus import Dataset, PredictionSet, _Frozen, _require, _require_float, load_json
 from .metrics import normalize_answer
 
 
@@ -22,27 +22,25 @@ class Corruption(str, enum.Enum):
     RANDOM_SPAN = "random_span"  # uniform random context span
 
 
-class _AccuracyProfileFields(NamedTuple):
-    per_class: Mapping[str, float]
-    corruption: Corruption = Corruption.DISJOINT_TOKEN
-    seed: int = 0
-
-
-class AccuracyProfile(_Checked, _AccuracyProfileFields):
+class AccuracyProfile(_Frozen):
     """Per-class gold-emission probabilities plus the wrong-answer shape.
 
     Classes absent from ``per_class`` get probability 0.0. A probability
-    outside [0, 1] is a ValueError; ``corruption`` may be given as its value.
+    outside [0, 1], or a ``seed`` that is not an int, is a ValueError;
+    ``corruption`` may be given as its value.
     """
 
-    __slots__ = ()
+    __slots__ = _compared = _init_args = ("per_class", "corruption", "seed")
 
-    def _checked(self) -> tuple:
-        corruption = Corruption(self.corruption)
-        for label, p in self.per_class.items():
+    def __init__(self, per_class: Mapping[str, float],
+                 corruption: Corruption | str = Corruption.DISJOINT_TOKEN, seed: int = 0):
+        corruption = Corruption(corruption)
+        for label, p in per_class.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability for class {label!r} out of [0, 1]: {p}")
-        return self.per_class, corruption, self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        self._set(per_class, corruption, seed)
 
     def probability(self, label: str) -> float:
         return self.per_class.get(label, 0.0)

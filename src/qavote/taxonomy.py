@@ -32,7 +32,7 @@ try:
 except ImportError:  # Python 3.10
     import sre_parse as _regex_parser
 
-from .corpus import SchemaError, _require, load_json
+from .corpus import SchemaError, _Frozen, _require, load_json
 
 
 class QuestionClass(str, enum.Enum):
@@ -195,7 +195,7 @@ def question_length(question: str) -> int:
     return len(question.split())
 
 
-class LengthClassifier:
+class LengthClassifier(_Frozen):
     """Length-bucket classifier exposing the same callable surface as rules.
 
     Emits labels ``len_0``, ..., ``len_<k>`` for k = len(edges) buckets plus
@@ -203,15 +203,19 @@ class LengthClassifier:
     strictly greater than its word count, and a count at or past the last
     edge lands in bucket ``len_<k>``. It never emits ``undefined``, so the
     voting fallback for undefined questions stays inert under length
-    classification.
+    classification. Its ``edges`` are checked when built and cannot be
+    reassigned; two classifiers with equal edges are equal.
     """
 
+    __slots__ = _compared = _init_args = ("edges",)
+
     def __init__(self, bucket_edges: Iterable[int]):
-        self.edges = tuple(bucket_edges)
-        if not self.edges:
+        edges = tuple(bucket_edges)
+        if not edges:
             raise ValueError("bucket_edges must be non-empty")
-        if any(b >= a for a, b in zip(self.edges[1:], self.edges)):
+        if any(b >= a for a, b in zip(edges[1:], edges)):
             raise ValueError("bucket_edges must be strictly increasing")
+        self._set(edges)
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Dataset, PredictionSet, _Checked, atomic_write
+from .corpus import Dataset, PredictionSet, _Frozen, atomic_write
 from .metrics import normalize_answer
 from .taxonomy import UNDEFINED
 from .weighting import WeightTable
@@ -52,21 +52,19 @@ class VoteError(ValueError):
     """Raised when the prediction models are not the weight table's models."""
 
 
-class _VoteConfigFields(NamedTuple):
-    combine: Combine = Combine.SUM
-    undefined_special_case: bool = True
-    duplicate_equality: Equality = Equality.NORMALIZED
-
-
-class VoteConfig(_Checked, _VoteConfigFields):
+class VoteConfig(_Frozen):
     """Voting variant switches; the defaults are the headline configuration.
-    ``combine`` and ``duplicate_equality`` may be given as their string values."""
+    ``combine`` and ``duplicate_equality`` may be given as their string values;
+    ``undefined_special_case`` must be a bool."""
 
-    __slots__ = ()
+    __slots__ = _compared = _init_args = ("combine", "undefined_special_case", "duplicate_equality")
 
-    def _checked(self) -> tuple:
-        combine, special_case, equality = self
-        return Combine(combine), special_case, Equality(equality)
+    def __init__(self, combine: Combine | str = Combine.SUM, undefined_special_case: bool = True,
+                 duplicate_equality: Equality | str = Equality.NORMALIZED):
+        if type(undefined_special_case) is not bool:
+            raise ValueError(
+                f"undefined_special_case must be a bool, got {undefined_special_case!r}")
+        self._set(Combine(combine), undefined_special_case, Equality(duplicate_equality))
 
 
 class Candidate(NamedTuple):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .corpus import _Checked, _require, _require_float, load_json, write_json
+from .corpus import _Frozen, _require, _require_float, load_json, write_json
 from .metrics import EvalReport
 from .taxonomy import CLASS_LABELS
 
@@ -29,41 +29,38 @@ class WeightError(ValueError):
     """Raised for inconsistent report sets or an inconsistent weight table."""
 
 
-class _WeightTableFields(NamedTuple):
-    models: tuple[str, ...]
-    metric_basis: MetricBasis
-    class_weights: dict[str, dict[str, float]]  # class label -> model -> weight
-    global_weights: dict[str, float]
-    best_overall: str
+class WeightTable(_Frozen):
+    """Per-(class, model) and global voting weights within [0, 1], checked when
+    built; ``metric_basis`` may be given as its string value."""
 
+    __slots__ = _compared = _init_args = (
+        "models", "metric_basis", "class_weights", "global_weights", "best_overall")
 
-class WeightTable(_Checked, _WeightTableFields):
-    """Per-(class, model) and global voting weights within [0, 1], checked when built."""
-
-    __slots__ = ()
-
-    def _checked(self) -> "WeightTable":
-        if not self.models:
+    def __init__(self, models: tuple[str, ...], metric_basis: MetricBasis | str,
+                 class_weights: dict[str, dict[str, float]],  # label -> model -> weight
+                 global_weights: dict[str, float], best_overall: str):
+        metric_basis = MetricBasis(metric_basis)
+        if not models:
             raise WeightError("weight table needs at least one model")
-        if len(set(self.models)) != len(self.models):
-            raise WeightError(f"models repeat a name: {list(self.models)}")
-        missing = [m for m in self.models if m not in self.global_weights]
-        unknown = sorted(set(self.global_weights) - set(self.models))
+        if len(set(models)) != len(models):
+            raise WeightError(f"models repeat a name: {list(models)}")
+        missing = [m for m in models if m not in global_weights]
+        unknown = sorted(set(global_weights) - set(models))
         if missing or unknown:
             raise WeightError(
-                f"global weights do not match models {list(self.models)}: "
+                f"global weights do not match models {list(models)}: "
                 f"missing {missing}, not in models {unknown}"
             )
-        for model, weight in self.global_weights.items():
+        for model, weight in global_weights.items():
             _check_weight(weight, f"global weight of {model!r}")
-        for label, row in self.class_weights.items():
-            if set(row) != set(self.models):
+        for label, row in class_weights.items():
+            if set(row) != set(models):
                 raise WeightError(f"class {label!r} is missing weights for some models")
             for model, weight in row.items():
                 _check_weight(weight, f"weight of {model!r} in class {label!r}")
-        if self.best_overall != _argmax_model(self.models, self.global_weights):
+        if best_overall != _argmax_model(models, global_weights):
             raise WeightError("best_overall does not match the global-weight argmax")
-        return self
+        self._set(models, metric_basis, class_weights, global_weights, best_overall)
 
     def row(self, label: str) -> tuple[float, ...]:
         """The label's weights in model order; an unknown label gets the global weights."""

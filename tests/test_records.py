@@ -1,5 +1,7 @@
 """The library's records: no field can be assigned, equality compares values,
-and the records that check their fields check every construction."""
+and the records that check their fields check every construction. A record
+that checks nothing is a plain ``NamedTuple``; one that checks is a ``_Frozen``
+class, which equals only a record of its own class and is unhashable."""
 from __future__ import annotations
 
 import copy
@@ -9,11 +11,18 @@ import pytest
 
 from helpers import make_dataset
 
+import qavote.corpus
 from qavote.analysis import SimTriple, pairwise_similarity
-from qavote.corpus import Dataset, PredictionSet, SchemaError, split_pre_eval
+from qavote.corpus import Dataset, PredictionSet, SchemaError, _Frozen, split_pre_eval
 from qavote.metrics import ClassStats, evaluate
 from qavote.synth import AccuracyProfile, Corruption
-from qavote.taxonomy import ClassRule, QuestionClass, class_distribution, default_rules
+from qavote.taxonomy import (
+    ClassRule,
+    LengthClassifier,
+    QuestionClass,
+    class_distribution,
+    default_rules,
+)
 from qavote.voting import Combine, VoteConfig
 from qavote.weighting import WeightError, compute_class_weights
 
@@ -36,7 +45,13 @@ def _records() -> dict:
         "SimTriple": SimTriple(1, 1, 2),
         "SimilarityReport": pairwise_similarity(report, report, rules.labels),
         "AccuracyProfile": AccuracyProfile({"who": 0.5}),
+        "LengthClassifier": LengthClassifier([6, 9]),
     }
+
+
+#: The records that check their fields; every other record checks nothing.
+_FROZEN = ("Dataset", "PredictionSet", "WeightTable", "VoteConfig", "AccuracyProfile",
+           "LengthClassifier")
 
 
 def _fields(record) -> tuple[str, ...]:
@@ -70,8 +85,13 @@ def test_copy_and_pickle_round_trip(name):
 def test_a_copy_is_built_through_the_checks():
     first = _records()["Dataset"].paragraphs[0]
     unchecked = object.__new__(Dataset)._fill((first, first))  # as ``subset`` builds one
-    with pytest.raises(SchemaError, match="duplicate question ids"):
-        copy.copy(unchecked)
+    descending = object.__new__(LengthClassifier)
+    descending._set((9, 6))
+    for clone in (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))):
+        with pytest.raises(SchemaError, match="duplicate question ids"):
+            clone(unchecked)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            clone(descending)
     assert repr(PredictionSet("m", {"q": "a"})) == "PredictionSet('m', {'q': 'a'}, {})"
 
 
@@ -93,3 +113,37 @@ def test_replace_on_a_checked_record_checks_again():
     assert profile.corruption is Corruption.RANDOM_SPAN
     with pytest.raises(ValueError, match="out of \\[0, 1\\]"):
         profile._replace(per_class={"who": 1.5})
+
+
+def test_every_record_is_of_one_of_two_kinds():
+    """A record that checks nothing is a plain NamedTuple; one that checks is a
+    ``_Frozen`` class. No third mechanism (a tuple that checks) exists."""
+    assert not hasattr(qavote.corpus, "_Checked")
+    assert sorted(cls.__name__ for cls in _Frozen.__subclasses__()) == sorted(_FROZEN)
+    for name, record in _records().items():
+        cls = type(record)
+        if name in _FROZEN:
+            assert issubclass(cls, _Frozen) and not isinstance(record, tuple), name
+            slots = {slot for klass in cls.__mro__ for slot in vars(klass).get("__slots__", ())}
+            assert set(cls._compared) <= set(cls._init_args) <= slots, name
+        else:
+            assert cls.__bases__ == (tuple,) and cls._fields, name  # a NamedTuple's bases
+            assert not hasattr(cls, "_checked"), name
+
+
+@pytest.mark.parametrize("name", _FROZEN)
+def test_a_frozen_record_is_no_tuple_and_unhashable(name):
+    record = _records()[name]
+    assert record != tuple(getattr(record, f) for f in type(record)._init_args)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+    field = type(record)._init_args[0]
+    assert record._replace(**{field: getattr(record, field)}) == record
+    with pytest.raises(ValueError, match="unexpected field names: \\['ghost'\\]"):
+        record._replace(ghost=1)
+
+
+def test_replace_builds_through_the_constructor():
+    dataset = _records()["Dataset"]
+    with pytest.raises(SchemaError, match="duplicate question ids"):
+        dataset._replace(paragraphs=dataset.paragraphs + dataset.paragraphs[:1])

@@ -160,6 +160,11 @@ class TestProfileIO:
         with pytest.raises(ValueError, match="out of"):
             AccuracyProfile(per_class={"what": 1.2}, seed=0)
 
+    @pytest.mark.parametrize("seed", ["1", 1.0, True, None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            AccuracyProfile({"who": 0.5}, seed=seed)
+
     @pytest.mark.parametrize(
         "mutate, field",
         [

@@ -235,6 +235,10 @@ class TestClassifyByLength:
         with pytest.raises(ValueError):
             LengthClassifier([5, 5])
 
+    def test_equality_follows_the_edges(self):
+        assert LengthClassifier([6, 9]) == LengthClassifier((6, 9))
+        assert LengthClassifier([6, 9]) != LengthClassifier([6, 10])
+
     def test_length_classifier_labels(self):
         clf = LengthClassifier([6, 9, 12])
         assert clf.labels == ("len_0", "len_1", "len_2", "len_3")

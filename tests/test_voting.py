@@ -31,7 +31,7 @@ from qavote.voting import (
     save_traces,
 )
 from qavote.taxonomy import UNDEFINED
-from qavote.weighting import compute_global_weights
+from qavote.weighting import WeightTable, compute_global_weights
 
 
 class TestVoteAgainstOracle:
@@ -68,6 +68,11 @@ class TestVoteConfig:
         config = VoteConfig(combine="max", duplicate_equality="raw")
         assert config.combine is Combine.MAX
         assert config.duplicate_equality is Equality.RAW
+
+    @pytest.mark.parametrize("special_case", ["false", 0, 1, None])
+    def test_special_case_must_be_a_bool(self, special_case):
+        with pytest.raises(ValueError, match="undefined_special_case must be a bool"):
+            VoteConfig(undefined_special_case=special_case)
 
 
 class TestVoteSemantics:
@@ -473,6 +478,33 @@ class TestMetamorphicRelations:
         answers, votes = _vote_record(dataset, predictions, table, classifier, config)
         assert _vote_record(dataset, predictions, renamed, renamed_classifier, config) == (
             answers, [(rename.get(label, label), *vote) for label, *vote in votes])
+
+    @given(case=_ensembles(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_permuting_the_model_order_changes_no_normalized_answer(self, case, data):
+        """Model order only breaks ties, and picks which of a group's answers
+        stands for it. With each row's weights distinct powers of two, no two
+        groups tie under sum or max (disjoint sets of distinct powers of two
+        have distinct sums, exactly in floats) and the global maximum is
+        unique, so any order elects the same group."""
+        dataset, predictions, table, classifier, config = case
+        models = table.models
+
+        def distinct_row() -> dict[str, float]:
+            exponents = data.draw(st.lists(st.integers(1, 40), min_size=len(models),
+                                           max_size=len(models), unique=True))
+            return {m: 2.0 ** -k for m, k in zip(models, exponents)}
+
+        global_weights = distinct_row()
+        table = WeightTable(models, table.metric_basis,
+                            {label: distinct_row() for label in table.class_weights},
+                            global_weights, max(models, key=global_weights.__getitem__))
+        permuted = table._replace(models=tuple(data.draw(st.permutations(models))))
+        key = str if config.duplicate_equality is Equality.RAW else normalize_answer
+        ensemble, _ = run_ensemble(dataset, predictions, table, classifier, config)
+        other, _ = run_ensemble(dataset, predictions, permuted, classifier, config)
+        for qid in dataset.ids:
+            assert key(other.answers[qid]) == key(ensemble.answers[qid]), qid
 
 
 class TestOneVotingPath:

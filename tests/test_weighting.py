@@ -153,6 +153,14 @@ class TestWeightTable:
         loaded = load_weights(path)
         assert loaded == table
 
+    def test_basis_given_as_a_string_saves_and_loads_back(self, tmp_path):
+        table = WeightTable(models=("a",), metric_basis="mean_f1", class_weights={},
+                            global_weights={"a": 0.5}, best_overall="a")
+        assert table.metric_basis is MetricBasis.MEAN_F1
+        path = tmp_path / "weights.json"
+        save_weights(table, path)
+        assert load_weights(path) == table
+
     def test_row_of_unknown_label_is_the_global_weights(self):
         table = self.make_table()
         assert table.row("no_such_label") == tuple(table.global_weights[m] for m in table.models)
