@@ -22,6 +22,19 @@ it), 1 anything else (with its traceback on stderr).
 The classifier is set by ``--rules`` or ``--length-buckets`` alone, never both
 (exit 2); no environment variable changes it.
 
+Each command loads only the layers it runs. ``corpus`` and ``taxonomy`` are
+imported with this module: every command but ``split`` classifies, and ``rules
+show`` loads the rules. The other layers are declared per command, as
+``command(..., layers=...)`` beside ``reads`` and ``plan``, and ``main`` imports
+them before it builds the missing policy; ``import qavote`` itself loads no
+submodule. A layer's names (``_LAYER_NAMES``) are then bound in this module,
+and the commands call them through it: ``bench/tracer.py`` replaces
+``qavote.cli.<name>`` with a timed wrapper and names its span after the
+function's module, so a command that imported a layer function for itself
+would bypass the wrapper and zero that layer's metrics. A name is bound only
+if it is not bound yet (a replaced name stays replaced), and reading one from
+outside before any command ran binds its layer (the module ``__getattr__``).
+
 ``main`` runs with the cyclic garbage collector paused and turns it back on
 (if it was on) when it returns. A command loads a whole corpus and builds
 records that hold no reference cycles, which reference counting frees; the
@@ -33,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import os
 import sys
@@ -41,7 +55,6 @@ from itertools import combinations
 from pathlib import Path
 
 from . import __version__
-from .analysis import pairwise_similarity, save_similarity_json, similarity_csv, eval_breakdown_csv
 from .corpus import (
     Granularity,
     atomic_write,
@@ -54,8 +67,6 @@ from .corpus import (
     split_pre_eval,
     write_json,
 )
-from .metrics import MissingPolicy, ScoreMemo, evaluate, save_report_csv, save_report_json
-from .synth import generate_predictions, load_profile
 from .taxonomy import (
     ClassRuleSet,
     LengthClassifier,
@@ -63,14 +74,38 @@ from .taxonomy import (
     default_rules,
     load_rules,
 )
-from .voting import Combine, Equality, VoteConfig, run_ensemble, save_traces
-from .weighting import (
-    MetricBasis,
-    compute_class_weights,
-    compute_global_weights,
-    load_weights,
-    save_weights,
-)
+
+#: The layers a command may declare (``command(..., layers=...)``), each with the
+#: names of it that this module calls. ``_bind`` imports a layer and binds these
+#: names here, so each command loads only the layers it runs.
+_LAYER_NAMES = {
+    "metrics": ("MissingPolicy", "ScoreMemo", "evaluate", "save_report_csv", "save_report_json"),
+    "weighting": ("MetricBasis", "compute_class_weights", "compute_global_weights",
+                  "load_weights", "save_weights"),
+    "voting": ("Combine", "Equality", "VoteConfig", "run_ensemble", "save_traces"),
+    "analysis": ("eval_breakdown_csv", "pairwise_similarity", "save_similarity_json",
+                 "similarity_csv"),
+    "synth": ("generate_predictions", "load_profile"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def _bind(layer: str) -> None:
+    """Import ``layer`` and bind its ``_LAYER_NAMES`` in this module. A name
+    already bound keeps its value, so a name that was replaced stays replaced."""
+    module = importlib.import_module(f".{layer}", __package__)
+    namespace = globals()
+    for name in _LAYER_NAMES[layer]:
+        namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    """A layer name read from outside before any command bound it: bind its layer."""
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAYER_OF[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -223,11 +258,8 @@ def cmd_evaluate(args) -> None:
         save_report_csv(eval_breakdown_csv(list(reports.values())), args.csv)
 
 
-_BASIS_BY_FLAG = {"f1": MetricBasis.MEAN_F1, "em": MetricBasis.EM_RATE}
-
-
 def cmd_weights(args) -> tuple[dict, dict]:
-    basis = _BASIS_BY_FLAG[args.basis]
+    basis = {"f1": MetricBasis.MEAN_F1, "em": MetricBasis.EM_RATE}[args.basis]
     reports = _score_models(args, args.pre_eval)
     compute = compute_global_weights if args.no_classes else compute_class_weights
     table = compute(reports, basis, args.classifier.labels)
@@ -332,11 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
 
-    def command(name, func, help, *parents, under=sub, reads=(), plan=lambda args: []):
+    def command(name, func, help, *parents, under=sub, reads=(), plan=lambda args: [],
+                layers=()):
         """``reads``: the dests of the input file flags, in manifest order; ``plan(args)``:
-        ``(flag or model pair, path)`` of each file written, in order."""
+        ``(flag or model pair, path)`` of each file written, in order; ``layers``: the
+        ``_LAYER_NAMES`` layers the command runs, besides ``corpus`` and ``taxonomy``."""
         p = under.add_parser(name, parents=list(parents), help=help)
-        p.set_defaults(func=func, reads=reads, plan=plan)
+        p.set_defaults(func=func, reads=reads, plan=plan, layers=layers)
         return p
 
     p_rules = sub.add_parser("rules", help="inspect classification rules")
@@ -365,13 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = command("evaluate", cmd_evaluate, "score prediction files against a dataset",
                      dataset, preds, classifier, policy, reads=("dataset",),
-                     plan=lambda a: [("--json", a.json_out), ("--csv", a.csv)])
+                     plan=lambda a: [("--json", a.json_out), ("--csv", a.csv)],
+                     layers=("metrics", "analysis"))
     p_eval.add_argument("--json", dest="json_out", help="write the full report(s) as JSON")
     p_eval.add_argument("--csv", help="write the per-class breakdown as CSV")
 
     p_weights = command("weights", cmd_weights, "voting weights from a pre-evaluation dataset",
                         preds, classifier, policy, out, reads=("pre_eval",),
-                        plan=lambda a: [("--out", a.out)])
+                        plan=lambda a: [("--out", a.out)], layers=("metrics", "weighting"))
     p_weights.add_argument("--pre-eval", required=True)
     p_weights.add_argument("--basis", choices=["f1", "em"], default="f1")
     p_weights.add_argument(
@@ -380,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = command("ensemble", cmd_ensemble, "weighted-voting ensemble over prediction files",
                     dataset, preds, classifier, out, reads=("dataset", "weights"),
-                    plan=lambda a: [("--out", a.out), ("--trace", a.trace)])
+                    plan=lambda a: [("--out", a.out), ("--trace", a.trace)],
+                    layers=("weighting", "voting"))
     p_ens.add_argument("--weights", required=True)
     p_ens.add_argument("--mode", choices=["class-aware", "global"], default="class-aware")
     p_ens.add_argument("--combine", choices=["sum", "max"], default="sum")
@@ -394,14 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = command("compare", cmd_compare, "pairwise prediction-similarity statistics",
                     dataset, preds, classifier, policy, reads=("dataset",),
-                    plan=_compare_plan)
+                    plan=_compare_plan, layers=("metrics", "analysis"))
     p_cmp.add_argument("--csv", help="write the per-class table (single pair only)")
     p_cmp.add_argument("--json", dest="json_out", help="write the report JSON (single pair only)")
     p_cmp.add_argument("--out-dir", help="write per-pair CSV+JSON files here")
 
     p_synth = command("synth", cmd_synth, "generate synthetic prediction files",
                       dataset, classifier, out, reads=("dataset", "profile"),
-                      plan=lambda a: [("--out", a.out)])
+                      plan=lambda a: [("--out", a.out)], layers=("synth",))
     p_synth.add_argument("--profile", required=True, help="accuracy profile JSON")
     p_synth.add_argument("--name", required=True, help="model name for the output")
 
@@ -434,6 +470,8 @@ def main(argv=None) -> int:
                                 [*outputs, ("the manifest", manifest_path)])
             for path in inputs.values():
                 os.stat(path)  # a missing input exits 3 before any input is read
+            for layer in args.layers:
+                _bind(layer)
             config, policy = {}, {}  # the shared flags' settings, around the command's own
             if hasattr(args, "rules"):
                 args.classifier, config = _classifier_from_args(args)

@@ -50,6 +50,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
+# Only a \uD800-\uDFFF escape makes a surrogate: a text without ``\ud`` or ``\uD``
+# needs no walk. One search scans the text once; two substring tests scan it twice.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")
 
 
 def _lone_surrogate(value) -> str | None:
@@ -84,8 +87,7 @@ def read_json(path: str | Path):
             value = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    # Only a \uD800-\uDFFF escape makes a surrogate: skip the walk without one.
-    if "\\ud" in text or "\\uD" in text:
+    if _SURROGATE_ESCAPE.search(text):
         where = _lone_surrogate(value)
         if where is not None:
             raise SchemaError(f"{path}: not valid JSON: lone surrogate in {where}")
@@ -254,13 +256,20 @@ class Dataset(_Frozen):
         return object.__new__(Dataset)._fill(tuple(paragraphs))
 
 
+def _check_model_name(model_name) -> None:
+    if not isinstance(model_name, str):
+        raise SchemaError(f"model_name must be str, got {type(model_name).__name__}")
+
+
 class PredictionSet(_Frozen):
     """A named model's answers, keyed by question id.
 
     May cover only a subset of a dataset's questions; the gap is handled by
     the evaluation missing-prediction policy, not here. ``meta`` carries
     generator-side annotations (e.g. synthetic fallback ids); it is not part
-    of the on-disk format, nor of equality.
+    of the on-disk format, nor of equality. The model name, every question id
+    and every answer must be a ``str``; the set holds its own copy of
+    ``answers``.
     """
 
     __slots__ = ("model_name", "answers", "meta")
@@ -269,6 +278,13 @@ class PredictionSet(_Frozen):
 
     def __init__(self, model_name: str, answers: Mapping[str, str],
                  meta: Mapping[str, object] | None = None):
+        _check_model_name(model_name)
+        answers = dict(answers)
+        for qid, answer in answers.items():
+            if not isinstance(qid, str):
+                raise SchemaError(f"question id {qid!r} must be str, got {type(qid).__name__}")
+            if not isinstance(answer, str):
+                raise SchemaError(f"answer to {qid!r} must be str, got {type(answer).__name__}")
         self._set(model_name, answers, {} if meta is None else meta)
 
     def __len__(self) -> int:
@@ -434,14 +450,22 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
-    """Load a flat {id: answer} prediction file; strings kept byte-for-byte."""
+    """Load a flat {id: answer} prediction file; strings kept byte-for-byte.
+
+    Every check ``PredictionSet`` makes is made here, on the parsed file (whose
+    keys are strings and whose dict nothing else holds), so the set is built
+    without repeating them."""
+    _check_model_name(model_name)
+
     def decode(answers) -> PredictionSet:
         if not isinstance(answers, dict):
             raise SchemaError(f"$ must be an object, got {type(answers).__name__}")
         for qid, answer in answers.items():
             if not isinstance(answer, str):  # read again for the error
                 _require(answers, qid, "$", str)
-        return PredictionSet(model_name=model_name, answers=answers)
+        predictions = object.__new__(PredictionSet)
+        predictions._set(model_name, answers, {})
+        return predictions
 
     return load_json(path, decode)
 

@@ -29,8 +29,11 @@ from typing import Iterable, NamedTuple
 
 try:
     from re import _parser as _regex_parser  # Python 3.11+
-except ImportError:  # Python 3.10
-    import sre_parse as _regex_parser
+except ImportError:
+    try:
+        import sre_parse as _regex_parser  # Python 3.10
+    except ImportError:  # a Python with neither: every rule is searched
+        _regex_parser = None
 
 from .corpus import SchemaError, _Frozen, _require, load_json
 
@@ -79,15 +82,24 @@ def required_literal(pattern: str) -> str:
     Any other op ends a run (``\\b``, ``\\s+``, a repeat, a group, a branch, a
     class), so every match of the pattern contains the run. For an ASCII text,
     IGNORECASE matching on ASCII characters is equality after ``lower()``.
+
+    The parser is the standard library's private one. Where it cannot be
+    imported, or it fails on ``pattern``, the answer is ``""``: the rule is then
+    searched on every question, which costs time and changes no label.
     """
+    if _regex_parser is None:
+        return ""
     best = run = ""
-    for op, value in _regex_parser.parse(pattern, re.IGNORECASE):
-        if op is _regex_parser.LITERAL and value < 128:
-            run += chr(value)
-            if len(run) > len(best):
-                best = run
-        else:
-            run = ""
+    try:
+        for op, value in _regex_parser.parse(pattern, re.IGNORECASE):
+            if op is _regex_parser.LITERAL and value < 128:
+                run += chr(value)
+                if len(run) > len(best):
+                    best = run
+            else:
+                run = ""
+    except Exception:  # a private API that changed; "" is always a safe answer
+        return ""
     return best.lower()
 
 
@@ -213,6 +225,8 @@ class LengthClassifier(_Frozen):
         edges = tuple(bucket_edges)
         if not edges:
             raise ValueError("bucket_edges must be non-empty")
+        if any(type(edge) is bool or not isinstance(edge, int) for edge in edges):
+            raise ValueError(f"bucket_edges must be ints, got {list(edges)}")
         if any(b >= a for a, b in zip(edges[1:], edges)):
             raise ValueError("bucket_edges must be strictly increasing")
         self._set(edges)

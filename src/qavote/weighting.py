@@ -31,7 +31,9 @@ class WeightError(ValueError):
 
 class WeightTable(_Frozen):
     """Per-(class, model) and global voting weights within [0, 1], checked when
-    built; ``metric_basis`` may be given as its string value."""
+    built; ``metric_basis`` may be given as its string value. The table holds
+    ``models`` as a tuple and its own copy of every weight row, so no caller's
+    list or dict can change it after the checks."""
 
     __slots__ = _compared = _init_args = (
         "models", "metric_basis", "class_weights", "global_weights", "best_overall")
@@ -40,6 +42,9 @@ class WeightTable(_Frozen):
                  class_weights: dict[str, dict[str, float]],  # label -> model -> weight
                  global_weights: dict[str, float], best_overall: str):
         metric_basis = MetricBasis(metric_basis)
+        models = tuple(models)
+        class_weights = {label: dict(row) for label, row in class_weights.items()}
+        global_weights = dict(global_weights)
         if not models:
             raise WeightError("weight table needs at least one model")
         if len(set(models)) != len(models):
@@ -69,9 +74,7 @@ class WeightTable(_Frozen):
 
     def ignoring_classes(self) -> "WeightTable":
         """This table with every class row replaced by the global weights, checked."""
-        return self._replace(
-            class_weights={label: dict(self.global_weights) for label in self.class_weights}
-        )
+        return self._replace(class_weights=dict.fromkeys(self.class_weights, self.global_weights))
 
     def to_json_dict(self) -> dict:
         return {

@@ -1490,20 +1490,88 @@ class TestStartupBudget:
     """Every command starts a fresh interpreter: an import that one command needs
     is made where it is used, not paid by every start. ``dataclasses`` (with
     ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``hashlib``, ``csv`` and
-    ``string`` cost about 20 ms of each start together."""
+    ``string`` cost about 20 ms of each start together. Of the package, a command
+    loads ``cli``, ``corpus``, ``taxonomy`` and the layers it declares
+    (``command(..., layers=...)``), with what those import."""
 
     DEFERRED = ("dataclasses", "inspect", "hashlib", "csv", "string")
+    ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def loaded(self, code: str, *argv: str) -> set[str]:
+        """The modules loaded after running ``code`` in a fresh interpreter."""
+        modules = "; sys.stderr.write(' '.join(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code + modules, *argv], env=self.ENV,
+                              capture_output=True, text=True, timeout=60, check=True)
+        return set(proc.stderr.split())
 
     def test_rules_show_loads_no_deferred_module(self):
-        modules = "sys.stderr.write(' '.join(sorted(sys.modules)))"
-        run = "import sys, qavote.cli; assert qavote.cli.main(['rules', 'show', '--json']) == 0; "
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-
-        def loaded(code: str) -> set[str]:
-            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                  text=True, timeout=60, check=True)
-            return set(proc.stderr.split())
-
-        added = loaded(run + modules) - loaded("import sys; " + modules)
+        run = "import sys, qavote.cli; assert qavote.cli.main(['rules', 'show', '--json']) == 0"
+        added = self.loaded(run) - self.loaded("import sys")
         assert "qavote.cli" in added
         assert sorted(added.intersection(self.DEFERRED)) == []
+
+    def test_import_qavote_loads_no_submodule(self):
+        assert {m for m in self.loaded("import sys, qavote") if m.startswith("qavote")} == {
+            "qavote"}
+
+    @staticmethod
+    def with_imports(layers) -> set[str]:
+        """``qavote.<layer>`` of each of ``layers`` and of every package module
+        each imports at its top level, transitively, read from the source."""
+        package = Path(qavote.cli.__file__).parent
+        found, todo = set(), list(layers)
+        while todo:
+            layer = todo.pop()
+            if layer not in found:
+                found.add(layer)
+                tree = ast.parse((package / f"{layer}.py").read_text(encoding="utf-8"))
+                todo += [node.module for node in tree.body
+                         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module]
+        return {f"qavote.{module}" for module in found}
+
+    LAYERS = {"rules-show": (), "classify-stats": (), "split": (),
+              "evaluate": ("metrics", "analysis"), "compare": ("metrics", "analysis"),
+              "weights": ("metrics", "weighting"), "ensemble": ("weighting", "voting"),
+              "synth": ("synth",)}
+
+    @pytest.mark.parametrize("command", list(LAYERS))
+    def test_a_command_loads_only_its_layers(self, tmp_path, input_files, command):
+        files, _ = input_files
+        argv = (["rules", "show", "--json"] if command == "rules-show"
+                else _command(command, files, tmp_path))
+        run = "import sys, qavote.cli; assert qavote.cli.main(sys.argv[1:]) == 0"
+        loaded = {m for m in self.loaded(run, *argv) if m.startswith("qavote")}
+        assert loaded == {"qavote", "qavote.cli"} | self.with_imports(
+            ["corpus", "taxonomy", *self.LAYERS[command]])
+
+
+class TestTracerContract:
+    """``bench/tracer.py`` replaces a layer function in ``qavote.cli`` with
+    ``setattr`` after reading it with ``getattr``, in an interpreter where no
+    command has run yet, and names each span after the function's module. A
+    command must call the replacement: one that imported the function some
+    other way would zero that layer's metrics."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("evaluate", "evaluate"), ("weights", "save_weights"), ("ensemble", "run_ensemble"),
+        ("compare", "pairwise_similarity"), ("synth", "generate_predictions"),
+    ])
+    def test_a_replaced_layer_function_is_called(self, tmp_path, input_files, monkeypatch,
+                                                 command, name):
+        files, _ = input_files
+        namespace = vars(qavote.cli)
+        layer = qavote.cli._LAYER_OF[name]
+        for unbound in qavote.cli._LAYER_NAMES[layer]:  # as before any command ran
+            monkeypatch.delitem(namespace, unbound, raising=False)
+        real = getattr(qavote.cli, name)
+        assert real.__module__ == f"qavote.{layer}"
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qavote.cli, name, spy)
+        code, err = _run_quietly(_command(command, files, tmp_path))
+        assert code == 0, err
+        assert calls and namespace[name] is spy

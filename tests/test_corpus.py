@@ -477,6 +477,17 @@ class TestReadJson:
         path.write_bytes(b'{"q1": "\\ud83d\\ude00", "q2": "\\\\ud800"}')
         assert corpus.read_json(path) == {"q1": "\U0001F600", "q2": "\\ud800"}
 
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.lists(st.one_of(
+        st.sampled_from(["\\ud800", "\\\\ud", "\\uD", "\\u", "\\", "u", "d", "D", "é", "中",
+                         '"', "\\u00e9", "\ud800"]),
+        st.characters()), max_size=12).map("".join))
+    def test_pre_check_is_the_two_substring_tests(self, text):
+        """``read_json`` walks a document for lone surrogates only if its text holds
+        ``\\ud`` or ``\\uD``; one regex search decides the same for any text."""
+        expected = "\\ud" in text or "\\uD" in text
+        assert bool(corpus._SURROGATE_ESCAPE.search(text)) is expected
+
 
 class TestLoadJson:
     """Every loader decodes through ``load_json``: a schema error names the file

@@ -13,7 +13,10 @@ from helpers import make_dataset
 
 import qavote.corpus
 from qavote.analysis import SimTriple, pairwise_similarity
-from qavote.corpus import Dataset, PredictionSet, SchemaError, _Frozen, split_pre_eval
+from qavote.corpus import (
+    Dataset, PredictionSet, SchemaError, _Frozen, load_predictions, save_predictions,
+    split_pre_eval,
+)
 from qavote.metrics import ClassStats, evaluate
 from qavote.synth import AccuracyProfile, Corruption
 from qavote.taxonomy import (
@@ -24,7 +27,9 @@ from qavote.taxonomy import (
     default_rules,
 )
 from qavote.voting import Combine, VoteConfig
-from qavote.weighting import WeightError, compute_class_weights
+from qavote.weighting import (
+    WeightError, WeightTable, compute_class_weights, load_weights, save_weights,
+)
 
 
 def _records() -> dict:
@@ -147,3 +152,48 @@ def test_replace_builds_through_the_constructor():
     dataset = _records()["Dataset"]
     with pytest.raises(SchemaError, match="duplicate question ids"):
         dataset._replace(paragraphs=dataset.paragraphs + dataset.paragraphs[:1])
+
+
+class TestARecordHoldsWhatItChecked:
+    """A checked record keeps the checked form of its fields, not the caller's
+    containers: nothing done to them afterwards can change the record."""
+
+    def test_weight_table_keeps_a_tuple_and_its_own_rows(self, tmp_path):
+        models, global_weights, row = ["a"], {"a": 0.5}, {"a": 0.25}
+        table = WeightTable(models, "mean_f1", {"who": row}, global_weights, "a")
+        models.append("b")
+        global_weights["a"] = float("nan")
+        row["a"] = 2.0
+        assert table.models == ("a",)
+        assert table.global_weights == {"a": 0.5}
+        assert table.class_weights == {"who": {"a": 0.25}}
+        save_weights(table, tmp_path / "w.json")
+        assert load_weights(tmp_path / "w.json") == table
+
+    @pytest.mark.parametrize("edges", [["6", "9"], [6.0, 9], [True, 9], [6, None]],
+                             ids=["str", "float", "bool", "none"])
+    def test_length_classifier_takes_only_int_edges(self, edges):
+        with pytest.raises(ValueError, match="bucket_edges must be ints"):
+            LengthClassifier(edges)
+
+    @pytest.mark.parametrize("model_name, answers, message", [
+        ("m", {"q": 1}, "answer to 'q' must be str, got int"),
+        ("m", {1: "a"}, "question id 1 must be str, got int"),
+        (None, {"q": "a"}, "model_name must be str, got NoneType"),
+    ], ids=["answer", "question-id", "model-name"])
+    def test_prediction_set_takes_only_strings(self, model_name, answers, message):
+        with pytest.raises(SchemaError, match=message):
+            PredictionSet(model_name, answers)
+
+    def test_prediction_set_keeps_its_own_answers(self, tmp_path):
+        answers = {"q": "a"}
+        predictions = PredictionSet("m", answers)
+        answers["q"] = 1
+        assert predictions.answers == {"q": "a"}
+        save_predictions(predictions, tmp_path / "p.json")
+        assert load_predictions(tmp_path / "p.json", "m") == predictions
+
+    def test_load_predictions_checks_the_model_name(self, tmp_path):
+        save_predictions(PredictionSet("m", {"q": "a"}), tmp_path / "p.json")
+        with pytest.raises(SchemaError, match="model_name must be str, got int"):
+            load_predictions(tmp_path / "p.json", 7)

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import QUESTION_TEMPLATES
+
+from qavote import taxonomy
 from qavote.corpus import Dataset, SchemaError
 from qavote.taxonomy import (
     CLASS_LABELS,
@@ -212,6 +220,54 @@ class TestPrefilter:
     ])
     def test_a_run_ends_at_any_other_op(self, pattern, literal):
         assert required_literal(pattern) == literal
+
+    # The three @example cases above, and a question of every class of the default rules.
+    EXAMPLES = [([r"\bwhich\b"], "Wh\u0131ch team won?"), (["what?"], "wha"),
+                ([r"what\s+time"], "what time")]
+    QUESTIONS = [t.format(i=1) for t in QUESTION_TEMPLATES.values()] + [
+        "Wh\u0131ch team won?", "WHAT TIME is it?", "Caf\u00e9: who owns it?", ""]
+
+    def test_without_the_regex_parser_every_rule_is_searched(self, rules):
+        """A Python where neither ``re._parser`` nor ``sre_parse`` imports: the
+        module still loads, no rule has a literal and every label is the one
+        searching every rule gives."""
+        script = (
+            "import json, re, sys\n"
+            "del re._parser\n"  # ``from re import _parser`` would find the attribute
+            "sys.modules['re._parser'] = sys.modules['sre_parse'] = None\n"
+            "from qavote.taxonomy import ClassRule, ClassRuleSet, QuestionClass, "
+            "default_rules, required_literal\n"
+            "rules = default_rules()\n"
+            "cases = json.loads(sys.stdin.read())\n"
+            "labels = [rules(q) for q in cases['questions']]\n"
+            "for patterns, question in cases['examples']:\n"
+            "    labels.append(ClassRuleSet([ClassRule(p, QuestionClass.WHO, -i)\n"
+            "                                for i, p in enumerate(patterns)])(question))\n"
+            "print(json.dumps({'labels': labels,\n"
+            "                  'literals': [required_literal(r.pattern) for r in rules.rules]}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        cases = {"questions": self.QUESTIONS, "examples": self.EXAMPLES}
+        proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(cases), env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["literals"] == [""] * len(rules.rules)
+        expected = [_brute_force_label(rules.rules, q) for q in self.QUESTIONS] + [
+            _brute_force_label([ClassRule(p, QuestionClass.WHO, -i) for i, p in enumerate(ps)], q)
+            for ps, q in self.EXAMPLES]
+        assert result["labels"] == expected
+        assert "who" in expected and "undefined" in expected  # the cases reach both outcomes
+
+    def test_a_parser_that_fails_gives_no_literal(self, rules, monkeypatch):
+        def fail(*_):
+            raise TypeError("parse() changed")
+
+        monkeypatch.setattr(taxonomy, "_regex_parser", SimpleNamespace(parse=fail, LITERAL=None))
+        assert required_literal(r"\bwhat\b") == ""
+        searched = ClassRuleSet(rules.rules)
+        assert [searched(q) for q in self.QUESTIONS] == [
+            _brute_force_label(rules.rules, q) for q in self.QUESTIONS]
 
 
 class TestClassifyByLength:
