@@ -256,11 +256,6 @@ class Dataset(_Frozen):
         return object.__new__(Dataset)._fill(tuple(paragraphs))
 
 
-def _check_model_name(model_name) -> None:
-    if not isinstance(model_name, str):
-        raise SchemaError(f"model_name must be str, got {type(model_name).__name__}")
-
-
 class PredictionSet(_Frozen):
     """A named model's answers, keyed by question id.
 
@@ -278,7 +273,8 @@ class PredictionSet(_Frozen):
 
     def __init__(self, model_name: str, answers: Mapping[str, str],
                  meta: Mapping[str, object] | None = None):
-        _check_model_name(model_name)
+        if not isinstance(model_name, str):
+            raise SchemaError(f"model_name must be str, got {type(model_name).__name__}")
         answers = dict(answers)
         for qid, answer in answers.items():
             if not isinstance(qid, str):
@@ -450,22 +446,14 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
-    """Load a flat {id: answer} prediction file; strings kept byte-for-byte.
-
-    Every check ``PredictionSet`` makes is made here, on the parsed file (whose
-    keys are strings and whose dict nothing else holds), so the set is built
-    without repeating them."""
-    _check_model_name(model_name)
-
+    """Load a flat {id: answer} prediction file; strings kept byte-for-byte."""
     def decode(answers) -> PredictionSet:
         if not isinstance(answers, dict):
             raise SchemaError(f"$ must be an object, got {type(answers).__name__}")
         for qid, answer in answers.items():
             if not isinstance(answer, str):  # read again for the error
                 _require(answers, qid, "$", str)
-        predictions = object.__new__(PredictionSet)
-        predictions._set(model_name, answers, {})
-        return predictions
+        return PredictionSet(model_name, answers)
 
     return load_json(path, decode)
 

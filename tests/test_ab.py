@@ -106,3 +106,13 @@ def test_report_covers_every_end_to_end_metric_of_the_benchmark():
     parsed = ab.parse_run(RECORDED)
     pairs = [{"seed": 1, "base": parsed, "head": parsed}]
     assert list(ab.report(pairs, spec)) == ["setup_s", "pipeline_s", "peak_rss_mb"]
+
+
+def test_each_workload_keeps_its_own_revisions(tmp_path):
+    out = tmp_path / "bench.json"
+    ab.add_workload(out, "dev-multigold", {"base": "aaa", "head": "bbb", "seconds": 35})
+    ab.add_workload(out, "train-pipeline", {"base": "ccc", "head": None, "seconds": 10})
+    ab.add_workload(out, "dev-multigold", {"base": "aaa", "head": "ddd", "seconds": 35})
+    assert json.loads(out.read_text(encoding="utf-8")) == {"workloads": {
+        "dev-multigold": {"base": "aaa", "head": "ddd", "seconds": 35},
+        "train-pipeline": {"base": "ccc", "head": None, "seconds": 10}}}

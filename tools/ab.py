@@ -20,7 +20,9 @@ may be claimed: at least nine tenths of at least ten pairs won, and a median
 gap, in the better direction, larger than the base's interquartile range.
 
 ``--out`` writes the report of this workload into a JSON file, next to the
-reports of other workloads already in it. Standard library only.
+reports of other workloads already in it; each workload's report records the
+two revisions given, the Python version and the CPU count of its own run.
+Standard library only.
 """
 from __future__ import annotations
 
@@ -107,6 +109,15 @@ def report(pairs: list[dict], end_to_end: list[dict]) -> dict:
             for spec in end_to_end}
 
 
+def add_workload(path: Path, workload: str, entry: dict) -> None:
+    """Write ``entry`` as ``workload``'s report into the JSON file ``path``,
+    keeping the other workloads' reports, each with its own revisions."""
+    document = (json.loads(path.read_text(encoding="utf-8")) if path.exists()
+                else {"workloads": {}})
+    document["workloads"][workload] = entry
+    path.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -126,8 +137,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, help="JSON file to add this workload's report to")
-    parser.add_argument("--base-rev", help="the base's revision, recorded in --out")
-    parser.add_argument("--head-rev", help="the head's revision, recorded in --out")
+    parser.add_argument("--base-rev", help="the base's revision, recorded with this workload in --out")
+    parser.add_argument("--head-rev", help="the head's revision, recorded with this workload in --out")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.head / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -156,20 +167,15 @@ def main(argv=None) -> int:
               + (", WORSE THAN ITS BOUND" if m["worse_than_bound"] else ""))
 
     if args.out:
-        document = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
-                    else {"workloads": {}})
-        document.update({
+        add_workload(args.out, args.workload, {
             "base": args.base_rev, "head": args.head_rev,
             "python": platform.python_version(), "cpus": os.cpu_count(),
-        })
-        document["workloads"][args.workload] = {
             "seconds": args.seconds,
             "metrics": metrics,
             "pairs": [{"seed": p["seed"], "first": p["first"], "digest": p["base"]["digest"],
                        **{side: p[side]["metrics"] for side in ("base", "head")}}
                       for p in pairs],
-        }
-        args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+        })
     return 0
 
 
