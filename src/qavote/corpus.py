@@ -138,22 +138,21 @@ def write_json(obj, path: str | Path, indent: int | None = None) -> None:
 
 
 class QaItem(NamedTuple):
-    """One question: its paragraph context and the accepted gold answers.
+    """One question and its accepted gold answers; its ``Paragraph`` holds the context.
 
     Immutable; build a changed copy with ``item._replace(...)``. A ``Dataset``
-    checks its items: a tuple of at least one gold answer, one start per gold
-    answer.
+    checks its items: a tuple of at least one gold answer, a tuple of one start
+    per gold answer.
     """
 
     id: str
     question: str
-    context: str
     gold_answers: tuple[str, ...]
     answer_starts: tuple[int, ...]
 
 
 class Paragraph(NamedTuple):
-    """One context paragraph: its key, its article's title, and its questions."""
+    """One paragraph: its key, its article's title, its context and its questions."""
 
     key: str
     title: str
@@ -164,16 +163,17 @@ class Paragraph(NamedTuple):
 class _Frozen:
     """Base of a record that checks its fields. Its constructor takes the
     ``_init_args`` fields in order, checks them and sets each once, through
-    ``_set``, in the slot of its name; no slot can be assigned afterwards. Two
-    records are equal when they are of one class and their ``_compared``
-    fields are equal, so a record never equals a tuple, and it is unhashable.
-    ``_replace``, ``copy`` and ``pickle`` build a record from its
-    ``_init_args`` fields by the constructor, which checks them again."""
+    ``_set``, in the slot of its name, with any field it derives from them; no
+    slot can be assigned afterwards. Two records are equal when they are of
+    one class and their ``_compared`` fields are equal, so a record never
+    equals a tuple, and it is unhashable. ``_replace``, ``copy`` and ``pickle``
+    build a record from its ``_init_args`` fields by the constructor, which
+    checks them again."""
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for field, value in zip(self._init_args, values, strict=True):
+    def _set(self, *values, **derived) -> None:
+        for field, value in (*zip(self._init_args, values, strict=True), *derived.items()):
             object.__setattr__(self, field, value)
 
     def _replace(self, **changes):
@@ -203,19 +203,24 @@ class _Frozen:
 
 class Dataset(_Frozen):
     """An ordered, immutable collection of paragraphs, each holding its questions;
-    building one checks every item, that every paragraph holds a question and
-    that question ids are unique."""
+    building one checks every item, that every paragraph holds a tuple of at
+    least one question and that question ids are unique. It keeps the paragraphs
+    as a tuple."""
 
     __slots__ = ("paragraphs", "items")
     _compared = _init_args = ("paragraphs",)
 
-    def __init__(self, paragraphs: tuple[Paragraph, ...]):
-        for paragraph in paragraphs:  # the decoder and ``subset`` drop such paragraphs
-            if not paragraph.items:
+    def __init__(self, paragraphs: Iterable[Paragraph]):
+        paragraphs = tuple(paragraphs)
+        for paragraph in paragraphs:
+            if not isinstance(paragraph.items, tuple):
+                raise SchemaError(f"paragraph {paragraph.key!r}: items must be a tuple")
+            if not paragraph.items:  # the decoder and ``subset`` drop such paragraphs
                 raise SchemaError(f"paragraph {paragraph.key!r} has no questions")
         for item in self._fill(paragraphs).items:
-            if not isinstance(item.gold_answers, tuple):  # scores are memoized per gold tuple
-                raise SchemaError(f"question {item.id!r}: gold_answers must be a tuple")
+            for field in ("gold_answers", "answer_starts"):  # memo keys no caller can change
+                if not isinstance(getattr(item, field), tuple):
+                    raise SchemaError(f"question {item.id!r}: {field} must be a tuple")
             if not item.gold_answers:
                 raise SchemaError(f"question {item.id!r}: gold_answers is empty")
             if len(item.answer_starts) != len(item.gold_answers):
@@ -230,8 +235,7 @@ class Dataset(_Frozen):
 
     def _fill(self, paragraphs) -> "Dataset":
         """Set the paragraphs and ``items``, every paragraph's questions in order."""
-        self._set(paragraphs)
-        object.__setattr__(self, "items", tuple(chain.from_iterable(p.items for p in paragraphs)))
+        self._set(paragraphs, items=tuple(chain.from_iterable(p.items for p in paragraphs)))
         return self
 
     def __len__(self) -> int:
@@ -406,7 +410,7 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
                         start = _require(answer, "answer_start", ans_path, int)
                     golds.append(text)
                     starts.append(start)
-                items.append(QaItem(qid, question, context, tuple(golds), tuple(starts)))
+                items.append(QaItem(qid, question, tuple(golds), tuple(starts)))
             if items:
                 decoded.append(
                     Paragraph(f"p{a_idx:05d}_{p_idx:05d}", title, context, tuple(items)))

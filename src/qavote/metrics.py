@@ -34,7 +34,7 @@ from collections import Counter
 from json.encoder import encode_basestring
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .corpus import Dataset, PredictionSet, atomic_write
+from .corpus import Dataset, PredictionSet, _Frozen, atomic_write
 
 _ARTICLES = frozenset({"a", "an", "the"})
 
@@ -137,71 +137,55 @@ class ClassStats(NamedTuple):
     count: int
 
 
-class EvalReport(NamedTuple):
-    """Per-question scores, in dataset order, with per-class and overall aggregates."""
+class EvalReport(_Frozen):
+    """Per-question scores (its own copy, in the given order) and the per-class
+    (by sorted label) and overall aggregates computed from them over the sorted
+    ids, so a report is the same however its scores were produced. An f1 that
+    is no int or float within [0, 1], an em that is no ``bool``, or an exact
+    match with f1 below 1.0 raises ValueError naming its question id."""
 
-    per_question: dict[str, QuestionScore]
-    per_class: dict[str, ClassStats]
-    overall: ClassStats
-    model: str = ""
-    missing_policy: MissingPolicy = MissingPolicy.SCORE_AS_EMPTY
+    __slots__ = ("per_question", "model", "missing_policy", "per_class", "overall")
+    _compared = _init_args = ("per_question", "model", "missing_policy")
+
+    def __init__(self, per_question: Mapping[str, QuestionScore], model: str = "",
+                 missing_policy: MissingPolicy | str = MissingPolicy.SCORE_AS_EMPTY):
+        per_question = dict(per_question)
+        by_id = sorted(per_question.items())
+        by_class: dict[str, list[QuestionScore]] = {}
+        for qid, score in by_id:
+            if type(score.f1) not in (float, int):  # report.json writes f1 by its type
+                raise ValueError(f"f1 must be an int or float for {qid!r}: {score.f1!r}")
+            if not 0.0 <= score.f1 <= 1.0:
+                raise ValueError(f"f1 out of range for {qid!r}: {score.f1}")
+            if type(score.em) is not bool:
+                raise ValueError(f"em must be a bool for {qid!r}: {score.em!r}")
+            if score.em and score.f1 != 1.0:
+                raise ValueError(f"em=True with f1={score.f1} for {qid!r}")
+            by_class.setdefault(score.label, []).append(score)
+        self._set(per_question, model, MissingPolicy(missing_policy),
+                  per_class={label: _stats(by_class[label]) for label in sorted(by_class)},
+                  overall=_stats([score for _, score in by_id]))
+
+    def _header(self) -> dict:
+        """``to_json_dict()`` with an empty ``per_question``."""
+        return {"model": self.model, "missing_policy": self.missing_policy.value,
+                "overall": self.overall._asdict(),
+                "per_class": {label: s._asdict() for label, s in self.per_class.items()},
+                "per_question": {}}
 
     def to_json_dict(self) -> dict:
         """The report as JSON: the label of each question is not written."""
-        return {
-            "model": self.model,
-            "missing_policy": self.missing_policy.value,
-            "overall": self.overall._asdict(),
-            "per_class": {label: s._asdict() for label, s in self.per_class.items()},
-            "per_question": {
-                qid: {"f1": score.f1, "em": score.em}
-                for qid, score in sorted(self.per_question.items())
-            },
-        }
+        return {**self._header(), "per_question": {
+            qid: {"f1": score.f1, "em": score.em}
+            for qid, score in sorted(self.per_question.items())
+        }}
 
 
-def report_from_scores(
-    scores: Mapping[str, QuestionScore],
-    model: str = "",
-    missing_policy: MissingPolicy = MissingPolicy.SCORE_AS_EMPTY,
-) -> EvalReport:
-    """Aggregate per-question scores into an EvalReport.
-
-    Every f1 must lie in [0, 1], every em must be a ``bool`` and an exact
-    match must have f1 1.0; a score that breaks any raises ValueError naming
-    its question id. Aggregation order is fixed (sorted question ids), so
-    reports are identical however the scores were produced; ``per_question``
-    keeps the order of ``scores``.
-    """
-    by_id = sorted(scores.items())
-    per_class_scores: dict[str, list[QuestionScore]] = {}
-    for qid, score in by_id:
-        if not 0.0 <= score.f1 <= 1.0:
-            raise ValueError(f"f1 out of range for {qid!r}: {score.f1}")
-        if type(score.em) is not bool:
-            raise ValueError(f"em must be a bool for {qid!r}: {score.em!r}")
-        if score.em and score.f1 != 1.0:
-            raise ValueError(f"em=True with f1={score.f1} for {qid!r}")
-        per_class_scores.setdefault(score.label, []).append(score)
-
-    def stats(bucket: list[QuestionScore]) -> ClassStats:
-        n = len(bucket)
-        if n == 0:
-            return ClassStats(mean_f1=0.0, em_rate=0.0, count=0)
-        return ClassStats(
-            mean_f1=sum(s.f1 for s in bucket) / n,
-            em_rate=sum(1 for s in bucket if s.em) / n,
-            count=n,
-        )
-
-    per_class = {label: stats(bucket) for label, bucket in sorted(per_class_scores.items())}
-    return EvalReport(
-        per_question=dict(scores),
-        per_class=per_class,
-        overall=stats([score for _, score in by_id]),
-        model=model,
-        missing_policy=missing_policy,
-    )
+def _stats(bucket: list[QuestionScore]) -> ClassStats:
+    n = len(bucket)
+    if n == 0:
+        return ClassStats(mean_f1=0.0, em_rate=0.0, count=0)
+    return ClassStats(sum(s.f1 for s in bucket) / n, sum(1 for s in bucket if s.em) / n, n)
 
 
 def evaluate(
@@ -233,7 +217,7 @@ def evaluate(
             prediction = ""
         f1, em = score(prediction, item.gold_answers)
         scores[item.id] = QuestionScore(classifier(item.question), f1, em)
-    return report_from_scores(scores, model=predictions.model_name, missing_policy=missing_policy)
+    return EvalReport(scores, predictions.model_name, missing_policy)
 
 
 # A report's per-question key as ``json.dumps(..., indent=1)`` writes it at the
@@ -245,13 +229,11 @@ def _per_question_block(per_question: Mapping[str, QuestionScore]) -> str:
     """The ``per_question`` value of ``to_json_dict`` as ``json.dumps(...,
     indent=1)`` writes it at a report's depth. Every value comes from the C
     encoder: the ids one by one, each column in one call split on ``", "``
-    (which no number or boolean holds); only the whitespace is written here."""
+    (which no number or boolean holds: ``EvalReport`` admits no other f1 or
+    em); only the whitespace is written here."""
     if not per_question:
         return "{}"
     rows = sorted(per_question.items())
-    for qid, score in rows:  # any other value would be written otherwise, or shift its column
-        if type(score.f1) not in (float, int) or type(score.em) is not bool:
-            raise ValueError(f"per_question f1 and em values must be numbers and bools: {qid!r}")
     f1s = json.dumps([score.f1 for _, score in rows])[1:-1].split(", ")
     ems = json.dumps([score.em for _, score in rows])[1:-1].split(", ")
     entries = [f'   {encode_basestring(qid)}: {{\n    "f1": {f1},\n    "em": {em}\n   }}'
@@ -263,8 +245,8 @@ def save_report_json(reports: Mapping[str, EvalReport], path) -> None:
     """Write ``{model name: report}`` for any number of models: the bytes of
     ``json.dump`` of each ``to_json_dict()`` with ``ensure_ascii=False,
     indent=1``, plus a newline."""
-    text = json.dumps({name: r._replace(per_question={}).to_json_dict()
-                       for name, r in reports.items()}, ensure_ascii=False, indent=1)
+    text = json.dumps({name: r._header() for name, r in reports.items()},
+                      ensure_ascii=False, indent=1)
     head, *tails = text.split(_PER_QUESTION_KEY + "{}")
     with atomic_write(path) as fh:
         fh.write(head)

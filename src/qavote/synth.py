@@ -25,9 +25,10 @@ class Corruption(str, enum.Enum):
 class AccuracyProfile(_Frozen):
     """Per-class gold-emission probabilities plus the wrong-answer shape.
 
-    Classes absent from ``per_class`` get probability 0.0. A probability
-    outside [0, 1], or a ``seed`` that is not an int, is a ValueError;
-    ``corruption`` may be given as its value.
+    Classes absent from ``per_class`` get probability 0.0. A probability that
+    is not a number (bool included) or lies outside [0, 1], or a ``seed`` that
+    is not an int, is a ValueError; ``corruption`` may be given as its value.
+    The profile holds its own copy of ``per_class``.
     """
 
     __slots__ = _compared = _init_args = ("per_class", "corruption", "seed")
@@ -35,7 +36,10 @@ class AccuracyProfile(_Frozen):
     def __init__(self, per_class: Mapping[str, float],
                  corruption: Corruption | str = Corruption.DISJOINT_TOKEN, seed: int = 0):
         corruption = Corruption(corruption)
+        per_class = dict(per_class)
         for label, p in per_class.items():
+            if type(p) is bool or not isinstance(p, (int, float)):
+                raise ValueError(f"probability for class {label!r} must be a number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability for class {label!r} out of [0, 1]: {p}")
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -69,27 +73,27 @@ def _sentinel(gold_tokens: set[str]) -> str:
     return f"{token} {token}"
 
 
-def _disjoint_span(item, hash_int: Callable[[str, str], int]) -> tuple[str, bool]:
-    """(answer, used_sentinel): a 2ish-token context span disjoint from gold."""
+def _disjoint_span(item, tokens: list[str],
+                   hash_int: Callable[[str, str], int]) -> tuple[str, bool]:
+    """(answer, used_sentinel): a 2ish-token span of the context ``tokens``
+    disjoint from gold."""
     gold_tokens = set()
     for gold in item.gold_answers:
         gold_tokens.update(normalize_answer(gold))
-    context_tokens = item.context.split()
-    n = len(context_tokens)
+    n = len(tokens)
     width = 2 if n >= 2 else 1
     if n:
         offset = hash_int(item.id, "span") % n
         for shift in range(n):
             start = (offset + shift) % n
-            window = context_tokens[start : start + width]
+            window = tokens[start : start + width]
             window_norm = normalize_answer(" ".join(window))
             if window_norm and not gold_tokens.intersection(window_norm):
                 return " ".join(window), False
     return _sentinel(gold_tokens), True
 
 
-def _random_span(item, hash_int: Callable[[str, str], int]) -> str:
-    tokens = item.context.split()
+def _random_span(item, tokens: list[str], hash_int: Callable[[str, str], int]) -> str:
     if not tokens:
         return ""
     start = hash_int(item.id, "start") % len(tokens)
@@ -124,19 +128,20 @@ def generate_predictions(
 
     answers: dict[str, str] = {}
     sentinel_ids: list[str] = []
-    for item in dataset.items:
-        label = classifier(item.question)
-        if hash_int(item.id, "emit") / 2**256 < profile.probability(label):
-            answers[item.id] = item.gold_answers[0]
-            continue
-        if profile.corruption is Corruption.DISJOINT_TOKEN:
-            answer, used_sentinel = _disjoint_span(item, hash_int)
-            if used_sentinel:
-                sentinel_ids.append(item.id)
-            answers[item.id] = answer
-        elif profile.corruption is Corruption.TRUNCATE_GOLD:
-            answers[item.id] = " ".join(normalize_answer(item.gold_answers[0])[:-1])
-        else:
-            answers[item.id] = _random_span(item, hash_int)
+    for paragraph in dataset.paragraphs:
+        context_tokens = paragraph.context.split()
+        for item in paragraph.items:
+            label = classifier(item.question)
+            if hash_int(item.id, "emit") / 2**256 < profile.probability(label):
+                answers[item.id] = item.gold_answers[0]
+            elif profile.corruption is Corruption.DISJOINT_TOKEN:
+                answer, used_sentinel = _disjoint_span(item, context_tokens, hash_int)
+                if used_sentinel:
+                    sentinel_ids.append(item.id)
+                answers[item.id] = answer
+            elif profile.corruption is Corruption.TRUNCATE_GOLD:
+                answers[item.id] = " ".join(normalize_answer(item.gold_answers[0])[:-1])
+            else:
+                answers[item.id] = _random_span(item, context_tokens, hash_int)
     meta = {"sentinel_fallback_ids": sentinel_ids} if sentinel_ids else {}
     return PredictionSet(model_name=model_name, answers=answers, meta=meta)

@@ -240,10 +240,13 @@ class LengthClassifier(_Frozen):
 
 
 class ClassHistogram(NamedTuple):
-    """Per-class question counts; counts always sum to total."""
+    """Per-class question counts; ``total`` is their sum."""
 
     counts: dict[str, int]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     def share(self, label: str) -> float:
         """Fraction of questions in ``label`` (0.0 for an empty histogram)."""
@@ -264,4 +267,4 @@ def class_distribution(dataset, classifier) -> ClassHistogram:
     for item in dataset.items:
         label = classifier(item.question)
         counts[label] = counts.get(label, 0) + 1
-    return ClassHistogram(counts=counts, total=len(dataset.items))
+    return ClassHistogram(counts)

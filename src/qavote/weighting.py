@@ -13,8 +13,8 @@ import enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import _Frozen, _require, _require_float, load_json, write_json
-from .metrics import EvalReport
+from .corpus import SchemaError, _Frozen, _require, _require_float, load_json, write_json
+from .metrics import EvalReport, MissingPolicy
 from .taxonomy import CLASS_LABELS
 
 
@@ -35,12 +35,12 @@ class WeightTable(_Frozen):
     ``models`` as a tuple and its own copy of every weight row, so no caller's
     list or dict can change it after the checks."""
 
-    __slots__ = _compared = _init_args = (
-        "models", "metric_basis", "class_weights", "global_weights", "best_overall")
+    __slots__ = _compared = _init_args = ("models", "metric_basis", "class_weights",
+                                          "global_weights")
 
     def __init__(self, models: tuple[str, ...], metric_basis: MetricBasis | str,
                  class_weights: dict[str, dict[str, float]],  # label -> model -> weight
-                 global_weights: dict[str, float], best_overall: str):
+                 global_weights: dict[str, float]):
         metric_basis = MetricBasis(metric_basis)
         models = tuple(models)
         class_weights = {label: dict(row) for label, row in class_weights.items()}
@@ -63,9 +63,13 @@ class WeightTable(_Frozen):
                 raise WeightError(f"class {label!r} is missing weights for some models")
             for model, weight in row.items():
                 _check_weight(weight, f"weight of {model!r} in class {label!r}")
-        if best_overall != _argmax_model(models, global_weights):
-            raise WeightError("best_overall does not match the global-weight argmax")
-        self._set(models, metric_basis, class_weights, global_weights, best_overall)
+        self._set(models, metric_basis, class_weights, global_weights)
+
+    @property
+    def best_overall(self) -> str:
+        """The model with the highest global weight, the first of equal ones:
+        it answers undefined-class questions."""
+        return max(self.models, key=self.global_weights.__getitem__)
 
     def row(self, label: str) -> tuple[float, ...]:
         """The label's weights in model order; an unknown label gets the global weights."""
@@ -91,13 +95,17 @@ class WeightTable(_Frozen):
         type raises SchemaError naming its JSON path."""
         models = dict(enumerate(_require(data, "models", "$", list)))
         classes = _require(data, "classes", "$", dict)
-        return cls(
+        table = cls(
             models=tuple(_require(models, i, "$.models", str) for i in models),
             metric_basis=_require(data, "metric_basis", "$", MetricBasis),
             class_weights={label: _weight_row(classes, label, "$.classes") for label in classes},
             global_weights=_weight_row(data, "global", "$"),
-            best_overall=_require(data, "best_overall", "$", str),
         )
+        best_overall = _require(data, "best_overall", "$", str)
+        if best_overall != table.best_overall:
+            raise SchemaError(f"field $.best_overall must be {table.best_overall!r}, the "
+                              f"global-weight argmax, got {best_overall!r}")
+        return table
 
 
 def _weight_row(mapping: Mapping, key: str, path: str) -> dict[str, float]:
@@ -107,25 +115,25 @@ def _weight_row(mapping: Mapping, key: str, path: str) -> dict[str, float]:
 
 
 def _check_weight(weight: float, what: str) -> None:
+    if type(weight) is bool or not isinstance(weight, (int, float)):
+        raise WeightError(f"{what} must be a number, got {weight!r}")
     if not 0.0 <= weight <= 1.0:
         raise WeightError(f"{what} out of [0, 1]: {weight}")
 
 
-def _argmax_model(models: Sequence[str], weights: Mapping[str, float]) -> str:
-    return max(models, key=weights.__getitem__)  # max keeps the first of equal weights
-
-
 def _check_reports(reports: Mapping[str, EvalReport]) -> None:
+    """``score_as_empty`` reports cover the same questions (an ``exclude`` one
+    covers those its model answered), and some report scored a question."""
     if not reports:
         raise WeightError("need at least one model report")
-    id_sets = {model: frozenset(report.per_question) for model, report in reports.items()}
-    first_model = next(iter(id_sets))
+    id_sets = {model: frozenset(report.per_question) for model, report in reports.items()
+               if report.missing_policy is MissingPolicy.SCORE_AS_EMPTY}
+    first_model = next(iter(id_sets), None)
     for model, ids in id_sets.items():
         if ids != id_sets[first_model]:
             raise WeightError(
-                f"pre-evaluation id sets differ between {first_model!r} and {model!r}"
-            )
-    if not id_sets[first_model]:  # every weight would be 0.0, every vote by model order
+                f"pre-evaluation id sets differ between {first_model!r} and {model!r}")
+    if not any(report.per_question for report in reports.values()):  # all weights 0.0
         raise WeightError("the pre-evaluation set has no scored question: it is empty, "
                           "or under 'exclude' no model answers any of its questions")
 
@@ -163,13 +171,7 @@ def compute_class_weights(
             else:
                 row[model] = getattr(stats, basis.value)
         class_weights[label] = row
-    return WeightTable(
-        models=models,
-        metric_basis=basis,
-        class_weights=class_weights,
-        global_weights=global_weights,
-        best_overall=_argmax_model(models, global_weights),
-    )
+    return WeightTable(models, basis, class_weights, global_weights)
 
 
 def compute_global_weights(

@@ -17,7 +17,6 @@ from qavote.corpus import Dataset, Paragraph, SchemaError
 class RefQaItem:
     id: str
     question: str
-    context: str
     gold_answers: tuple[str, ...]
     answer_starts: tuple[int, ...]
 
@@ -79,7 +78,6 @@ def ref_dataset_from_squad_dict(data: dict) -> Dataset:
                     RefQaItem(
                         id=qid,
                         question=question,
-                        context=context,
                         gold_answers=tuple(golds),
                         answer_starts=tuple(starts),
                     )
@@ -97,5 +95,5 @@ def ref_dataset_from_squad_dict(data: dict) -> Dataset:
 
 
 def ref_items(dataset: Dataset) -> list[tuple]:
-    """Each item's five fields, in order, for either decoder's dataset."""
-    return [(i.id, i.question, i.context, i.gold_answers, i.answer_starts) for i in dataset.items]
+    """Each item's four fields, in order, for either decoder's dataset."""
+    return [(i.id, i.question, i.gold_answers, i.answer_starts) for i in dataset.items]

@@ -25,7 +25,7 @@ from vote_oracle import (
 
 from qavote.analysis import pairwise_similarity
 from qavote.corpus import PredictionSet, dataset_to_squad_dict, load_dataset, split_pre_eval
-from qavote.metrics import QuestionScore, evaluate, report_from_scores, score_pair
+from qavote.metrics import EvalReport, QuestionScore, evaluate, score_pair
 from qavote.synth import AccuracyProfile, generate_predictions
 from qavote.taxonomy import CLASS_LABELS, class_distribution, default_rules
 from qavote.voting import Combine, VoteConfig, run_ensemble
@@ -136,7 +136,7 @@ class TestCriterion5GlobalDegeneracy:
                     em_flag = rng.random() < 0.4
                     f1 = 1.0 if em_flag else rng.choice([0.0, 0.25, 0.5, 0.75])
                     scores[qid] = QuestionScore(rng.choice(labels), f1, em_flag)
-                reports[m] = report_from_scores(scores)
+                reports[m] = EvalReport(scores)
             table = compute_global_weights(reports)
             no_class_rows = table._replace(class_weights={})  # every label falls back
             for _ in range(5):

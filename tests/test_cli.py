@@ -24,6 +24,7 @@ from qavote import __version__
 import qavote.cli
 from qavote.cli import main
 from qavote.corpus import load_dataset
+from qavote.metrics import score_pair
 from qavote.taxonomy import (
     CLASS_LABELS,
     ClassRule,
@@ -665,6 +666,42 @@ class TestErrorCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             {corpus_file.name, pre_eval.name, "p.json"})
 
+    def test_weights_under_exclude_rest_on_each_models_own_answers(self, tmp_path, capsys):
+        """Under exclude, models that leave different questions unanswered are
+        weighted each on the questions it answered: every row is that model's
+        mean F1 over its own answered questions of the class (its global mean
+        where it answered none), never an error for differing id sets."""
+        qas = {"q1": ("Who wrote the song?", "Ann Lee"), "q2": ("Who sang the song?", "Bob Ray"),
+               "q3": ("When was the song written?", "1990")}
+        pre_eval = tmp_path / "pre_eval.json"
+        pre_eval.write_text(json.dumps({"version": "1.1", "data": [{"title": "t", "paragraphs": [
+            {"context": "Ann Lee wrote it and Bob Ray sang it in 1990.", "qas": [
+                {"id": qid, "question": q, "answers": [{"text": gold, "answer_start": 0}]}
+                for qid, (q, gold) in qas.items()]}]}]}), encoding="utf-8")
+        answers = {"a": {"q1": "Ann Lee", "q3": "1990"}, "b": {"q1": "Ann", "q2": "Bob Ray"}}
+        preds = []
+        for model, answered in answers.items():
+            path = tmp_path / f"{model}.json"
+            path.write_text(json.dumps(answered), encoding="utf-8")
+            preds += ["--preds", f"{model}={path}"]
+        out = tmp_path / "w.json"
+        assert main(["weights", "--pre-eval", str(pre_eval), *preds,
+                     "--missing-policy", "exclude", "--out", str(out)]) == 0, capsys.readouterr()
+        table = json.loads(out.read_text(encoding="utf-8"))
+        rules = default_rules()
+        for model, answered in answers.items():
+            f1_by_label = {}
+            for qid, answer in answered.items():
+                question, gold = qas[qid]
+                f1_by_label.setdefault(rules(question), []).append(score_pair(answer, [gold])[0])
+            f1s = [f1 for by_label in f1_by_label.values() for f1 in by_label]
+            assert table["global"][model] == sum(f1s) / len(f1s)
+            for label, row in table["classes"].items():
+                own = f1_by_label.get(label)
+                assert row[model] == (sum(own) / len(own) if own else table["global"][model])
+        ann = score_pair("Ann", ["Ann Lee"])[0]
+        assert table["classes"]["who"] == {"a": 1.0, "b": (ann + 1.0) / 2}
+
     def test_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         rc = main(["classify-stats", "--dataset", str(missing)])
@@ -983,6 +1020,25 @@ class TestErrorCodes:
         assert main(["ensemble", "--dataset", str(corpus_file), "--preds", f"a={golds}",
                      "--preds", f"b={golds}", "--length-buckets", "6,9", "--weights",
                      str(weights), "--out", str(tmp_path / "e.json")]) == 0
+
+    def test_weights_naming_another_best_overall_exit_four(self, tmp_path, corpus_file,
+                                                           capsys):
+        """``best_overall`` is derived from the global weights; a file naming
+        another model is refused, not silently corrected."""
+        golds = tmp_path / "p.json"
+        golds.write_text(json.dumps(gold_map(load_dataset(corpus_file))), encoding="utf-8")
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(
+            {"models": ["a", "b"], "metric_basis": "mean_f1", "global": {"a": 0.4, "b": 0.6},
+             "classes": {}, "best_overall": "a"}), encoding="utf-8")
+        out = tmp_path / "e.json"
+        assert main(["ensemble", "--dataset", str(corpus_file), "--preds", f"a={golds}",
+                     "--preds", f"b={golds}", "--weights", str(weights),
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {weights}: field $.best_overall must be 'b', the global-weight argmax, "
+            "got 'a'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("edges", ["", ",", "6,x", "6,,9", "6,"],
                              ids=["empty", "comma", "not-int", "empty-field", "trailing-comma"])

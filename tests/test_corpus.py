@@ -264,9 +264,9 @@ class TestDecoderMatchesReference:
     def test_item_checks_through_dataset(self, golds, starts):
         with pytest.raises(SchemaError) as expected:
             Dataset((Paragraph("p0", "t", "a b",
-                               (RefQaItem("q0", "Who?", "a b", golds, starts),)),))
+                               (RefQaItem("q0", "Who?", golds, starts),)),))
         with pytest.raises(SchemaError) as actual:
-            Dataset((Paragraph("p0", "t", "a b", (QaItem("q0", "Who?", "a b", golds, starts),)),))
+            Dataset((Paragraph("p0", "t", "a b", (QaItem("q0", "Who?", golds, starts),)),))
         assert str(actual.value) == str(expected.value)
 
 
@@ -691,7 +691,7 @@ def _datasets_and_keeps(draw):
     serial = iter(range(sum(sizes)))
     paragraphs = tuple(
         Paragraph(f"p{p}", f"t{p % 2}", f"context {p}", tuple(
-            QaItem(f"q{n}", f"question {n}?", f"context {p}", ("gold",), (0,))
+            QaItem(f"q{n}", f"question {n}?", ("gold",), (0,))
             for n in (next(serial) for _ in range(size))))
         for p, size in enumerate(sizes)
     )
@@ -720,7 +720,7 @@ class TestSubset:
             (p.key for p in subset.paragraphs), key=keys.index)
 
     def test_a_dataset_built_by_a_caller_is_still_checked(self):
-        item = QaItem("q", "question?", "context", ("gold",), (0,))
+        item = QaItem("q", "question?", ("gold",), (0,))
         with pytest.raises(SchemaError, match="duplicate question ids: \\['q'\\]"):
             Dataset((Paragraph("p0", "", "context", (item, item)),))
         with pytest.raises(SchemaError, match="gold_answers is empty"):
@@ -731,6 +731,6 @@ class TestSubset:
     def test_a_paragraph_without_questions_is_rejected(self):
         """The decoder and ``subset`` drop such a paragraph, so a dataset holding one
         would not be its own subset."""
-        item = QaItem("q", "question?", "context", ("gold",), (0,))
+        item = QaItem("q", "question?", ("gold",), (0,))
         with pytest.raises(SchemaError, match="paragraph 'p0' has no questions"):
             Dataset((Paragraph("p0", "t", "c", ()), Paragraph("p1", "t", "c", (item,))))

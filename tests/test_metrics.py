@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import string
 import unicodedata
 from collections import Counter
@@ -22,7 +23,6 @@ from qavote.metrics import (
     ScoreMemo,
     evaluate,
     normalize_answer,
-    report_from_scores,
     save_report_json,
     score_pair,
 )
@@ -192,16 +192,22 @@ class TestScores:
 class TestQuestionScore:
     def test_em_true_requires_f1_one(self):
         with pytest.raises(ValueError, match="em=True with f1=0.5 for 'q'"):
-            report_from_scores({"q": QuestionScore("who", f1=0.5, em=True)})
+            EvalReport({"q": QuestionScore("who", f1=0.5, em=True)})
 
     def test_f1_range_enforced(self):
         with pytest.raises(ValueError, match="f1 out of range for 'q': 1.5"):
-            report_from_scores({"q": QuestionScore("who", f1=1.5, em=False)})
+            EvalReport({"q": QuestionScore("who", f1=1.5, em=False)})
 
     @pytest.mark.parametrize("em", ["true", 1, 0, 1.0, None])
     def test_em_must_be_a_bool(self, em):
         with pytest.raises(ValueError, match=f"em must be a bool for 'q': {em!r}"):
-            report_from_scores({"q": QuestionScore("who", f1=1.0, em=em)})
+            EvalReport({"q": QuestionScore("who", f1=1.0, em=em)})
+
+    @pytest.mark.parametrize("f1", ["1.0", None, True, False, [1.0]])
+    def test_f1_must_be_an_int_or_float(self, f1):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"f1 must be an int or float for 'q': {f1!r}")):
+            EvalReport({"q": QuestionScore("who", f1=f1, em=False)})
 
 
 class TestEvaluate:
@@ -278,15 +284,39 @@ class TestReportExports:
         assert blob["overall"]["count"] == len(small_dataset)
         assert len(blob["per_question"]) == len(small_dataset)
 
-    def test_report_from_scores_fixed_order(self):
+    def test_report_aggregates_in_sorted_id_order(self):
         scores = {
             "b": QuestionScore("who", 1.0, True),
             "a": QuestionScore("who", 0.0, False),
         }
-        r1 = report_from_scores(scores)
-        r2 = report_from_scores(dict(reversed(list(scores.items()))))
+        r1 = EvalReport(scores)
+        r2 = EvalReport(dict(reversed(list(scores.items()))))
         assert r1.per_class == r2.per_class
         assert r1.overall == r2.overall
+        assert list(r1.per_question) == ["b", "a"]  # kept in the given order
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.dictionaries(st.text(max_size=3), st.booleans().flatmap(
+        lambda em: st.builds(QuestionScore, st.sampled_from(["who", "what", ""]),
+                             st.just(1.0) if em else st.floats(0.0, 1.0), st.just(em))),
+        max_size=12))
+    def test_aggregates_equal_a_brute_force_mean_over_sorted_ids(self, scores):
+        """``per_class`` and ``overall`` are the per-class and overall means of
+        the scores, summed in sorted-id order."""
+        report = EvalReport(scores)
+
+        def brute(ids):
+            if not ids:
+                return ClassStats(0.0, 0.0, 0)
+            return ClassStats(sum(scores[q].f1 for q in ids) / len(ids),
+                              sum(scores[q].em for q in ids) / len(ids), len(ids))
+
+        labels = sorted({score.label for score in scores.values()})
+        assert report.per_class == {
+            label: brute([q for q in sorted(scores) if scores[q].label == label])
+            for label in labels}
+        assert list(report.per_class) == labels
+        assert report.overall == brute(sorted(scores))
 
 
 # Strings the JSON encoder must escape or keep raw, and strings equal to the
@@ -303,21 +333,17 @@ _F1S = st.one_of(st.sampled_from([0.0, 1.0, 1e-05, -0.0, 1, 0, 1 / 3, 0.1 + 0.2]
 
 @st.composite
 def _reports(draw):
-    """{model name: EvalReport}: some aggregated from their scores, some with
-    drawn aggregates (``per_class`` and ``per_question`` may each be empty)."""
+    """{model name: EvalReport}, each built from drawn scores (``per_question``
+    may be empty, and then so is ``per_class``) and a drawn model name, which
+    need not be its key."""
     reports = {}
     for name in draw(st.lists(_KEYS, max_size=4, unique=True)):
         scores = {}
         for qid in draw(st.lists(_KEYS, max_size=6, unique=True)):
             em = draw(st.booleans())
             scores[qid] = QuestionScore(draw(_KEYS), 1.0 if em else draw(_F1S), em)
-        policy = draw(st.sampled_from(MissingPolicy))
-        if draw(st.booleans()):
-            reports[name] = report_from_scores(scores, model=name, missing_policy=policy)
-        else:
-            stats = st.builds(ClassStats, _F1S, _F1S, st.integers(0, 3))
-            per_class = draw(st.dictionaries(_KEYS, stats, max_size=3))
-            reports[name] = EvalReport(scores, per_class, draw(stats), draw(_KEYS), policy)
+        reports[name] = EvalReport(scores, draw(st.one_of(st.just(name), _KEYS)),
+                                   draw(st.sampled_from(MissingPolicy)))
     return reports
 
 
@@ -337,15 +363,12 @@ class TestSaveReportJson:
 
     @pytest.mark.parametrize("f1, em", [(0.0, "a, b"), ("0.5, 1", False), (0.0, [1, 2]),
                                          (0.0, [1]), ({"a": 1}, False), (0.0, 1)])
-    def test_a_value_the_columns_cannot_hold_is_rejected(self, tmp_path, f1, em):
-        """A report built without ``report_from_scores`` may hold any value; one
-        that is not an int or float f1 or a bool em is refused unwritten, also
-        when its JSON holds no ", " (``json.dump`` would indent a list or dict)."""
-        report = EvalReport({"q": QuestionScore("who", f1, em)}, {}, ClassStats(0.0, 0.0, 1))
-        path = tmp_path / "report.json"
-        with pytest.raises(ValueError, match="must be numbers and bools"):
-            save_report_json({"m": report}, path)
-        assert not path.exists()
+    def test_a_value_the_columns_cannot_hold_is_rejected(self, f1, em):
+        """The writer's columns hold only an int or float f1 and a bool em. A
+        report refuses any other value when built, also one whose JSON holds no
+        ", " (``json.dump`` would indent a list or dict), so none is written."""
+        with pytest.raises(ValueError, match="must be an int or float|must be a bool"):
+            EvalReport({"q": QuestionScore("who", f1, em)})
 
 
 _GOLDS = st.sampled_from([("alpha",), ("beta gamma",), ("Alpha!", "beta"), ("the alpha", "gamma"),
@@ -358,7 +381,7 @@ def _scoring_cases(draw):
     """(dataset, prediction sets, missing policy). Questions q0 and q1 have
     other golds, and model m0 gives both the answer that matches q0 alone."""
     golds = [("alpha",), ("beta gamma",)] + draw(st.lists(_GOLDS, max_size=8))
-    items = tuple(QaItem(f"q{i}", f"What is thing {i}?", "context", g, (0,) * len(g))
+    items = tuple(QaItem(f"q{i}", f"What is thing {i}?", g, (0,) * len(g))
                   for i, g in enumerate(golds))
     dataset = Dataset((Paragraph("p0", "", "context", items),))
     predictions = []
@@ -407,7 +430,7 @@ class TestScoringMetamorphicRelation:
         changes neither its EM nor its F1."""
         words = st.sampled_from(["alpha", "beta", "gamma", "Delta", "an", "theta", "A"])
         phrases = st.lists(words, min_size=0, max_size=4).map(" ".join)
-        items = tuple(QaItem(f"q{i}", "What is it?", "context", golds, (0,) * len(golds))
+        items = tuple(QaItem(f"q{i}", "What is it?", golds, (0,) * len(golds))
                       for i, golds in enumerate(data.draw(st.lists(
                           st.lists(phrases, min_size=1, max_size=3).map(tuple),
                           min_size=1, max_size=6))))

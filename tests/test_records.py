@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -14,10 +15,10 @@ from helpers import make_dataset
 import qavote.corpus
 from qavote.analysis import SimTriple, pairwise_similarity
 from qavote.corpus import (
-    Dataset, PredictionSet, SchemaError, _Frozen, load_predictions, save_predictions,
-    split_pre_eval,
+    Dataset, Paragraph, PredictionSet, QaItem, SchemaError, _Frozen, load_predictions,
+    save_predictions, split_pre_eval,
 )
-from qavote.metrics import ClassStats, evaluate
+from qavote.metrics import ClassStats, EvalReport, QuestionScore, evaluate
 from qavote.synth import AccuracyProfile, Corruption
 from qavote.taxonomy import (
     ClassRule,
@@ -55,8 +56,8 @@ def _records() -> dict:
 
 
 #: The records that check their fields; every other record checks nothing.
-_FROZEN = ("Dataset", "PredictionSet", "WeightTable", "VoteConfig", "AccuracyProfile",
-           "LengthClassifier")
+_FROZEN = ("Dataset", "PredictionSet", "EvalReport", "WeightTable", "VoteConfig",
+           "AccuracyProfile", "LengthClassifier")
 
 
 def _fields(record) -> tuple[str, ...]:
@@ -111,8 +112,12 @@ def test_prediction_set_equality_ignores_meta():
 
 def test_replace_on_a_checked_record_checks_again():
     table = _records()["WeightTable"]
-    with pytest.raises(WeightError, match="best_overall"):
-        table._replace(best_overall="ghost")
+    with pytest.raises(WeightError, match="out of \\[0, 1\\]"):
+        table._replace(global_weights={"m": 1.5})
+    report = _records()["EvalReport"]
+    with pytest.raises(ValueError, match="em=True with f1=0.5"):
+        report._replace(per_question={"q": QuestionScore("who", 0.5, True)})
+    assert report._replace(model="n").overall == report.overall
     assert VoteConfig()._replace(combine="max").combine is Combine.MAX
     profile = AccuracyProfile({"who": 0.5}, corruption="random_span")
     assert profile.corruption is Corruption.RANDOM_SPAN
@@ -154,13 +159,90 @@ def test_replace_builds_through_the_constructor():
         dataset._replace(paragraphs=dataset.paragraphs + dataset.paragraphs[:1])
 
 
+#: Per checked record, a function returning fresh constructor arguments, with
+#: every container a caller may pass as a list or dict.
+_ARGS = {
+    "Dataset": lambda: ([Paragraph("p0", "t", "c", (QaItem("q0", "Who?", ("g",), (0,)),)),
+                         Paragraph("p1", "t", "c", (QaItem("q1", "Why?", ("h",), (1,)),))],),
+    "PredictionSet": lambda: ("m", {"q": "a"}, {"note": [1]}),
+    "EvalReport": lambda: ({"q": QuestionScore("who", 0.5, False),
+                            "p": QuestionScore("what", 1.0, True)}, "m", "exclude"),
+    "WeightTable": lambda: (["a", "b"], "mean_f1", {"who": {"a": 0.25, "b": 0.5}},
+                            {"a": 0.5, "b": 0.25}),
+    "VoteConfig": lambda: ("max", False, "raw"),
+    "AccuracyProfile": lambda: ({"who": 0.5, "what": 1}, "random_span", 3),
+    "LengthClassifier": lambda: ([6, 9],),
+}
+
+
+def _change_in_place(value) -> None:
+    """Change every list and dict within ``value``, tuples searched too."""
+    if isinstance(value, (list, tuple)):
+        for child in value:
+            _change_in_place(child)
+        if isinstance(value, list):
+            value.append(value[0] if value else 7.0)
+            value.reverse()
+    elif isinstance(value, dict):
+        for child in value.values():
+            _change_in_place(child)
+        for key in value:
+            value[key] = 7.0
+        value["added"] = 7.0
+
+
 class TestARecordHoldsWhatItChecked:
     """A checked record keeps the checked form of its fields, not the caller's
     containers: nothing done to them afterwards can change the record."""
 
+    def test_every_checked_record_has_arguments_here(self):
+        assert sorted(_ARGS) == sorted(_FROZEN)
+
+    @pytest.mark.parametrize("name", _FROZEN)
+    def test_changing_what_was_passed_in_leaves_the_record_as_built(self, name):
+        cls = type(_records()[name])
+        args = _ARGS[name]()
+        record = cls(*args)
+        derived = {field: getattr(record, field) for field in cls.__slots__}
+        for arg in args:
+            _change_in_place(arg)
+        assert record == cls(*_ARGS[name]())
+        assert {field: getattr(record, field) for field in cls.__slots__} == derived
+        if name != "PredictionSet":  # its ``meta`` is the caller's annotation, not checked
+            assert repr(record) == repr(cls(*_ARGS[name]()))
+
+    def test_dataset_keeps_a_tuple_of_paragraphs(self):
+        """A caller's list of paragraphs used to stay the dataset's own: appending
+        to it gave two paragraphs but one item, and a repeated id."""
+        paragraphs = list(_ARGS["Dataset"]()[0][:1])
+        dataset = Dataset(paragraphs)
+        paragraphs.append(paragraphs[0])
+        assert dataset.paragraphs == tuple(paragraphs[:1]) and len(dataset.items) == 1
+
+    @pytest.mark.parametrize("field", ["answer_starts", "items"])
+    def test_dataset_takes_only_tuples(self, field):
+        item = QaItem("q", "Who?", ("g",), (0,))
+        if field == "answer_starts":
+            paragraph = Paragraph("p", "t", "c", (item._replace(answer_starts=[0]),))
+        else:
+            paragraph = Paragraph("p", "t", "c", [item])
+        with pytest.raises(SchemaError, match=f"{field} must be a tuple"):
+            Dataset((paragraph,))
+
+    @pytest.mark.parametrize("p", ["x", None, True, [0.5]], ids=["str", "none", "bool", "list"])
+    def test_accuracy_profile_rejects_a_probability_that_is_no_number(self, p):
+        with pytest.raises(ValueError, match=re.escape(f"class 'who' must be a number, got {p!r}")):
+            AccuracyProfile({"who": p})
+
+    def test_accuracy_profile_keeps_its_own_probabilities(self):
+        per_class = {"who": 0.5}
+        profile = AccuracyProfile(per_class)
+        per_class["who"] = 7.0
+        assert profile.probability("who") == 0.5
+
     def test_weight_table_keeps_a_tuple_and_its_own_rows(self, tmp_path):
         models, global_weights, row = ["a"], {"a": 0.5}, {"a": 0.25}
-        table = WeightTable(models, "mean_f1", {"who": row}, global_weights, "a")
+        table = WeightTable(models, "mean_f1", {"who": row}, global_weights)
         models.append("b")
         global_weights["a"] = float("nan")
         row["a"] = 2.0

@@ -87,15 +87,15 @@ class TestGeneration:
             per_class=all_classes(0.0), corruption=Corruption.RANDOM_SPAN, seed=6
         )
         preds = generate_predictions(small_dataset, profile, "m", rules)
-        for item in small_dataset.items:
-            assert preds.answers[item.id] in item.context
+        for paragraph in small_dataset.paragraphs:
+            for item in paragraph.items:
+                assert preds.answers[item.id] in paragraph.context
 
     def test_sentinel_fallback_when_context_offers_no_span(self, rules):
         # context tokens are a subset of the gold tokens: no disjoint span exists
         item = QaItem(
             id="q0",
             question="Who wrote it?",
-            context="alpha beta",
             gold_answers=("alpha beta",),
             answer_starts=(0,),
         )

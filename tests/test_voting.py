@@ -20,7 +20,7 @@ from vote_oracle import (
 )
 
 from qavote.corpus import Dataset, Paragraph, PredictionSet
-from qavote.metrics import QuestionScore, normalize_answer, report_from_scores
+from qavote.metrics import EvalReport, QuestionScore, normalize_answer
 from qavote.voting import (
     Combine,
     Equality,
@@ -197,7 +197,7 @@ class TestModeDegeneracy:
                     em_flag = rng.random() < 0.4
                     f1 = 1.0 if em_flag else rng.choice([0.0, 0.25, 0.5])
                     rows[qid] = QuestionScore(rng.choice(labels), f1, em_flag)
-                reports[m] = report_from_scores(rows)
+                reports[m] = EvalReport(rows)
             table = compute_global_weights(reports)
             no_class_rows = table._replace(class_weights={})  # every label falls back
             for _ in range(10):
@@ -498,7 +498,7 @@ class TestMetamorphicRelations:
         global_weights = distinct_row()
         table = WeightTable(models, table.metric_basis,
                             {label: distinct_row() for label in table.class_weights},
-                            global_weights, max(models, key=global_weights.__getitem__))
+                            global_weights)
         permuted = table._replace(models=tuple(data.draw(st.permutations(models))))
         key = str if config.duplicate_equality is Equality.RAW else normalize_answer
         ensemble, _ = run_ensemble(dataset, predictions, table, classifier, config)
@@ -546,7 +546,7 @@ class TestPerQuestionIndependence:
         assert shard_lines == whole_lines
 
         order = data.draw(st.permutations(dataset.items))
-        permuted = Dataset(tuple(Paragraph(item.id, "", item.context, (item,)) for item in order))
+        permuted = Dataset(tuple(Paragraph(item.id, "", "", (item,)) for item in order))
         answers, traces = run_ensemble(permuted, predictions, table, classifier, config)
         assert dict(answers.answers) == dict(whole_answers)
         winners = {t.question_id: (t.winner, t.reason) for t in traces}

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from qavote.corpus import SchemaError
-from qavote.metrics import QuestionScore, report_from_scores
+from qavote.metrics import EvalReport, QuestionScore
 from qavote.weighting import (
     MetricBasis,
     WeightError,
@@ -22,7 +22,7 @@ from qavote.weighting import (
 def make_report(rows, model=""):
     """rows: list of (qid, f1, em, class_label)."""
     scores = {qid: QuestionScore(label, f1, em_flag) for qid, f1, em_flag, label in rows}
-    return report_from_scores(scores, model=model)
+    return EvalReport(scores, model=model)
 
 
 def random_report(rng, ids, labels):
@@ -80,6 +80,15 @@ class TestClassWeights:
         b = make_report([("q2", 1.0, True, "who")])
         with pytest.raises(WeightError, match="differ"):
             compute_class_weights({"a": a, "b": b})
+
+    def test_exclude_reports_may_rest_on_different_questions(self):
+        """Under exclude each report covers the questions its model answered,
+        so only ``score_as_empty`` reports must cover the same ids."""
+        a = EvalReport({"q1": QuestionScore("who", 1.0, True)}, "a", "exclude")
+        b = EvalReport({"q2": QuestionScore("who", 0.5, False)}, "b", "exclude")
+        assert compute_class_weights({"a": a, "b": b}).class_weights["who"] == {"a": 1.0, "b": 0.5}
+        silent = EvalReport({}, "c", "exclude")
+        assert compute_class_weights({"a": a, "c": silent}).global_weights == {"a": 1.0, "c": 0.0}
 
     def test_zero_models_rejected(self):
         with pytest.raises(WeightError):
@@ -155,7 +164,7 @@ class TestWeightTable:
 
     def test_basis_given_as_a_string_saves_and_loads_back(self, tmp_path):
         table = WeightTable(models=("a",), metric_basis="mean_f1", class_weights={},
-                            global_weights={"a": 0.5}, best_overall="a")
+                            global_weights={"a": 0.5})
         assert table.metric_basis is MetricBasis.MEAN_F1
         path = tmp_path / "weights.json"
         save_weights(table, path)
@@ -173,7 +182,6 @@ class TestWeightTable:
                 metric_basis=MetricBasis.MEAN_F1,
                 class_weights={"who": {"m": 1.5}},
                 global_weights={"m": 0.5},
-                best_overall="m",
             )
 
     def test_missing_model_in_class_row_rejected(self):
@@ -183,18 +191,35 @@ class TestWeightTable:
                 metric_basis=MetricBasis.MEAN_F1,
                 class_weights={"who": {"m": 0.5}},
                 global_weights={"m": 0.5, "n": 0.4},
-                best_overall="m",
             )
 
-    def test_wrong_best_overall_rejected(self):
-        with pytest.raises(WeightError, match="best_overall"):
-            WeightTable(
-                models=("m", "n"),
-                metric_basis=MetricBasis.MEAN_F1,
-                class_weights={},
-                global_weights={"m": 0.2, "n": 0.9},
-                best_overall="m",
-            )
+    @pytest.mark.parametrize("where", ["global", "class"])
+    @pytest.mark.parametrize("weight", ["x", None, True, [0.5]],
+                             ids=["str", "none", "bool", "list"])
+    def test_a_weight_that_is_no_number_is_rejected_by_name(self, where, weight):
+        weights = {"m": 0.5, "n": weight}
+        with pytest.raises(WeightError, match=f"'n'.* must be a number, got "
+                                              f"{re.escape(repr(weight))}"):
+            if where == "global":
+                WeightTable(("m", "n"), "mean_f1", {}, weights)
+            else:
+                WeightTable(("m", "n"), "mean_f1", {"who": weights}, {"m": 0.5, "n": 0.4})
+
+    def test_best_overall_is_the_first_model_of_highest_global_weight(self):
+        table = WeightTable(("m", "n", "o"), "mean_f1", {}, {"m": 0.2, "n": 0.9, "o": 0.9})
+        assert table.best_overall == "n"
+        assert "best_overall" not in WeightTable.__slots__
+
+    def test_wrong_best_overall_rejected(self, tmp_path):
+        """``best_overall`` is derived, so the file's value is only checked: a
+        file naming another model is refused, not silently corrected."""
+        data = {"models": ["m", "n"], "metric_basis": "mean_f1", "global": {"m": 0.2, "n": 0.9},
+                "classes": {}, "best_overall": "m"}
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: field $.best_overall must be "
+                                                        "'n', the global-weight argmax, got 'm'")):
+            load_weights(path)
 
     @pytest.mark.parametrize(
         "global_weights, named",

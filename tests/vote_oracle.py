@@ -24,17 +24,18 @@ def table_for(class_weights_by_model, global_weights, label="what", models=None)
     for m in models[1:]:
         if global_weights[m] > global_weights[best]:
             best = m
-    return WeightTable(
+    table = WeightTable(
         models=models,
         metric_basis=MetricBasis.MEAN_F1,
         class_weights={label: dict(class_weights_by_model)},
         global_weights=dict(global_weights),
-        best_overall=best,
     )
+    assert table.best_overall == best
+    return table
 
 
 _ONE_QUESTION = Dataset((
-    Paragraph("p", "", "context", (QaItem("q", "Which answer wins?", "context", ("gold",), (0,)),)),
+    Paragraph("p", "", "context", (QaItem("q", "Which answer wins?", ("gold",), (0,)),)),
 ))
 
 
