@@ -18,10 +18,12 @@ path (``_require``), and a failed write leaves the previous file in place.
 A dataset is decoded in one pass (``dataset_from_squad_dict``): exact type
 checks per object, and a JSON path is built only for an object that fails
 them. A paragraph without questions is dropped there, as ``Dataset.subset``
-drops a paragraph it empties. ``write_json`` encodes its value with one
-``json.dumps`` call: compact output (datasets, predictions) runs CPython's C
-encoder; indented output (manifests, weights) is small, and the one large
-indented file, ``report.json``, has its own writer (``metrics``).
+drops a paragraph it empties; both build their result by ``Dataset``'s
+constructor, so its checks cover every loaded and split dataset.
+``write_json`` encodes its value with one ``json.dumps`` call: compact output
+(datasets, predictions) runs CPython's C encoder; indented output (manifests,
+weights) is small, and the one large indented file, ``report.json``, has its
+own writer (``metrics``).
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain, groupby
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -202,41 +204,37 @@ class _Frozen:
 
 
 class Dataset(_Frozen):
-    """An ordered, immutable collection of paragraphs, each holding its questions;
-    building one checks every item, that every paragraph holds a tuple of at
-    least one question and that question ids are unique. It keeps the paragraphs
-    as a tuple."""
+    """An ordered, immutable collection of paragraphs, each holding its questions,
+    kept as a tuple. Its constructor, the one way to build one, checks every
+    item, that every paragraph holds a tuple of at least one question and that
+    question ids are unique."""
 
     __slots__ = ("paragraphs", "items")
     _compared = _init_args = ("paragraphs",)
 
     def __init__(self, paragraphs: Iterable[Paragraph]):
         paragraphs = tuple(paragraphs)
+        items: list[QaItem] = []
         for paragraph in paragraphs:
             if not isinstance(paragraph.items, tuple):
                 raise SchemaError(f"paragraph {paragraph.key!r}: items must be a tuple")
             if not paragraph.items:  # the decoder and ``subset`` drop such paragraphs
                 raise SchemaError(f"paragraph {paragraph.key!r} has no questions")
-        for item in self._fill(paragraphs).items:
-            for field in ("gold_answers", "answer_starts"):  # memo keys no caller can change
-                if not isinstance(getattr(item, field), tuple):
+            for item in paragraph.items:
+                golds, starts = item.gold_answers, item.answer_starts
+                if not (isinstance(golds, tuple) and isinstance(starts, tuple)):  # memo keys
+                    field = "answer_starts" if isinstance(golds, tuple) else "gold_answers"
                     raise SchemaError(f"question {item.id!r}: {field} must be a tuple")
-            if not item.gold_answers:
-                raise SchemaError(f"question {item.id!r}: gold_answers is empty")
-            if len(item.answer_starts) != len(item.gold_answers):
-                raise SchemaError(
-                    f"question {item.id!r}: {len(item.answer_starts)} answer_starts "
-                    f"for {len(item.gold_answers)} gold_answers"
-                )
-        ids = self.ids
-        if len(set(ids)) != len(ids):
-            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+                if not golds:
+                    raise SchemaError(f"question {item.id!r}: gold_answers is empty")
+                if len(starts) != len(golds):
+                    raise SchemaError(f"question {item.id!r}: {len(starts)} answer_starts "
+                                      f"for {len(golds)} gold_answers")
+            items += paragraph.items
+        if len({item.id for item in items}) != len(items):
+            dupes = sorted(i for i, n in Counter(item.id for item in items).items() if n > 1)
             raise SchemaError(f"duplicate question ids: {dupes[:5]}")
-
-    def _fill(self, paragraphs) -> "Dataset":
-        """Set the paragraphs and ``items``, every paragraph's questions in order."""
-        self._set(paragraphs, items=tuple(chain.from_iterable(p.items for p in paragraphs)))
-        return self
+        self._set(paragraphs, items=tuple(items))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -248,8 +246,8 @@ class Dataset(_Frozen):
     def subset(self, keep_ids: Iterable[str]) -> "Dataset":
         """New Dataset with only ``keep_ids``, preserving question and paragraph
         order; a paragraph that keeps every question is reused as it is, and one
-        left without questions is dropped. Not checked again:
-        a subset of a checked dataset passes every check."""
+        left without questions is dropped. Built, and so checked, by the
+        constructor."""
         keep = set(keep_ids)
         paragraphs = []
         for paragraph in self.paragraphs:
@@ -257,7 +255,7 @@ class Dataset(_Frozen):
             if kept:
                 paragraphs.append(paragraph if len(kept) == len(paragraph.items)
                                   else paragraph._replace(items=kept))
-        return object.__new__(Dataset)._fill(tuple(paragraphs))
+        return Dataset(paragraphs)
 
 
 class PredictionSet(_Frozen):
@@ -362,8 +360,8 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
     field by field through ``_require``, which builds the JSON path and either
     raises or accepts the value (a ``str`` or ``int`` subclass), so every
     error and every accepted input is the same as a ``_require`` per field.
-    These checks are every check ``Dataset`` makes (a gold answer each, one
-    start per gold, unique ids), so the result is built without repeating them.
+    The result is built by ``Dataset``, which checks it again: these checks
+    are here to name the JSON path of a fault.
     """
     articles = _require(data, "data", "$", list)
     decoded: list[Paragraph] = []
@@ -414,7 +412,7 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
             if items:
                 decoded.append(
                     Paragraph(f"p{a_idx:05d}_{p_idx:05d}", title, context, tuple(items)))
-    return object.__new__(Dataset)._fill(tuple(decoded))
+    return Dataset(decoded)
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -626,12 +626,24 @@ class TestAtomicWrites:
 
 class TestOneDatasetShape:
     def test_datasets_are_built_only_by_the_decoder_and_subset(self):
-        def is_dataset(func):  # the constructor, or ``_fill``, which sets a Dataset's fields
-            return (isinstance(func, ast.Name) and func.id == "Dataset"
-                    or isinstance(func, ast.Attribute) and func.attr == "_fill")
+        def is_dataset(func):
+            return isinstance(func, ast.Name) and func.id == "Dataset"
 
         assert package_calls(is_dataset) == {("corpus", "dataset_from_squad_dict"),
-                                             ("corpus", "subset"), ("corpus", "__init__")}
+                                             ("corpus", "subset")}
+
+    def test_loaded_and_split_datasets_are_built_by_the_constructor(self, tmp_path, monkeypatch):
+        save_dataset(make_dataset(uniform_counts(2)), tmp_path / "d.json")
+        built, init = [], Dataset.__init__
+
+        def spy(self, paragraphs):
+            init(self, paragraphs)
+            built.append(self)
+
+        monkeypatch.setattr(Dataset, "__init__", spy)
+        dataset = load_dataset(tmp_path / "d.json")
+        split = split_pre_eval(dataset, 0.5, 3)
+        assert [id(d) for d in built] == [id(dataset), id(split.pre_eval), id(split.train)]
 
 
 class TestOneReaderOneWriter:

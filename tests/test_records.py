@@ -90,7 +90,8 @@ def test_copy_and_pickle_round_trip(name):
 
 def test_a_copy_is_built_through_the_checks():
     first = _records()["Dataset"].paragraphs[0]
-    unchecked = object.__new__(Dataset)._fill((first, first))  # as ``subset`` builds one
+    unchecked = object.__new__(Dataset)
+    unchecked._set((first, first), items=first.items * 2)
     descending = object.__new__(LengthClassifier)
     descending._set((9, 6))
     for clone in (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))):
