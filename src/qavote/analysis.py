@@ -22,13 +22,28 @@ class SimTriple(NamedTuple):
 
 
 class SimilarityReport(NamedTuple):
+    """A model pair's per-class counts; ``overall`` and ``equal_em_true_rate``
+    are derived from them."""
+
     model_a: str
     model_b: str
     per_class: dict[str, SimTriple]
-    overall: SimTriple
     mean_of_equal_f1s: float
     equal_em_true_count: int
-    equal_em_true_rate: float
+
+    @property
+    def overall(self) -> SimTriple:
+        """The sum of the per-class counts."""
+        triples = self.per_class.values()
+        return SimTriple(equal_f1=sum(t.equal_f1 for t in triples),
+                         equal_em=sum(t.equal_em for t in triples),
+                         total=sum(t.total for t in triples))
+
+    @property
+    def equal_em_true_rate(self) -> float:
+        """The share of equal-EM questions that both models got right."""
+        equal_em = self.overall.equal_em
+        return self.equal_em_true_count / equal_em if equal_em else 0.0
 
 
 def pairwise_similarity(
@@ -66,21 +81,12 @@ def pairwise_similarity(
 
     ordered = [label for label in label_order if label in counts]
     ordered += [label for label in counts if label not in ordered]
-    per_class = {label: SimTriple(*counts[label]) for label in ordered}
-    overall = SimTriple(
-        equal_f1=sum(t.equal_f1 for t in per_class.values()),
-        equal_em=sum(t.equal_em for t in per_class.values()),
-        total=sum(t.total for t in per_class.values()),
-    )
-    equal_em_total = overall.equal_em
     return SimilarityReport(
         model_a=report_a.model,
         model_b=report_b.model,
-        per_class=per_class,
-        overall=overall,
+        per_class={label: SimTriple(*counts[label]) for label in ordered},
         mean_of_equal_f1s=equal_f1_sum / equal_f1_n if equal_f1_n else 0.0,
         equal_em_true_count=equal_em_true,
-        equal_em_true_rate=equal_em_true / equal_em_total if equal_em_total else 0.0,
     )
 
 
@@ -143,6 +149,13 @@ def eval_breakdown_csv(reports: Sequence[EvalReport]) -> str:
 
 def save_similarity_json(report: SimilarityReport, path) -> None:
     """Write the report as one JSON object; each ``SimTriple`` is an object too."""
-    per_class = {label: triple._asdict() for label, triple in report.per_class.items()}
-    blob = {**report._asdict(), "per_class": per_class, "overall": report.overall._asdict()}
+    blob = {
+        "model_a": report.model_a,
+        "model_b": report.model_b,
+        "per_class": {label: triple._asdict() for label, triple in report.per_class.items()},
+        "overall": report.overall._asdict(),
+        "mean_of_equal_f1s": report.mean_of_equal_f1s,
+        "equal_em_true_count": report.equal_em_true_count,
+        "equal_em_true_rate": report.equal_em_true_rate,
+    }
     write_json(blob, path, indent=1)

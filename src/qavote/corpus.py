@@ -35,6 +35,7 @@ from collections import Counter
 from contextlib import contextmanager
 from itertools import groupby
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 
@@ -166,11 +167,13 @@ class _Frozen:
     """Base of a record that checks its fields. Its constructor takes the
     ``_init_args`` fields in order, checks them and sets each once, through
     ``_set``, in the slot of its name, with any field it derives from them; no
-    slot can be assigned afterwards. Two records are equal when they are of
-    one class and their ``_compared`` fields are equal, so a record never
-    equals a tuple, and it is unhashable. ``_replace``, ``copy`` and ``pickle``
-    build a record from its ``_init_args`` fields by the constructor, which
-    checks them again."""
+    slot can be assigned afterwards, and a mapping field is a read-only view
+    (``MappingProxyType``) of the record's own copy, so nothing done to the
+    caller's containers, or through the record, changes what was checked. Two
+    records are equal when they are of one class and their ``_compared``
+    fields are equal, so a record never equals a tuple, and it is unhashable.
+    ``_replace``, ``copy`` and ``pickle`` build a record from its
+    ``_init_args`` fields by the constructor, which checks them again."""
 
     __slots__ = ()
 
@@ -197,17 +200,64 @@ class _Frozen:
         return all(getattr(self, f) == getattr(other, f) for f in self._compared)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._init_args)
+        """The constructor and its arguments, each read-only mapping as a dict:
+        a ``MappingProxyType`` can be neither pickled nor copied."""
+        return type(self), tuple(_thawed(getattr(self, f)) for f in self._init_args)
 
     def __repr__(self):
         return f"{type(self).__name__}{self.__reduce__()[1]!r}"
 
 
+def _thawed(value):
+    """``value``, or a dict of it if it is a read-only mapping, nested ones too."""
+    if type(value) is MappingProxyType:
+        return {key: _thawed(item) for key, item in value.items()}
+    return value
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    """``value`` must be a ``kind`` (a subclass too), and an int no ``bool``."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise SchemaError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+
+
+def _check_paragraph(paragraph: Paragraph) -> None:
+    """Its key, title and context are strings, and its items a tuple of at least
+    one question; an error names the key."""
+    key = paragraph.key
+    for field in ("key", "title", "context"):
+        _check_type(getattr(paragraph, field), str, f"paragraph {key!r}: {field}")
+    if not isinstance(paragraph.items, tuple):
+        raise SchemaError(f"paragraph {key!r}: items must be a tuple")
+    if not paragraph.items:  # the decoder and ``subset`` drop such paragraphs
+        raise SchemaError(f"paragraph {key!r} has no questions")
+
+
+def _check_item(item: QaItem) -> None:
+    """Its id, question and gold answers are strings, and its gold answers and
+    ``answer_starts`` tuples (memo keys no caller can change) of at least one
+    gold and one int start per gold; an error names the question id."""
+    qid, golds, starts = item.id, item.gold_answers, item.answer_starts
+    _check_type(qid, str, f"question {qid!r}: id")
+    _check_type(item.question, str, f"question {qid!r}: question")
+    for field, value in (("gold_answers", golds), ("answer_starts", starts)):
+        if not isinstance(value, tuple):
+            raise SchemaError(f"question {qid!r}: {field} must be a tuple")
+    if not golds:
+        raise SchemaError(f"question {qid!r}: gold_answers is empty")
+    if len(starts) != len(golds):
+        raise SchemaError(f"question {qid!r}: {len(starts)} answer_starts "
+                          f"for {len(golds)} gold_answers")
+    for gold, start in zip(golds, starts):
+        _check_type(gold, str, f"question {qid!r}: gold answer")
+        _check_type(start, int, f"question {qid!r}: answer start")
+
+
 class Dataset(_Frozen):
     """An ordered, immutable collection of paragraphs, each holding its questions,
     kept as a tuple. Its constructor, the one way to build one, checks every
-    item, that every paragraph holds a tuple of at least one question and that
-    question ids are unique."""
+    paragraph (``_check_paragraph``) and every item (``_check_item``), naming
+    the paragraph key or the question id, and that question ids are unique."""
 
     __slots__ = ("paragraphs", "items")
     _compared = _init_args = ("paragraphs",)
@@ -216,21 +266,21 @@ class Dataset(_Frozen):
         paragraphs = tuple(paragraphs)
         items: list[QaItem] = []
         for paragraph in paragraphs:
-            if not isinstance(paragraph.items, tuple):
-                raise SchemaError(f"paragraph {paragraph.key!r}: items must be a tuple")
-            if not paragraph.items:  # the decoder and ``subset`` drop such paragraphs
-                raise SchemaError(f"paragraph {paragraph.key!r} has no questions")
-            for item in paragraph.items:
+            questions = paragraph.items
+            if not (type(paragraph.key) is str and type(paragraph.title) is str
+                    and type(paragraph.context) is str and type(questions) is tuple
+                    and questions):
+                _check_paragraph(paragraph)
+            for item in questions:
                 golds, starts = item.gold_answers, item.answer_starts
-                if not (isinstance(golds, tuple) and isinstance(starts, tuple)):  # memo keys
-                    field = "answer_starts" if isinstance(golds, tuple) else "gold_answers"
-                    raise SchemaError(f"question {item.id!r}: {field} must be a tuple")
-                if not golds:
-                    raise SchemaError(f"question {item.id!r}: gold_answers is empty")
-                if len(starts) != len(golds):
-                    raise SchemaError(f"question {item.id!r}: {len(starts)} answer_starts "
-                                      f"for {len(golds)} gold_answers")
-            items += paragraph.items
+                # One exact test passes the usual item, with one gold; any other
+                # item, valid or not, is checked field by field.
+                if not (type(item.id) is str and type(item.question) is str
+                        and type(golds) is tuple and type(starts) is tuple
+                        and len(golds) == len(starts) == 1
+                        and type(golds[0]) is str and type(starts[0]) is int):
+                    _check_item(item)
+            items += questions
         if len({item.id for item in items}) != len(items):
             dupes = sorted(i for i, n in Counter(item.id for item in items).items() if n > 1)
             raise SchemaError(f"duplicate question ids: {dupes[:5]}")
@@ -265,8 +315,8 @@ class PredictionSet(_Frozen):
     the evaluation missing-prediction policy, not here. ``meta`` carries
     generator-side annotations (e.g. synthetic fallback ids); it is not part
     of the on-disk format, nor of equality. The model name, every question id
-    and every answer must be a ``str``; the set holds its own copy of
-    ``answers``.
+    and every answer must be a ``str``. ``answers`` and ``meta`` are read-only
+    views of the set's own copies.
     """
 
     __slots__ = ("model_name", "answers", "meta")
@@ -283,7 +333,8 @@ class PredictionSet(_Frozen):
                 raise SchemaError(f"question id {qid!r} must be str, got {type(qid).__name__}")
             if not isinstance(answer, str):
                 raise SchemaError(f"answer to {qid!r} must be str, got {type(answer).__name__}")
-        self._set(model_name, answers, {} if meta is None else meta)
+        self._set(model_name, MappingProxyType(answers),
+                  MappingProxyType(dict(meta or {})))
 
     def __len__(self) -> int:
         return len(self.answers)

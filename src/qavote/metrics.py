@@ -32,6 +32,7 @@ import enum
 import json
 from collections import Counter
 from json.encoder import encode_basestring
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import Dataset, PredictionSet, _Frozen, atomic_write
@@ -140,9 +141,10 @@ class ClassStats(NamedTuple):
 class EvalReport(_Frozen):
     """Per-question scores (its own copy, in the given order) and the per-class
     (by sorted label) and overall aggregates computed from them over the sorted
-    ids, so a report is the same however its scores were produced. An f1 that
-    is no int or float within [0, 1], an em that is no ``bool``, or an exact
-    match with f1 below 1.0 raises ValueError naming its question id."""
+    ids, so a report is the same however its scores were produced; both
+    mappings are read-only. An f1 that is no int or float within [0, 1], an em
+    that is no ``bool``, or an exact match with f1 below 1.0 raises ValueError
+    naming its question id."""
 
     __slots__ = ("per_question", "model", "missing_policy", "per_class", "overall")
     _compared = _init_args = ("per_question", "model", "missing_policy")
@@ -162,8 +164,9 @@ class EvalReport(_Frozen):
             if score.em and score.f1 != 1.0:
                 raise ValueError(f"em=True with f1={score.f1} for {qid!r}")
             by_class.setdefault(score.label, []).append(score)
-        self._set(per_question, model, MissingPolicy(missing_policy),
-                  per_class={label: _stats(by_class[label]) for label in sorted(by_class)},
+        per_class = {label: _stats(by_class[label]) for label in sorted(by_class)}
+        self._set(MappingProxyType(per_question), model, MissingPolicy(missing_policy),
+                  per_class=MappingProxyType(per_class),
                   overall=_stats([score for _, score in by_id]))
 
     def _header(self) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .corpus import Dataset, PredictionSet, _Frozen, _require, _require_float, load_json
@@ -28,7 +29,7 @@ class AccuracyProfile(_Frozen):
     Classes absent from ``per_class`` get probability 0.0. A probability that
     is not a number (bool included) or lies outside [0, 1], or a ``seed`` that
     is not an int, is a ValueError; ``corruption`` may be given as its value.
-    The profile holds its own copy of ``per_class``.
+    The profile holds its own copy of ``per_class``, read-only.
     """
 
     __slots__ = _compared = _init_args = ("per_class", "corruption", "seed")
@@ -44,7 +45,7 @@ class AccuracyProfile(_Frozen):
                 raise ValueError(f"probability for class {label!r} out of [0, 1]: {p}")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"seed must be an int, got {seed!r}")
-        self._set(per_class, corruption, seed)
+        self._set(MappingProxyType(per_class), corruption, seed)
 
     def probability(self, label: str) -> float:
         return self.per_class.get(label, 0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .corpus import SchemaError, _Frozen, _require, _require_float, load_json, write_json
@@ -32,8 +33,8 @@ class WeightError(ValueError):
 class WeightTable(_Frozen):
     """Per-(class, model) and global voting weights within [0, 1], checked when
     built; ``metric_basis`` may be given as its string value. The table holds
-    ``models`` as a tuple and its own copy of every weight row, so no caller's
-    list or dict can change it after the checks."""
+    ``models`` as a tuple, and its own copy of every weight row as a read-only
+    mapping, so nothing can change it after the checks."""
 
     __slots__ = _compared = _init_args = ("models", "metric_basis", "class_weights",
                                           "global_weights")
@@ -43,8 +44,8 @@ class WeightTable(_Frozen):
                  global_weights: dict[str, float]):
         metric_basis = MetricBasis(metric_basis)
         models = tuple(models)
-        class_weights = {label: dict(row) for label, row in class_weights.items()}
-        global_weights = dict(global_weights)
+        class_weights = {label: MappingProxyType(dict(row)) for label, row in class_weights.items()}
+        global_weights = MappingProxyType(dict(global_weights))
         if not models:
             raise WeightError("weight table needs at least one model")
         if len(set(models)) != len(models):
@@ -63,7 +64,7 @@ class WeightTable(_Frozen):
                 raise WeightError(f"class {label!r} is missing weights for some models")
             for model, weight in row.items():
                 _check_weight(weight, f"weight of {model!r} in class {label!r}")
-        self._set(models, metric_basis, class_weights, global_weights)
+        self._set(models, metric_basis, MappingProxyType(class_weights), global_weights)
 
     @property
     def best_overall(self) -> str:

@@ -96,6 +96,9 @@ class TestClaimRule:
         m = self.summary(list(self.BASE))
         assert (m["wins"], m["claim_met"], m["worse_than_bound"]) == (0, False, False)
 
+    def test_a_tree_against_itself_is_resolved_when_its_spread_is_within_the_bound(self):
+        assert not self.summary(list(self.BASE))["unresolved"]  # IQR 0.04 < 0.25 * 1.0
+
     def test_worse_than_the_bound(self):
         assert self.summary([b * 1.3 for b in self.BASE])["worse_than_bound"]
         assert not self.summary([b * 1.2 for b in self.BASE])["worse_than_bound"]
@@ -116,3 +119,33 @@ def test_each_workload_keeps_its_own_revisions(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8")) == {"workloads": {
         "dev-multigold": {"base": "aaa", "head": "ddd", "seconds": 35},
         "train-pipeline": {"base": "ccc", "head": None, "seconds": 10}}}
+
+
+class TestUnresolved:
+    """A metric whose base runs spread wider than its bound (base IQR above the
+    bound times the base median) is unresolved, unless every head run is
+    better than every base run."""
+
+    WIDE = [1.0, 1.4, 0.8, 1.3, 0.7, 1.2, 0.9, 1.5, 0.6, 1.1]  # IQR 0.5 > 0.25 * 1.05
+
+    def test_recorded_pairs_with_a_wide_base_spread(self):
+        """BENCH_32.json's dev-multigold pairs: the base's `pipeline_s` IQR is
+        0.375 s against a bound of 0.25 * 1.246 s."""
+        recorded = json.loads((ROOT / "BENCH_32.json").read_text(encoding="utf-8"))
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+        pairs = [{side: {"metrics": pair[side]} for side in ("base", "head")}
+                 for pair in recorded["workloads"]["dev-multigold"]["pairs"]]
+        unresolved = {name: m["unresolved"] for name, m in ab.report(pairs, spec).items()}
+        assert unresolved == {"setup_s": False, "pipeline_s": True, "peak_rss_mb": False}
+
+    def test_a_wide_spread_with_overlapping_runs_is_unresolved(self):
+        m = ab.summarize(self.WIDE, [b - 0.05 for b in self.WIDE], "lower", 0.25)
+        assert m["base_iqr"] > 0.25 * m["base"]
+        assert m["wins"] == 10 and not m["worse_than_bound"] and m["unresolved"]
+
+    @pytest.mark.parametrize("better, shift", [("lower", -1.0), ("higher", 1.0)])
+    def test_every_head_run_better_than_every_base_run_resolves_it(self, better, shift):
+        head = [b + shift for b in self.WIDE]  # the worst head run beats the best base run
+        assert not ab.summarize(self.WIDE, head, better, 0.25)["unresolved"]
+        assert ab.summarize(self.WIDE, head, "higher" if better == "lower" else "lower",
+                            0.25)["unresolved"]

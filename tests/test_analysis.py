@@ -10,6 +10,7 @@ from helpers import gold_map, make_dataset
 import pytest
 
 from qavote.analysis import (
+    SimilarityReport,
     SimTriple,
     eval_breakdown_csv,
     pairwise_similarity,
@@ -95,6 +96,16 @@ class TestPairwiseSimilarity:
         assert ab.overall == ba.overall
         assert ab.mean_of_equal_f1s == ba.mean_of_equal_f1s
         assert ab.equal_em_true_count == ba.equal_em_true_count
+
+    def test_overall_and_the_true_rate_are_derived_not_stored(self):
+        assert SimilarityReport._fields == ("model_a", "model_b", "per_class",
+                                            "mean_of_equal_f1s", "equal_em_true_count")
+        report = SimilarityReport("a", "b", {"who": SimTriple(1, 2, 3), "why": SimTriple(0, 2, 4)},
+                                  0.5, 3)
+        assert report.overall == SimTriple(1, 4, 7)
+        assert report.equal_em_true_rate == 0.75
+        empty = SimilarityReport("a", "b", {}, 0.0, 0)
+        assert (empty.overall, empty.equal_em_true_rate) == (SimTriple(0, 0, 0), 0.0)
 
     def test_exclude_policy_shrinks_totals(self, rules, small_dataset):
         golds = gold_map(small_dataset)

@@ -7,19 +7,23 @@ from __future__ import annotations
 import copy
 import pickle
 import re
+from operator import delitem, setitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_dataset
 
 import qavote.corpus
 from qavote.analysis import SimTriple, pairwise_similarity
+from qavote.cli import main
 from qavote.corpus import (
-    Dataset, Paragraph, PredictionSet, QaItem, SchemaError, _Frozen, load_predictions,
-    save_predictions, split_pre_eval,
+    Dataset, Paragraph, PredictionSet, QaItem, SchemaError, _Frozen, dataset_to_squad_dict,
+    load_dataset, load_predictions, save_dataset, save_predictions, split_pre_eval, write_json,
 )
 from qavote.metrics import ClassStats, EvalReport, QuestionScore, evaluate
-from qavote.synth import AccuracyProfile, Corruption
+from qavote.synth import AccuracyProfile, Corruption, load_profile
 from qavote.taxonomy import (
     ClassRule,
     LengthClassifier,
@@ -29,7 +33,7 @@ from qavote.taxonomy import (
 )
 from qavote.voting import Combine, VoteConfig
 from qavote.weighting import (
-    WeightError, WeightTable, compute_class_weights, load_weights, save_weights,
+    MetricBasis, WeightError, WeightTable, compute_class_weights, load_weights, save_weights,
 )
 
 
@@ -266,3 +270,219 @@ class TestARecordHoldsWhatItChecked:
         save_predictions(PredictionSet("m", {"q": "a"}), tmp_path / "p.json")
         with pytest.raises(SchemaError, match="model_name must be str, got int"):
             load_predictions(tmp_path / "p.json", 7)
+
+
+#: Every mapping a checked record holds, as a record name and a path of one
+#: field, then keys.
+_MAPPINGS = [("WeightTable", ("global_weights",)), ("WeightTable", ("class_weights",)),
+             ("WeightTable", ("class_weights", "who")), ("PredictionSet", ("answers",)),
+             ("PredictionSet", ("meta",)), ("EvalReport", ("per_question",)),
+             ("EvalReport", ("per_class",)), ("AccuracyProfile", ("per_class",))]
+
+
+class TestAMappingARecordHoldsIsReadOnly:
+    """A checked record hands out no container that can still be changed: each
+    mapping it holds is a read-only view of its own copy."""
+
+    @pytest.mark.parametrize("name, path", _MAPPINGS, ids=[".".join((n, *p)) for n, p in _MAPPINGS])
+    def test_no_key_can_be_set_added_or_deleted(self, name, path):
+        record = _records()[name]
+        mapping = getattr(record, path[0])
+        for key in path[1:]:
+            mapping = mapping[key]
+        key = next(iter(mapping))
+        for change, *args in ((setitem, key, 7.0), (setitem, "added", 7.0), (delitem, key)):
+            with pytest.raises(TypeError, match="does not support item"):
+                change(mapping, *args)
+        for method in ("clear", "pop", "update", "setdefault"):
+            assert not hasattr(mapping, method), method
+        assert record == _records()[name]
+
+    def test_a_weight_table_row_cannot_be_changed(self):
+        table = WeightTable(("a",), "mean_f1", {"who": {"a": 0.25}}, {"a": 0.5})
+        with pytest.raises(TypeError):
+            table.global_weights["a"] = float("nan")
+        with pytest.raises(TypeError):
+            table.class_weights["who"]["a"] = 3.0
+        with pytest.raises(TypeError):
+            table.class_weights["why"] = {"a": -1}
+        assert (table.row("who"), table.row("why")) == ((0.25,), (0.5,))
+
+    def test_a_report_cannot_gain_a_score(self):
+        report = EvalReport({"q": QuestionScore("who", 0.5, False)})
+        with pytest.raises(TypeError):
+            report.per_question["x"] = QuestionScore("who", 1.0, True)
+        with pytest.raises(TypeError):
+            report.per_class["who"] = ClassStats(1.0, 1.0, 1)
+        assert len(report.per_question) == report.overall.count == 1
+
+    def test_a_prediction_set_keeps_its_own_meta(self):
+        meta = {"sentinel_fallback_ids": ["q"]}
+        predictions = PredictionSet("m", {"q": "a"}, meta)
+        meta["other"] = 1
+        assert predictions.meta == {"sentinel_fallback_ids": ["q"]}
+        with pytest.raises(TypeError):
+            predictions.answers["q"] = 1
+
+    def test_a_profile_probability_cannot_be_changed(self):
+        profile = AccuracyProfile({"who": 0.5})
+        with pytest.raises(TypeError):
+            profile.per_class["who"] = 7.0
+        assert profile.probability("who") == 0.5
+
+    def test_repr_shows_each_mapping_as_a_dict(self):
+        table = WeightTable(("a",), "em_rate", {"who": {"a": 0.25}}, {"a": 0.5})
+        assert repr(table) == ("WeightTable(('a',), <MetricBasis.EM_RATE: 'em_rate'>, "
+                               "{'who': {'a': 0.25}}, {'a': 0.5})")
+
+
+def _item(**changes) -> QaItem:
+    return QaItem("q1", "Who?", ("g",), (0,))._replace(**changes)
+
+
+class TestDatasetChecksFieldTypes:
+    """A value of the wrong type is refused when the dataset is built, naming the
+    question id or the paragraph key, not by a crash in a later stage."""
+
+    @pytest.mark.parametrize("item, message", [
+        (_item(gold_answers=(5,)), "question 'q1': gold answer must be str, got int"),
+        (_item(question=None), "question 'q1': question must be str, got NoneType"),
+        (_item(answer_starts=(True,)), "question 'q1': answer start must be int, got bool"),
+        (_item(answer_starts=("0",)), "question 'q1': answer start must be int, got str"),
+        (_item(id=7), "question 7: id must be str, got int"),
+        (_item(gold_answers=("g", b"h"), answer_starts=(0, 1)),
+         "question 'q1': gold answer must be str, got bytes"),
+        (_item(gold_answers=("g", "h"), answer_starts=(0, 1.0)),
+         "question 'q1': answer start must be int, got float"),
+    ], ids=["int-gold", "none-question", "bool-start", "str-start", "int-id", "second-gold",
+            "second-start"])
+    def test_an_item_field_of_the_wrong_type(self, item, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            Dataset([Paragraph("p0", "t", "c", (item,))])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("key", 3, "paragraph 3: key must be str, got int"),
+        ("title", None, "paragraph 'p0': title must be str, got NoneType"),
+        ("context", b"c", "paragraph 'p0': context must be str, got bytes"),
+    ], ids=["key", "title", "context"])
+    def test_a_paragraph_field_of_the_wrong_type(self, field, value, message):
+        paragraph = Paragraph("p0", "t", "c", (_item(),))._replace(**{field: value})
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            Dataset([paragraph])
+
+    def test_string_and_int_subclasses_pass_as_the_decoder_lets_them(self):
+        class Text(str):
+            pass
+
+        class Start(int):
+            pass
+
+        item = QaItem(Text("q1"), Text("Who?"), (Text("g"), "h"), (Start(0), 1))
+        dataset = Dataset([Paragraph(Text("p0"), Text("t"), Text("c"), (item,))])
+        assert dataset.items == (item,)
+
+
+#: Text a file can hold: a lone surrogate has no UTF-8 encoding.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def _datasets(draw) -> Dataset:
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    ids = iter(draw(st.lists(_TEXT, min_size=sum(sizes), max_size=sum(sizes), unique=True)))
+    paragraphs = []
+    for size in sizes:
+        items = []
+        for _ in range(size):
+            golds = draw(st.lists(_TEXT, min_size=1, max_size=3))
+            starts = draw(st.lists(st.integers(-2, 2**70), min_size=len(golds),
+                                   max_size=len(golds)))
+            items.append(QaItem(next(ids), draw(_TEXT), tuple(golds), tuple(starts)))
+        paragraphs.append(Paragraph(draw(_TEXT), draw(st.sampled_from(["", "t", "u"])),
+                                    draw(_TEXT), tuple(items)))
+    return Dataset(paragraphs)
+
+
+@st.composite
+def _weight_tables(draw) -> WeightTable:
+    models = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    weight = st.one_of(st.floats(0.0, 1.0), st.integers(0, 1))
+
+    def row():
+        return {model: draw(weight) for model in models}
+
+    labels = draw(st.lists(_TEXT, max_size=4, unique=True))
+    return WeightTable(models, draw(st.sampled_from(MetricBasis)),
+                       {label: row() for label in labels}, row())
+
+
+_PROFILES = st.builds(AccuracyProfile, st.dictionaries(_TEXT, st.floats(0.0, 1.0), max_size=4),
+                      st.sampled_from(Corruption), st.integers(-2**70, 2**70))
+
+
+class TestSavedRecordsLoadBackEqual:
+    """Any record its constructor accepts, with text a file can hold, saves and
+    loads back equal. A dataset is compared as SQuAD JSON, since a loaded
+    paragraph's key is its place in the file."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dataset=_datasets())
+    def test_dataset(self, tmp_path_factory, dataset):
+        path = tmp_path_factory.mktemp("dataset") / "d.json"
+        save_dataset(dataset, path)
+        assert dataset_to_squad_dict(load_dataset(path)) == dataset_to_squad_dict(dataset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=_TEXT, answers=st.dictionaries(_TEXT, _TEXT, max_size=5))
+    def test_prediction_set(self, tmp_path_factory, name, answers):
+        path = tmp_path_factory.mktemp("predictions") / "p.json"
+        save_predictions(PredictionSet(name, answers), path)
+        assert load_predictions(path, name) == PredictionSet(name, answers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=_weight_tables())
+    def test_weight_table(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("weights") / "w.json"
+        save_weights(table, path)
+        assert load_weights(path) == table
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=_PROFILES)
+    def test_accuracy_profile(self, tmp_path_factory, profile):
+        """The library writes no profile: the file is the JSON ``synth --profile`` reads."""
+        path = tmp_path_factory.mktemp("profile") / "profile.json"
+        write_json({"per_class": dict(profile.per_class), "corruption": profile.corruption.value,
+                    "seed": profile.seed}, path)
+        assert load_profile(path) == profile
+
+
+class TestALoneSurrogate:
+    """No record's constructor looks for a lone surrogate (``"\\ud800"``), so a
+    record built in memory may hold one, but no file can: a loaded file holding
+    one is a ``SchemaError``, and saving such a record raises
+    ``UnicodeEncodeError``, a ``ValueError`` (CLI exit 4), and leaves the
+    target as it was."""
+
+    @pytest.mark.parametrize("save, record", [
+        (save_predictions, PredictionSet("m", {"q": "a\ud800"})),
+        (save_dataset, Dataset([Paragraph("p0", "t", "c\udfff", (_item(),))])),
+        (save_weights, WeightTable(("a\ud800",), "mean_f1", {}, {"a\ud800": 0.5})),
+    ], ids=["predictions", "dataset", "weights"])
+    def test_saving_it_raises_and_leaves_the_target_as_it_was(self, tmp_path, save, record):
+        path = tmp_path / "out.json"
+        with pytest.raises(UnicodeEncodeError):
+            save(record, path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"previous")
+        with pytest.raises(UnicodeEncodeError):
+            save(record, path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"previous"
+
+    def test_a_model_name_from_the_command_line_exits_four(self, tmp_path, capsys):
+        """Command-line bytes that are not UTF-8 reach Python as lone surrogates."""
+        save_dataset(make_dataset({"who": 1}), tmp_path / "d.json")
+        save_predictions(PredictionSet("m", {}), tmp_path / "p.json")
+        rc = main(["evaluate", "--dataset", str(tmp_path / "d.json"),
+                   "--preds", f"m\udcff={tmp_path / 'p.json'}", "--json", str(tmp_path / "r.json")])
+        assert rc == 4 and "surrogates not allowed" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["d.json", "p.json"]

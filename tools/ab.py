@@ -15,9 +15,12 @@ tool (exit 1).
 Per end-to-end metric of the head tree's ``BENCHMARK.json``, the report gives
 each side's median, the base's interquartile range, the head's wins (pairs in
 which it is better; ties count for neither side), whether the head's median
-is worse than the base's by more than the metric's bound, and whether a gain
+is worse than the base's by more than the metric's bound, whether a gain
 may be claimed: at least nine tenths of at least ten pairs won, and a median
-gap, in the better direction, larger than the base's interquartile range.
+gap, in the better direction, larger than the base's interquartile range, and
+whether the metric is unresolved: the base's interquartile range is wider than
+the bound times the base's median, so the runs cannot tell a change within
+the bound from none, and not every head run is better than every base run.
 
 ``--out`` writes the report of this workload into a JSON file, next to the
 reports of other workloads already in it; each workload's report records the
@@ -88,6 +91,7 @@ def summarize(base: list[float], head: list[float], better: str, bound: float) -
     base_median, head_median = statistics.median(base), statistics.median(head)
     iqr = quartile_gap(base)
     gain = sign * (head_median - base_median)
+    every_head_run_better = max(head) < min(base) if better == "lower" else min(head) > max(base)
     return {
         "base": base_median,
         "head": head_median,
@@ -96,6 +100,7 @@ def summarize(base: list[float], head: list[float], better: str, bound: float) -
         "wins": wins,
         "pairs": len(base),
         "worse_than_bound": -gain > bound * abs(base_median),
+        "unresolved": iqr > bound * abs(base_median) and not every_head_run_better,
         "claim_met": (len(base) >= MIN_PAIRS and wins >= math.ceil(WIN_SHARE * len(base))
                       and gain > iqr),
     }
@@ -164,7 +169,8 @@ def main(argv=None) -> int:
         print(f"{name}: median {m['base']:.4g} -> {m['head']:.4g} ({100 * m['change']:+.1f} %), "
               f"base IQR {m['base_iqr']:.3g}, head better in {m['wins']}/{m['pairs']}, "
               f"claim {'met' if m['claim_met'] else 'not met'}"
-              + (", WORSE THAN ITS BOUND" if m["worse_than_bound"] else ""))
+              + (", WORSE THAN ITS BOUND" if m["worse_than_bound"] else "")
+              + (", UNRESOLVED: base IQR wider than its bound" if m["unresolved"] else ""))
 
     if args.out:
         add_workload(args.out, args.workload, {
