@@ -273,12 +273,15 @@ class Dataset(_Frozen):
                 _check_paragraph(paragraph)
             for item in questions:
                 golds, starts = item.gold_answers, item.answer_starts
-                # One exact test passes the usual item, with one gold; any other
-                # item, valid or not, is checked field by field.
+                # One exact test passes a valid item of exact types: a single
+                # gold and start are read directly, several through the set of
+                # their types. Any other item is checked field by field.
                 if not (type(item.id) is str and type(item.question) is str
                         and type(golds) is tuple and type(starts) is tuple
-                        and len(golds) == len(starts) == 1
-                        and type(golds[0]) is str and type(starts[0]) is int):
+                        and (len(golds) == len(starts) == 1
+                             and type(golds[0]) is str and type(starts[0]) is int
+                             or golds and len(golds) == len(starts)
+                             and {*map(type, golds)} == {str} and {*map(type, starts)} == {int})):
                     _check_item(item)
             items += questions
         if len({item.id for item in items}) != len(items):

@@ -284,7 +284,8 @@ class TestAMappingARecordHoldsIsReadOnly:
     """A checked record hands out no container that can still be changed: each
     mapping it holds is a read-only view of its own copy."""
 
-    @pytest.mark.parametrize("name, path", _MAPPINGS, ids=[".".join((n, *p)) for n, p in _MAPPINGS])
+    @pytest.mark.parametrize("name, path", _MAPPINGS,
+                             ids=[".".join((name, *path)) for name, path in _MAPPINGS])
     def test_no_key_can_be_set_added_or_deleted(self, name, path):
         record = _records()[name]
         mapping = getattr(record, path[0])
@@ -298,37 +299,11 @@ class TestAMappingARecordHoldsIsReadOnly:
             assert not hasattr(mapping, method), method
         assert record == _records()[name]
 
-    def test_a_weight_table_row_cannot_be_changed(self):
-        table = WeightTable(("a",), "mean_f1", {"who": {"a": 0.25}}, {"a": 0.5})
-        with pytest.raises(TypeError):
-            table.global_weights["a"] = float("nan")
-        with pytest.raises(TypeError):
-            table.class_weights["who"]["a"] = 3.0
-        with pytest.raises(TypeError):
-            table.class_weights["why"] = {"a": -1}
-        assert (table.row("who"), table.row("why")) == ((0.25,), (0.5,))
-
-    def test_a_report_cannot_gain_a_score(self):
-        report = EvalReport({"q": QuestionScore("who", 0.5, False)})
-        with pytest.raises(TypeError):
-            report.per_question["x"] = QuestionScore("who", 1.0, True)
-        with pytest.raises(TypeError):
-            report.per_class["who"] = ClassStats(1.0, 1.0, 1)
-        assert len(report.per_question) == report.overall.count == 1
-
     def test_a_prediction_set_keeps_its_own_meta(self):
         meta = {"sentinel_fallback_ids": ["q"]}
         predictions = PredictionSet("m", {"q": "a"}, meta)
         meta["other"] = 1
         assert predictions.meta == {"sentinel_fallback_ids": ["q"]}
-        with pytest.raises(TypeError):
-            predictions.answers["q"] = 1
-
-    def test_a_profile_probability_cannot_be_changed(self):
-        profile = AccuracyProfile({"who": 0.5})
-        with pytest.raises(TypeError):
-            profile.per_class["who"] = 7.0
-        assert profile.probability("who") == 0.5
 
     def test_repr_shows_each_mapping_as_a_dict(self):
         table = WeightTable(("a",), "em_rate", {"who": {"a": 0.25}}, {"a": 0.5})
