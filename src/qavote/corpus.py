@@ -15,11 +15,9 @@ Every input file goes through ``load_json`` and every output through
 ``atomic_write``: a malformed input is one error naming the file and the JSON
 path (``_require``), and a failed write leaves the previous file in place.
 
-A dataset is decoded in one pass (``dataset_from_squad_dict``): exact type
-checks per object, and a JSON path is built only for an object that fails
-them. A paragraph without questions is dropped there, as ``Dataset.subset``
-drops a paragraph it empties; both build their result by ``Dataset``'s
-constructor, so its checks cover every loaded and split dataset.
+A loaded dataset or prediction file is built by its record's constructor,
+whose checks are the only checks of its values; only a file that fails them is
+read again, one ``_require`` per field, to name the JSON path of its fault.
 ``write_json`` encodes its value with one ``json.dumps`` call: compact output
 (datasets, predictions) runs CPython's C encoder; indented output (manifests,
 weights) is small, and the one large indented file, ``report.json``, has its
@@ -319,7 +317,8 @@ class PredictionSet(_Frozen):
     generator-side annotations (e.g. synthetic fallback ids); it is not part
     of the on-disk format, nor of equality. The model name, every question id
     and every answer must be a ``str``. ``answers`` and ``meta`` are read-only
-    views of the set's own copies.
+    views of the set's own copies; ``meta`` keeps a list or tuple as a tuple
+    (``_meta_value``).
     """
 
     __slots__ = ("model_name", "answers", "meta")
@@ -336,11 +335,26 @@ class PredictionSet(_Frozen):
                 raise SchemaError(f"question id {qid!r} must be str, got {type(qid).__name__}")
             if not isinstance(answer, str):
                 raise SchemaError(f"answer to {qid!r} must be str, got {type(answer).__name__}")
-        self._set(model_name, MappingProxyType(answers),
-                  MappingProxyType(dict(meta or {})))
+        meta = {key: _meta_value(key, value) for key, value in (meta or {}).items()}
+        self._set(model_name, MappingProxyType(answers), MappingProxyType(meta))
 
     def __len__(self) -> int:
         return len(self.answers)
+
+
+_META_SCALARS = (str, int, float, bool, type(None))
+
+
+def _meta_value(key, value):
+    """``value`` as ``PredictionSet.meta`` keeps it: a str, int, float, bool or
+    None as it is, and a list or tuple of those as a tuple. Any other value is
+    a ValueError naming ``key``: a container the caller could change later."""
+    if isinstance(value, _META_SCALARS):
+        return value
+    if isinstance(value, (list, tuple)) and all(isinstance(v, _META_SCALARS) for v in value):
+        return tuple(value)
+    raise ValueError(f"meta {key!r} must be a str, int, float, bool, None or a list or "
+                     f"tuple of them, got {type(value).__name__}")
 
 
 class Granularity(str, enum.Enum):
@@ -409,64 +423,64 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
     field's JSON path. A paragraph with no questions is dropped; the others
     keep their ``p<article>_<paragraph>`` keys.
 
-    One pass over the document: each object's fields are tested with exact
-    ``type(x) is ...`` checks. Only an object that fails them is read again
-    field by field through ``_require``, which builds the JSON path and either
-    raises or accepts the value (a ``str`` or ``int`` subclass), so every
-    error and every accepted input is the same as a ``_require`` per field.
-    The result is built by ``Dataset``, which checks it again: these checks
-    are here to name the JSON path of a fault.
+    Only the shape is checked here (a missing value is None); ``Dataset`` and
+    ``_check_type`` check the values, and ``_squad_fault`` names a fault's path.
     """
-    articles = _require(data, "data", "$", list)
     decoded: list[Paragraph] = []
+    try:
+        for a_idx, article in enumerate(_list_at(data, "data")):
+            paragraphs, kept = _list_at(article, "paragraphs"), len(decoded)
+            for p_idx, paragraph in enumerate(paragraphs):
+                items = []
+                for qa in _list_at(paragraph, "qas"):
+                    golds, starts = [], []
+                    for answer in _list_at(qa, "answers"):  # dict.get: an answer is a dict
+                        golds.append(dict.get(answer, "text"))
+                        starts.append(dict.get(answer, "answer_start"))
+                    items.append(QaItem(qa.get("id"), qa.get("question"),
+                                        tuple(golds), tuple(starts)))
+                if items:
+                    decoded.append(Paragraph(f"p{a_idx:05d}_{p_idx:05d}", article.get("title", ""),
+                                             paragraph.get("context"), tuple(items)))
+                else:  # a dropped paragraph's context
+                    _check_type(paragraph.get("context"), str, "context")
+            if len(decoded) == kept:  # the title of an article that keeps no paragraph
+                _check_type(article.get("title", ""), str, "title")
+        return Dataset(decoded)
+    except (SchemaError, TypeError):  # a wrong value, or a wrong shape
+        _squad_fault(data)
+        raise
+
+
+def _list_at(obj, key) -> list:
+    """``obj[key]``: ``obj`` must be a dict, and the value a list."""
+    if isinstance(obj, dict) and isinstance(value := obj.get(key), list):
+        return value
+    raise TypeError(f"no list at {key!r} of a {type(obj).__name__}")
+
+
+def _squad_fault(data) -> None:
+    """Raise a SQuAD document's first fault, if any, as a SchemaError naming its path."""
     seen_ids: set[str] = set()
-    for a_idx, article in enumerate(articles):
-        if not (type(article) is dict
-                and type(paragraphs := article.get("paragraphs")) is list
-                and type(title := article.get("title", "")) is str):
-            a_path = f"$.data[{a_idx}]"
-            paragraphs = _require(article, "paragraphs", a_path, list)
-            title = _require(article, "title", a_path, str) if "title" in article else ""
+    for a_idx, article in enumerate(_require(data, "data", "$", list)):
+        paragraphs = _require(article, "paragraphs", f"$.data[{a_idx}]", list)
+        if "title" in article:
+            _require(article, "title", f"$.data[{a_idx}]", str)
         for p_idx, paragraph in enumerate(paragraphs):
-            if not (type(paragraph) is dict
-                    and type(context := paragraph.get("context")) is str
-                    and type(qas := paragraph.get("qas")) is list):
-                p_path = f"$.data[{a_idx}].paragraphs[{p_idx}]"
-                context = _require(paragraph, "context", p_path, str)
-                qas = _require(paragraph, "qas", p_path, list)
-            items = []
-            for q_idx, qa in enumerate(qas):
-                if not (type(qa) is dict
-                        and type(qid := qa.get("id")) is str
-                        and type(question := qa.get("question")) is str
-                        and type(answers := qa.get("answers")) is list
-                        and answers):
-                    q_path = f"$.data[{a_idx}].paragraphs[{p_idx}].qas[{q_idx}]"
-                    qid = _require(qa, "id", q_path, str)
-                    question = _require(qa, "question", q_path, str)
-                    answers = _require(qa, "answers", q_path, list)
-                    if not answers:
-                        raise SchemaError(f"empty answers list at {q_path}.answers")
+            p_path = f"$.data[{a_idx}].paragraphs[{p_idx}]"
+            _require(paragraph, "context", p_path, str)
+            for q_idx, qa in enumerate(_require(paragraph, "qas", p_path, list)):
+                q_path = f"{p_path}.qas[{q_idx}]"
+                qid = _require(qa, "id", q_path, str)
+                _require(qa, "question", q_path, str)
+                if not _require(qa, "answers", q_path, list):
+                    raise SchemaError(f"empty answers list at {q_path}.answers")
                 if qid in seen_ids:
-                    raise SchemaError(f"duplicate question id {qid!r} at "
-                                      f"$.data[{a_idx}].paragraphs[{p_idx}].qas[{q_idx}].id")
+                    raise SchemaError(f"duplicate question id {qid!r} at {q_path}.id")
                 seen_ids.add(qid)
-                golds, starts = [], []
-                for ans_idx, answer in enumerate(answers):
-                    if not (type(answer) is dict
-                            and type(text := answer.get("text")) is str
-                            and type(start := answer.get("answer_start")) is int):
-                        ans_path = (f"$.data[{a_idx}].paragraphs[{p_idx}].qas[{q_idx}]"
-                                    f".answers[{ans_idx}]")
-                        text = _require(answer, "text", ans_path, str)
-                        start = _require(answer, "answer_start", ans_path, int)
-                    golds.append(text)
-                    starts.append(start)
-                items.append(QaItem(qid, question, tuple(golds), tuple(starts)))
-            if items:
-                decoded.append(
-                    Paragraph(f"p{a_idx:05d}_{p_idx:05d}", title, context, tuple(items)))
-    return Dataset(decoded)
+                for ans_idx, answer in enumerate(qa["answers"]):
+                    _require(answer, "text", f"{q_path}.answers[{ans_idx}]", str)
+                    _require(answer, "answer_start", f"{q_path}.answers[{ans_idx}]", int)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -504,12 +518,14 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
     """Load a flat {id: answer} prediction file; strings kept byte-for-byte."""
     def decode(answers) -> PredictionSet:
-        if not isinstance(answers, dict):
-            raise SchemaError(f"$ must be an object, got {type(answers).__name__}")
-        for qid, answer in answers.items():
-            if not isinstance(answer, str):  # read again for the error
-                _require(answers, qid, "$", str)
-        return PredictionSet(model_name, answers)
+        if isinstance(answers, dict):
+            try:
+                return PredictionSet(model_name, answers)
+            except SchemaError:  # read again to name the answer's JSON path
+                for qid in answers:
+                    _require(answers, qid, "$", str)
+                raise
+        raise SchemaError(f"$ must be an object, got {type(answers).__name__}")
 
     return load_json(path, decode)
 

@@ -115,7 +115,7 @@ def generate_predictions(
     answer when the per-question draw lands below p, a corruption otherwise.
     Ids where the disjoint-token corruption was impossible (the context
     offers no qualifying span) fall back to a sentinel and are listed in the
-    result's ``meta["sentinel_fallback_ids"]``.
+    result's ``meta["sentinel_fallback_ids"]``, a tuple.
     """
     from hashlib import sha256  # only synthesis pays for this import
 

@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import os
+from collections import UserDict
 from contextlib import contextmanager
 
 import pytest
@@ -44,6 +45,16 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def _replace_at(data, path, change) -> str:
+    """Replace the node of ``data`` at ``path`` (keys and indices from the root)
+    by ``change(node)``; return the node's JSON path."""
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = change(node[path[-1]])
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
 
 
 class TestLoadDataset:
@@ -121,6 +132,48 @@ class TestLoadDataset:
         with pytest.raises(SchemaError) as excinfo:
             dataset_from_squad_dict(data)
         assert json_path in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [{}, ""], ids=["object", "string"])
+    @pytest.mark.parametrize("path", [
+        ("data",), ("data", 0, "paragraphs"), ("data", 0, "paragraphs", 0, "qas"),
+        ("data", 0, "paragraphs", 0, "qas", 0, "answers"),
+    ], ids=["data", "paragraphs", "qas", "answers"])
+    def test_an_empty_container_of_the_wrong_type_reports_json_path(self, path, value):
+        """An empty object or string where an array belongs is refused, not
+        read as an empty array."""
+        data = make_squad_dict({"what": 1})
+        json_path = _replace_at(data, path, lambda _: value)
+        with pytest.raises(SchemaError) as excinfo:
+            dataset_from_squad_dict(data)
+        assert str(excinfo.value) == f"field {json_path} must be list, got {type(value).__name__}"
+
+    @pytest.mark.parametrize("path", [
+        ("data", 0), ("data", 0, "paragraphs", 0, "qas", 0, "answers", 0),
+    ], ids=["article", "answer"])
+    def test_a_mapping_that_is_no_dict_is_refused(self, path):
+        data = make_squad_dict({"what": 1})
+        json_path = _replace_at(data, path, UserDict)
+        with pytest.raises(SchemaError) as excinfo:
+            dataset_from_squad_dict(data)
+        assert str(excinfo.value) == f"{json_path} must be an object, got UserDict"
+
+    @pytest.mark.parametrize("article, message", [
+        ({"title": 7, "paragraphs": []}, "field $.data[1].title must be str, got int"),
+        ({"title": 7, "paragraphs": [{"context": "c", "qas": []}]},
+         "field $.data[1].title must be str, got int"),
+        ({"paragraphs": [{"context": None, "qas": []}]},
+         "field $.data[1].paragraphs[0].context must be str, got NoneType"),
+        ({"paragraphs": [{"qas": []}]}, "missing required field at $.data[1].paragraphs[0].context"),
+    ], ids=["title-no-paragraphs", "title-empty-paragraph", "context-empty-paragraph",
+            "missing-context-empty-paragraph"])
+    def test_a_dropped_paragraph_is_checked_too(self, article, message):
+        """A paragraph without questions, or an article without paragraphs, is
+        dropped, but its title and context must still have their types."""
+        data = make_squad_dict({"what": 1})
+        data["data"].append(article)
+        with pytest.raises(SchemaError) as excinfo:
+            dataset_from_squad_dict(data)
+        assert str(excinfo.value) == message
 
     def test_duplicate_gold_texts_are_kept(self):
         data = make_squad_dict({"who": 1})
@@ -250,8 +303,9 @@ def _outcome(decode, data):
 
 
 class TestDecoderMatchesReference:
-    """``dataset_from_squad_dict`` checks types per object, not per field; the
-    reference reads every field through its own ``_require``."""
+    """``dataset_from_squad_dict`` leaves the values to ``Dataset`` and reads the
+    document again only after a fault; the reference reads every field through
+    its own ``_require``."""
 
     @settings(max_examples=400, deadline=None)
     @given(data=_squad_documents())
@@ -268,6 +322,37 @@ class TestDecoderMatchesReference:
         with pytest.raises(SchemaError) as actual:
             Dataset((Paragraph("p0", "t", "a b", (QaItem("q0", "Who?", golds, starts),)),))
         assert str(actual.value) == str(expected.value)
+
+
+class TestReadAgainOnlyAfterAFault:
+    """A valid file is decoded without ``_require``: the record's constructor
+    checks every value, and only a fault sends the decoder back over the file
+    to name its JSON path."""
+
+    def test_a_valid_file_is_read_once(self, tmp_path, monkeypatch):
+        calls, require = [], corpus._require
+
+        def spy(mapping, key, path, kind):
+            calls.append(f"{path}.{key}")
+            return require(mapping, key, path, kind)
+
+        monkeypatch.setattr(corpus, "_require", spy)
+        save_dataset(make_dataset(uniform_counts(2), golds_per_item=2), tmp_path / "d.json")
+        save_predictions(PredictionSet("m", {"q": "a"}), tmp_path / "p.json")
+        load_dataset(tmp_path / "d.json")
+        load_predictions(tmp_path / "p.json", "m")
+        assert calls == []
+        with pytest.raises(SchemaError):
+            load_predictions(write_json(tmp_path, "bad.json", {"q": "a", "r": 1}), "m")
+        assert calls == ["$.q", "$.r"]
+
+    def test_an_error_the_walk_finds_no_fault_for_propagates(self, monkeypatch):
+        def refuse(paragraphs):
+            raise SchemaError("refused")
+
+        monkeypatch.setattr(corpus, "Dataset", refuse)
+        with pytest.raises(SchemaError, match="^refused$"):
+            dataset_from_squad_dict(make_squad_dict({"what": 1}))
 
 
 @st.composite
@@ -716,8 +801,9 @@ class TestSubset:
     @given(case=_datasets_and_keeps())
     @settings(max_examples=200, deadline=None)
     def test_subset_equals_a_checked_dataset_of_its_paragraphs(self, case):
-        """``subset`` skips the checks; what it builds passes them all and holds
-        exactly the kept questions, in order, in their own non-empty paragraphs."""
+        """``subset`` builds through the constructor, so what it builds passes every
+        check; it holds exactly the kept questions, in order, in their own
+        non-empty paragraphs."""
         dataset, keep = case
         subset = dataset.subset(keep)
         assert subset == Dataset(subset.paragraphs)

@@ -212,8 +212,7 @@ class TestARecordHoldsWhatItChecked:
             _change_in_place(arg)
         fresh = cls(*_ARGS[name]())
         assert record == fresh
-        unchecked = {"meta"} if name == "PredictionSet" else set()  # the caller's annotation
-        for field in set(cls.__slots__) - unchecked:  # derived fields too
+        for field in cls.__slots__:  # derived fields too
             assert getattr(record, field) == getattr(fresh, field), field
 
     @pytest.mark.parametrize("field", ["answer_starts", "items"])
@@ -257,6 +256,19 @@ class TestARecordHoldsWhatItChecked:
     def test_prediction_set_takes_only_strings(self, model_name, answers, message):
         with pytest.raises(SchemaError, match=message):
             PredictionSet(model_name, answers)
+
+    def test_prediction_set_keeps_its_own_meta_values(self):
+        ids = ["q"]
+        predictions = PredictionSet("m", {}, {"ids": ids, "note": "n", "count": 1, "none": None})
+        ids.append("x")
+        assert predictions.meta == {"ids": ("q",), "note": "n", "count": 1, "none": None}
+
+    @pytest.mark.parametrize("value", [{"a": 1}, {1}, [["q"]], ("q", [1]), object()],
+                             ids=["dict", "set", "list-of-lists", "tuple-with-list", "object"])
+    def test_prediction_set_refuses_a_meta_value_it_cannot_keep(self, value):
+        with pytest.raises(ValueError, match="^meta 'ids' must be a str, int, float, bool, None "
+                                             "or a list or tuple of them, got "):
+            PredictionSet("m", {}, {"ids": value})
 
     def test_prediction_set_keeps_its_own_answers(self, tmp_path):
         answers = {"q": "a"}
@@ -303,7 +315,7 @@ class TestAMappingARecordHoldsIsReadOnly:
         meta = {"sentinel_fallback_ids": ["q"]}
         predictions = PredictionSet("m", {"q": "a"}, meta)
         meta["other"] = 1
-        assert predictions.meta == {"sentinel_fallback_ids": ["q"]}
+        assert predictions.meta == {"sentinel_fallback_ids": ("q",)}
 
     def test_repr_shows_each_mapping_as_a_dict(self):
         table = WeightTable(("a",), "em_rate", {"who": {"a": 0.25}}, {"a": 0.5})

@@ -102,7 +102,7 @@ class TestGeneration:
         dataset = Dataset((Paragraph("p0", "t", "alpha beta", (item,)),))
         profile = AccuracyProfile(per_class=all_classes(0.0), seed=7)
         preds = generate_predictions(dataset, profile, "m", rules)
-        assert preds.meta["sentinel_fallback_ids"] == ["q0"]
+        assert preds.meta["sentinel_fallback_ids"] == ("q0",)
         f1, em_flag = score_pair(preds.answers["q0"], item.gold_answers)
         assert f1 == 0.0 and not em_flag
 
