@@ -453,7 +453,7 @@ def dataset_from_squad_dict(data: dict) -> Dataset:
 
 
 def _list_at(obj, key) -> list:
-    """``obj[key]``: ``obj`` must be a dict, and the value a list."""
+    """``obj[key]`` if ``obj`` is a dict and the value a list; else a TypeError."""
     if isinstance(obj, dict) and isinstance(value := obj.get(key), list):
         return value
     raise TypeError(f"no list at {key!r} of a {type(obj).__name__}")
@@ -516,12 +516,14 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_predictions(path: str | Path, model_name: str) -> PredictionSet:
-    """Load a flat {id: answer} prediction file; strings kept byte-for-byte."""
+    """Load a flat {id: answer} prediction file; strings kept byte-for-byte.
+    ``PredictionSet`` checks every answer; only after a fault are the answers
+    read again through ``_require``, to name the fault's ``$.<id>``."""
     def decode(answers) -> PredictionSet:
         if isinstance(answers, dict):
             try:
                 return PredictionSet(model_name, answers)
-            except SchemaError:  # read again to name the answer's JSON path
+            except SchemaError:
                 for qid in answers:
                     _require(answers, qid, "$", str)
                 raise
